@@ -188,12 +188,9 @@ def cmd_witten(args) -> int:
         else:
             with open(args.source) as fh:
                 c = witten.load_complex(fh.read())
+        h = witten.homology(c, mode)  # an invalid complex raises ComplexValidationError
     except (OSError, ValueError, IndexError) as exc:
         return _fail(args, EXIT_USAGE, "usage", str(exc))
-    try:
-        h = witten.homology(c, mode)
-    except witten.ComplexValidationError as exc:
-        return _fail(args, EXIT_CONSISTENCY, "consistency", str(exc))
     degs = sorted(set(c.degrees) | set(h.ranks))
     lines = [f"H_{i} = {h.group_str(i)}" for i in degs]
     return _emit(args, {"homology": h.to_json()}, "\n".join(lines))
@@ -274,8 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="emit JSON payloads")
     parser.add_argument(
         "--tol",
-        type=float,
-        default=float(os.environ.get("MORSEGRASS_TOL", flows.DEFAULT_TOL)),
+        type=flows.tolerance,
+        # a string default goes through the type at parse time, so a bad
+        # MORSEGRASS_TOL is a usage error like a bad --tol
+        default=os.environ.get("MORSEGRASS_TOL", flows.DEFAULT_TOL),
         help="numerical tolerance (default 1e-9, or MORSEGRASS_TOL)",
     )
     sub = parser.add_subparsers(dest="command", required=True)

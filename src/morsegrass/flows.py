@@ -12,6 +12,7 @@ This is the only floating-point module in the package.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,17 @@ DEFAULT_TOL = 1e-9
 
 # exp() overflows past ~709; flows clamp the largest exponent magnitude here
 MAX_EXPONENT = 700.0
+
+
+def tolerance(value) -> float:
+    """A numerical tolerance as a float; ValueError unless finite and positive.
+
+    Accepts numbers and numeric strings, so it also serves as an argparse type.
+    """
+    tol = float(value)
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {value!r}")
+    return tol
 
 
 class DegenerateInputError(ValueError):
@@ -211,6 +223,7 @@ def limit_symbol(
     """
     if direction not in ("down", "up"):
         raise ValueError(f"direction must be 'down' or 'up', got {direction!r}")
+    tol = tolerance(tol)
     if a is not None and not a.is_strict:
         raise ValueError(
             "limit_symbol needs a strict (Morse) spectrum; tied values give "

@@ -55,7 +55,8 @@ class IntPolynomial:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # constants compare equal to ints, so they must hash like them
+        return hash(self.coeffs) if len(self.coeffs) > 1 else hash(self.coefficient(0))
 
     def __add__(self, other):
         if isinstance(other, int):

@@ -5,29 +5,31 @@ image is the hypersimplex Delta(k, n), the convex hull of the 0/1 indicator
 vectors e_u of Schubert symbols.  Schubert varieties map to the sub-polytopes
 spanned by the vertices below u in the closure order.
 
-Membership in a vertex polytope is decided by exact rational linear
-programming (a small phase-1 simplex over Fraction) for rational inputs, and
-by a slack LP via scipy for floating inputs.  Face enumeration is brute force
-with exact arithmetic, intended for at most 64 vertices.
+These polytopes are Schubert matroid polytopes, cut out by
+0 <= x <= 1, sum x = k and prefix bounds x_1 + ... + x_i >= c_i read off the
+vertices.  Membership checks those O(n) inequalities, exactly for rational
+input and with a scaled slack for floats.  Faces come from the at most 3n
+facet candidates among them, with exact integer arithmetic throughout;
+face enumeration is capped at 64 vertices.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate
 
 import numpy as np
-from scipy.optimize import linprog
 
-from .flows import GrassmannPoint, HeightSpectrum, flow, height_value, projector
+from .flows import GrassmannPoint, HeightSpectrum, flow, projector, tolerance
 from .symbols import SchubertSymbol, bruhat_leq, enumerate_symbols
 
 MAX_FACE_VERTICES = 64
 
 
 class CapacityError(ValueError):
-    """Brute-force face enumeration refused a polytope with too many vertices."""
+    """Face enumeration refused a polytope with too many vertices."""
 
 
 @dataclass(frozen=True)
@@ -57,6 +59,8 @@ class VertexPolytope:
 
     def __post_init__(self):
         verts = tuple(tuple(v) for v in self.vertices)
+        if not verts:
+            raise ValueError("a polytope needs at least one vertex")
         if len(set(verts)) != len(verts):
             raise ValueError("vertices must be pairwise distinct")
         object.__setattr__(self, "vertices", verts)
@@ -94,158 +98,119 @@ def schubert_polytope(u: SchubertSymbol) -> VertexPolytope:
     return VertexPolytope(verts, u.k, u.n)
 
 
-def _exact_feasible(a_rows: list[list[Fraction]], b: list[Fraction]) -> bool:
-    """Whether A x = b has a solution with x >= 0 (phase-1 simplex, Bland's rule)."""
-    m = len(a_rows)
-    cols = len(a_rows[0]) if m else 0
-    # make right-hand sides nonnegative
-    rows = []
-    rhs = []
-    for row, bi in zip(a_rows, b):
-        if bi < 0:
-            rows.append([-x for x in row])
-            rhs.append(-bi)
-        else:
-            rows.append(list(row))
-            rhs.append(bi)
-    # tableau with artificial basis; objective = sum of artificials
-    total = cols + m
-    t = [rows[i] + [Fraction(1) if j == i else Fraction(0) for j in range(m)] + [rhs[i]]
-         for i in range(m)]
-    basis = [cols + i for i in range(m)]
-    obj = [Fraction(0)] * (total + 1)
-    for i in range(m):
-        for j in range(total + 1):
-            obj[j] -= t[i][j]
-    for i in range(m):
-        # reduced cost of each basic artificial must start at its cost 1 - 1 = 0
-        obj[cols + i] += 1
-    while True:
-        enter = next((j for j in range(total) if obj[j] < 0), None)
-        if enter is None:
-            break
-        ratios = [
-            (t[i][total] / t[i][enter], basis[i], i)
-            for i in range(m)
-            if t[i][enter] > 0
-        ]
-        if not ratios:
-            break  # unbounded; cannot happen for a phase-1 problem
-        _, _, leave = min(ratios, key=lambda r: (r[0], r[1]))
-        piv = t[leave][enter]
-        t[leave] = [x / piv for x in t[leave]]
-        for i in range(m):
-            if i != leave and t[i][enter] != 0:
-                f = t[i][enter]
-                t[i] = [x - f * y for x, y in zip(t[i], t[leave])]
-        if obj[enter] != 0:
-            f = obj[enter]
-            obj = [x - f * y for x, y in zip(obj, t[leave])]
-        basis[leave] = enter
-    return -obj[total] == 0
+def _prefix_bounds(verts) -> list | None:
+    """Prefix bounds c_i = min over the vertices of v_1 + ... + v_i (i = 1..n).
+
+    Returns them when the vertices are exactly the 0/1 points of
+    {0 <= x <= 1, x_1 + ... + x_i >= c_i, x_1 + ... + x_n = c_n}, as they are
+    for every Schubert matroid polytope (Gelfand-Goresky-MacPherson-Serganova);
+    otherwise None.  The rows are intervals of coordinates, so the system is
+    totally unimodular and its polytope is the hull of those 0/1 points.
+    """
+    if any(c not in (0, 1) for v in verts for c in v):
+        return None
+    sums = [tuple(accumulate(v)) for v in verts]
+    bounds = [min(col) for col in zip(*sums)]
+    if any(s[-1] != bounds[-1] for s in sums):
+        return None
+    # ways[j]: 0/1 prefixes with coordinate sum j meeting every bound so far
+    ways = [1] + [0] * len(bounds)
+    for c in bounds:
+        ways = [ways[j] + (ways[j - 1] if j else 0) if j >= c else 0 for j in range(len(ways))]
+    return bounds if ways[bounds[-1]] == len(verts) else None
+
+
+def _not_supported(P: VertexPolytope) -> ValueError:
+    return ValueError(
+        f"the {len(P.vertices)} vertices of dimension >= 2 are not the 0/1 points "
+        "of a Schubert matroid polytope's inequality system"
+    )
 
 
 def membership(x, P: VertexPolytope, tol: float = 1e-9) -> bool:
     """Whether x lies in the convex hull of the vertices of P.
 
-    Rational coordinates (int/Fraction) are decided exactly; floats via an
-    LP that minimizes the l1 defect of the convex combination, accepted when
-    the defect is below tol.
+    P must be a Schubert matroid polytope (every ``schubert_polytope`` and
+    ``grassmannian_polytope`` is) or have dimension at most 1; any other
+    vertex set raises ValueError.  Rational coordinates (int/Fraction) are
+    decided exactly.  Float coordinates must be finite; each inequality may
+    be violated by at most tol * (1 + |(x, 1)|_1).
     """
     coords = x.coords if isinstance(x, MomentPoint) else tuple(x)
     if len(coords) != P.n:
         raise ValueError(f"point has {len(coords)} coordinates, polytope ambient is {P.n}")
+    tol = tolerance(tol)
     exact = all(isinstance(c, (int, Fraction)) for c in coords)
-    verts = P.vertices
-    if exact:
-        a = [[Fraction(v[i]) for v in verts] for i in range(P.n)]
-        a.append([Fraction(1)] * len(verts))
-        b = [Fraction(c) for c in coords] + [Fraction(1)]
-        return _exact_feasible(a, b)
-    nv = len(verts)
-    vt = np.array(verts, dtype=float).T  # n x nv
-    # variables: lambda (nv), e_plus (n), e_minus (n)
-    a_eq = np.hstack([vt, np.eye(P.n), -np.eye(P.n)])
-    a_eq = np.vstack([a_eq, np.hstack([np.ones(nv), np.zeros(2 * P.n)])])
-    b_eq = np.concatenate([np.array(coords, dtype=float), [1.0]])
-    c = np.concatenate([np.zeros(nv), np.ones(2 * P.n)])
-    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if not res.success:
-        return False
-    return float(res.fun) <= tol * (1.0 + float(np.abs(b_eq).sum()))
+    if not exact and not all(math.isfinite(c) for c in coords):
+        raise ValueError(f"point coordinates {coords} must be finite")
+    slack = 0 if exact else tol * (2.0 + sum(abs(c) for c in coords))
+    bounds = _prefix_bounds(P.vertices)
+    if bounds is not None:
+        return (
+            abs(sum(coords) - bounds[-1]) <= slack
+            and all(-slack <= c <= 1 + slack for c in coords)
+            and all(p >= c - slack for p, c in zip(accumulate(coords), bounds))
+        )
+    if _affine_rank(P.vertices) > 1:
+        raise _not_supported(P)
+    # a point or a segment; along a line the lexicographic order is the line's order
+    a, b = min(P.vertices), max(P.vertices)
+    step = [q - p for p, q in zip(a, b)]
+    length2 = sum(s * s for s in step)
+    t = Fraction(sum((c - p) * s for c, p, s in zip(coords, a, step))) / length2 if length2 else 0
+    t = min(max(t, 0), 1)
+    return sum(abs(c - p - t * s) for c, p, s in zip(coords, a, step)) <= slack
 
 
-def _affine_basis(verts: list[list[Fraction]]):
-    """Row-reduced basis of span{v - v0} and coordinates of each vertex in it."""
-    v0 = verts[0]
-    diffs = [[x - y for x, y in zip(v, v0)] for v in verts[1:]]
-    basis: list[list[Fraction]] = []
-    pivots: list[int] = []
-    for d in diffs:
-        d = list(d)
-        for b, p in zip(basis, pivots):
-            if d[p] != 0:
-                f = d[p]
-                d = [x - f * y for x, y in zip(d, b)]
-        p = next((i for i, x in enumerate(d) if x != 0), None)
-        if p is None:
-            continue
-        d = [x / d[p] for x in d]
-        basis.append(d)
-        pivots.append(p)
-    coords = []
-    for v in verts:
-        d = [x - y for x, y in zip(v, v0)]
-        cs = []
-        for b, p in zip(basis, pivots):
-            c = d[p]
-            cs.append(c)
-            d = [x - c * y for x, y in zip(d, b)]
-        coords.append(cs)
-    return coords  # each vertex as a point of R^dim
-
-
-def _affine_rank(points: list[tuple]) -> int:
-    """Dimension of the affine hull of a point set (exact)."""
-    pts = [[Fraction(x) for x in p] for p in points]
-    if not pts:
-        return -1
-    coords = _affine_basis(pts)
-    return len(coords[0]) if coords else 0
+def _affine_rank(points) -> int:
+    """Dimension of the affine hull of rational points, by fraction-free elimination."""
+    base = points[0]
+    rows: list[tuple[int, list]] = []  # (pivot column, row), reduced against earlier pivots
+    for p in points[1:]:
+        r = [a - b for a, b in zip(p, base)]
+        for col, row in rows:
+            if r[col]:
+                f, g = r[col], row[col]
+                r = [g * a - f * b for a, b in zip(r, row)]
+        col = next((i for i, a in enumerate(r) if a), None)
+        if col is not None:
+            rows.append((col, r))
+    return len(rows)
 
 
 def face_counts(P: VertexPolytope) -> tuple[int, ...]:
     """f-vector (faces per dimension, including the polytope itself).
 
-    Brute force with exact arithmetic: find facets as supporting hyperplanes
-    through affinely independent vertex subsets, then close the facet vertex
-    sets under intersection to get all proper faces.
+    Facets are read off the at most 3n inequalities x_i >= 0, x_i <= 1 and
+    x_1 + ... + x_i >= c_i: an inequality is a facet when its tight vertices
+    span dimension d - 1.  Closing the facet vertex sets under intersection
+    gives all proper faces.  Supports the polytopes ``membership`` does and
+    raises ValueError otherwise; more than 64 vertices raise CapacityError.
     """
-    if len(P.vertices) > MAX_FACE_VERTICES:
-        raise CapacityError(
-            f"{len(P.vertices)} vertices exceeds the brute-force cap {MAX_FACE_VERTICES}"
-        )
-    verts = [[Fraction(x) for x in v] for v in P.vertices]
+    verts = P.vertices
     nv = len(verts)
-    if nv == 1:
-        return (1,)
-    coords = _affine_basis(verts)
-    d = len(coords[0])
-    if d == 0:
-        return (1,)
+    if nv > MAX_FACE_VERTICES:
+        raise CapacityError(
+            f"{nv} vertices exceeds the face enumeration cap {MAX_FACE_VERTICES}"
+        )
+    d = _affine_rank(verts)
+    if d <= 1:
+        return (1,) if d == 0 else (2, 1)
+    bounds = _prefix_bounds(verts)
+    if bounds is None:
+        raise _not_supported(P)
 
-    facets: set[frozenset[int]] = set()
-    for subset in combinations(range(nv), d):
-        # hyperplane through the subset: normal in the d-dim hull coordinates
-        base = coords[subset[0]]
-        mat = [[coords[i][j] - base[j] for j in range(d)] for i in subset[1:]]
-        normal = _nullspace_vector(mat, d)
-        if normal is None:
-            continue  # subset does not span a hyperplane
-        offset = sum(n * b for n, b in zip(normal, base))
-        signs = [sum(n * c for n, c in zip(normal, coords[i])) - offset for i in range(nv)]
-        if all(s >= 0 for s in signs) or all(s <= 0 for s in signs):
-            facets.add(frozenset(i for i, s in enumerate(signs) if s == 0))
+    sums = [tuple(accumulate(v)) for v in verts]
+    candidates = set()
+    for i in range(P.n):
+        for tight in (
+            frozenset(j for j, v in enumerate(verts) if v[i] == 0),
+            frozenset(j for j, v in enumerate(verts) if v[i] == 1),
+            frozenset(j for j, s in enumerate(sums) if s[i] == bounds[i]),
+        ):
+            if 0 < len(tight) < nv:
+                candidates.add(tight)
+    facets = [f for f in candidates if _affine_rank([verts[j] for j in f]) == d - 1]
 
     faces: set[frozenset[int]] = set(facets)
     frontier = set(facets)
@@ -262,38 +227,8 @@ def face_counts(P: VertexPolytope) -> tuple[int, ...]:
     counts = [0] * (d + 1)
     counts[d] = 1  # the polytope itself
     for f in faces:
-        rank = _affine_rank([P.vertices[i] for i in sorted(f)])
-        if rank < d:
-            counts[rank] += 1
+        counts[_affine_rank([verts[i] for i in sorted(f)])] += 1
     return tuple(counts)
-
-
-def _nullspace_vector(mat: list[list[Fraction]], d: int):
-    """A nonzero kernel vector of the (d-1) x d matrix, or None if rank < d-1."""
-    rows = [list(r) for r in mat]
-    pivots = []
-    reduced = []
-    for r in rows:
-        r = list(r)
-        for b, p in zip(reduced, pivots):
-            if r[p] != 0:
-                f = r[p]
-                r = [x - f * y for x, y in zip(r, b)]
-        p = next((i for i, x in enumerate(r) if x != 0), None)
-        if p is None:
-            return None  # rank deficient: not a hyperplane spanner
-        r = [x / r[p] for x in r]
-        reduced.append(r)
-        pivots.append(p)
-    if len(reduced) != d - 1:
-        return None
-    free = next(i for i in range(d) if i not in pivots)
-    vec = [Fraction(0)] * d
-    vec[free] = Fraction(1)
-    # back substitution against the reduced rows
-    for b, p in zip(reversed(reduced), reversed(pivots)):
-        vec[p] = -sum(b[j] * vec[j] for j in range(d) if j != p)
-    return vec
 
 
 def flow_moment_trace(

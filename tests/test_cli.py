@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -102,6 +103,23 @@ class TestFlowAndLimit:
         code, _, _ = run_json(capsys, "limit", "/nonexistent.json", "4,3,2,1", "down")
         assert code == 2
 
+    @pytest.mark.parametrize("tol", ["-1", "nan", "0", "inf", "abc"])
+    def test_bad_tolerance_is_usage_error(self, capsys, tmp_path, tol):
+        # with tol = -1 or nan every row used to pass as a pivot row, printing (3,4)
+        path = write_point(tmp_path, [[1, 0], [0, 1], [0, 0], [0, 0]])
+        with pytest.raises(SystemExit) as err:
+            main(["--tol", tol, "limit", path, "4,3,2,1", "down"])
+        assert err.value.code == 2
+        assert "tolerance" in capsys.readouterr().err
+
+    def test_bad_tolerance_env_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("MORSEGRASS_TOL", "abc")
+        with pytest.raises(SystemExit) as err:
+            main(["cells", "2", "4"])
+        assert err.value.code == 2
+        monkeypatch.setenv("MORSEGRASS_TOL", "1e-8")
+        assert main(["cells", "2", "4"]) == 0
+
 
 class TestWitten:
     def test_builtin_rp3(self, capsys):
@@ -133,7 +151,7 @@ class TestWitten:
             "degrees: 0 2\ngens 0: a\ngens 1: b\ngens 2: c\nd 1:\n1\nd 2:\n1\n"
         )
         code, data, _ = run_json(capsys, "witten", str(path))
-        assert code in (2, 3)
+        assert code == 2
         assert data["status"] == "error"
 
     def test_unknown_builtin(self, capsys):
@@ -179,6 +197,13 @@ class TestPolytope:
         code, data, _ = run_json(capsys, "polytope", "3", "9")
         assert code == 2
         assert data["code"] == "capacity"
+
+    def test_hypersimplex_3_7_within_bound(self, capsys):
+        start = time.perf_counter()
+        code, data, _ = run_json(capsys, "polytope", "3", "7")
+        assert time.perf_counter() - start < 2.0
+        assert code == 0
+        assert data["payload"]["f_vector"] == [35, 210, 350, 245, 84, 14, 1]
 
 
 class TestModuliDim:

@@ -19,6 +19,7 @@ from morsegrass.flows import (
     projector,
     random_point,
     span_distance,
+    tolerance,
 )
 from morsegrass.symbols import SchubertSymbol, critical_index, enumerate_symbols
 
@@ -236,6 +237,15 @@ class TestLimitSymbol:
             W = flow(V, A4, 25.0)
             target = GrassmannPoint.coordinate_plane(u)
             assert span_distance(W, target) < 1e-6
+
+    def test_tolerance_must_be_finite_and_positive(self):
+        V = GrassmannPoint.coordinate_plane(SchubertSymbol((1, 2), 4))
+        for tol in (-1.0, 0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="tolerance"):
+                limit_symbol(V, "down", tol=tol)
+        assert tolerance("1e-6") == 1e-6
+        with pytest.raises(ValueError):
+            tolerance("abc")
 
     def test_nonstrict_spectrum_rejected(self):
         V = random_point(2, 4, RNG)

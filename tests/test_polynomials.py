@@ -50,6 +50,13 @@ class TestIntPolynomial:
         assert str(poly(0, -1)) == "-t"
         assert str(IntPolynomial()) == "0"
 
+    def test_constants_hash_like_ints(self):
+        for c in (0, 1, 5, -3, 2**70):
+            assert IntPolynomial([c]) == c
+            assert hash(IntPolynomial([c])) == hash(c)
+        assert {IntPolynomial([5]), 5} == {5}
+        assert hash(poly(1, 2)) == hash(poly(1, 2, 0))
+
     def test_json_round_trip(self):
         p = poly(1, 0, 2)
         assert IntPolynomial.from_json(p.to_json()) == p

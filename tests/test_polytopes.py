@@ -1,7 +1,11 @@
+import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from scipy.optimize import linprog
 
 from morsegrass.flows import GrassmannPoint, HeightSpectrum, flow, height_value, random_point
 from morsegrass.polytopes import (
@@ -17,7 +21,7 @@ from morsegrass.polytopes import (
     schubert_polytope,
     symbol_vertex,
 )
-from morsegrass.symbols import SchubertSymbol, enumerate_symbols
+from morsegrass.symbols import SchubertSymbol, enumerate_symbols, schubert_conditions
 
 
 def sym(entries, n):
@@ -86,10 +90,53 @@ class TestPolytopes:
     def test_duplicate_vertices_rejected(self):
         with pytest.raises(ValueError):
             VertexPolytope(((0, 1), (0, 1)), 1, 2)
+        with pytest.raises(ValueError, match="at least one vertex"):
+            VertexPolytope((), 1, 2)
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
             face_counts(grassmannian_polytope(3, 9))
+
+    def test_collinear_points(self):
+        # (1, 1) is not a vertex of the hull; it lies between the other two
+        line = VertexPolytope(((0, 0), (1, 1), (2, 2)), 1, 2)
+        assert face_counts(line) == (2, 1)
+
+    def test_non_matroid_vertex_set_rejected(self):
+        # 0/1 points with constant sum, but not all the 0/1 points of their
+        # prefix-bound system (which holds all six points of Delta(2, 4))
+        P = VertexPolytope(((1, 1, 0, 0), (0, 0, 1, 1), (1, 0, 1, 0)), 2, 4)
+        with pytest.raises(ValueError, match="Schubert matroid"):
+            face_counts(P)
+        with pytest.raises(ValueError, match="Schubert matroid"):
+            membership([Fraction(1, 2)] * 4, P)
+        # vertex sums differ: a triangle in R^3
+        T = VertexPolytope(((0, 0, 0), (1, 0, 0), (0, 1, 0)), 1, 3)
+        with pytest.raises(ValueError, match="Schubert matroid"):
+            face_counts(T)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_matches_brute_force_on_schubert_polytopes(self, n):
+        for k in range(1, n):
+            for u in enumerate_symbols(k, n):
+                P = schubert_polytope(u)
+                if len(P.vertices) <= 10:
+                    assert face_counts(P) == brute_force_face_counts(P.vertices), u
+
+    def test_hypersimplex_closed_form(self):
+        for n in range(2, 8):
+            for k in range(1, n):
+                assert face_counts(grassmannian_polytope(k, n)) == hypersimplex_f_vector(k, n)
+
+    def test_vertices_are_the_points_of_the_prefix_system(self):
+        for k, n in [(2, 5), (3, 6), (2, 7)]:
+            for u in enumerate_symbols(k, n):
+                c = schubert_conditions(u)
+                points = {
+                    v for v in map(symbol_vertex, enumerate_symbols(k, n))
+                    if all(sum(v[:i + 1]) >= c[i] for i in range(n))
+                }
+                assert points == set(schubert_polytope(u).vertices)
 
 
 class TestMembership:
@@ -126,6 +173,36 @@ class TestMembership:
         with pytest.raises(ValueError):
             membership([0.5, 0.5], grassmannian_polytope(2, 4))
 
+    def test_tolerance_and_coordinates_checked(self):
+        P = grassmannian_polytope(2, 4)
+        for tol in (0.0, -1e-9, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="tolerance"):
+                membership([0.5] * 4, P, tol=tol)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                membership([bad, 0.5, 0.5, 0.5], P)
+
+    def test_lower_dimensional_schubert_polytope(self):
+        # X_(2,4) in Gr(2,4): vertices e_v with v <= (2,4), so x_1 + x_2 >= 1
+        P = schubert_polytope(sym((2, 4), 4))
+        assert membership([Fraction(1, 2)] * 4, P)
+        assert not membership([0, 0, 1, 1], P)
+        assert not membership([0.0, 0.0, 1.0, 1.0], P)
+        # X_(1,3): x_1 = 1 on every vertex
+        Q = schubert_polytope(sym((1, 3), 4))
+        assert membership([1, Fraction(1, 2), Fraction(1, 2), 0], Q)
+        assert not membership([Fraction(9, 10), Fraction(11, 20), Fraction(11, 20), 0], Q)
+
+    def test_segment_and_point(self):
+        seg = VertexPolytope(((0, 0), (1, 1)), 1, 2)
+        assert membership([Fraction(1, 3), Fraction(1, 3)], seg)
+        assert not membership([Fraction(1, 3), Fraction(1, 2)], seg)
+        assert not membership([2, 2], seg)
+        assert membership([0.25, 0.25 + 1e-12], seg)
+        assert not membership([1.5, 1.5], seg)
+        pt = VertexPolytope(((1, 0),), 1, 2)
+        assert membership([1, 0], pt) and not membership([0, 1], pt)
+
 
 class TestFlowTrace:
     def test_trace_stays_in_schubert_polytope(self):
@@ -151,3 +228,201 @@ def test_moment_point_json():
     p = MomentPoint((0.5, 0.25, 0.25))
     assert p.to_json() == [0.5, 0.25, 0.25]
     assert p.n == 3
+
+
+# ----------------------------------------------------------------- oracles
+# The exact phase-1 simplex, the slack LP and the brute-force facet search
+# that decided membership and faces before the inequality description; kept
+# here as independent checks.
+
+
+def _affine_basis(verts):
+    """Coordinates of each vertex in a row-reduced basis of span{v - v0}."""
+    v0 = verts[0]
+    basis, pivots = [], []
+    for v in verts[1:]:
+        d = [x - y for x, y in zip(v, v0)]
+        for b, p in zip(basis, pivots):
+            if d[p] != 0:
+                f = d[p]
+                d = [x - f * y for x, y in zip(d, b)]
+        p = next((i for i, x in enumerate(d) if x != 0), None)
+        if p is not None:
+            basis.append([x / d[p] for x in d])
+            pivots.append(p)
+    coords = []
+    for v in verts:
+        d = [x - y for x, y in zip(v, v0)]
+        cs = []
+        for b, p in zip(basis, pivots):
+            c = d[p]
+            cs.append(c)
+            d = [x - c * y for x, y in zip(d, b)]
+        coords.append(cs)
+    return coords
+
+
+def _nullspace_vector(mat, d):
+    """A nonzero kernel vector of the (d-1) x d matrix, or None if rank < d-1."""
+    reduced, pivots = [], []
+    for r in mat:
+        for b, p in zip(reduced, pivots):
+            if r[p] != 0:
+                f = r[p]
+                r = [x - f * y for x, y in zip(r, b)]
+        p = next((i for i, x in enumerate(r) if x != 0), None)
+        if p is None:
+            return None
+        reduced.append([x / r[p] for x in r])
+        pivots.append(p)
+    free = next(i for i in range(d) if i not in pivots)
+    vec = [Fraction(0)] * d
+    vec[free] = Fraction(1)
+    for b, p in zip(reversed(reduced), reversed(pivots)):
+        vec[p] = -sum(b[j] * vec[j] for j in range(d) if j != p)
+    return vec
+
+
+def brute_force_face_counts(vertices):
+    """f-vector from supporting hyperplanes through every d-subset of vertices."""
+    verts = [[Fraction(x) for x in v] for v in vertices]
+    nv = len(verts)
+    coords = _affine_basis(verts)
+    d = len(coords[0])
+    if d == 0:
+        return (1,)
+    facets = set()
+    for subset in combinations(range(nv), d):
+        base = coords[subset[0]]
+        mat = [[coords[i][j] - base[j] for j in range(d)] for i in subset[1:]]
+        normal = _nullspace_vector(mat, d)
+        if normal is None:
+            continue
+        offset = sum(a * b for a, b in zip(normal, base))
+        signs = [sum(a * c for a, c in zip(normal, coords[i])) - offset for i in range(nv)]
+        if all(s >= 0 for s in signs) or all(s <= 0 for s in signs):
+            facets.add(frozenset(i for i, s in enumerate(signs) if s == 0))
+    faces, frontier = set(facets), set(facets)
+    while frontier:
+        frontier = {f & g for f in frontier for g in facets if f & g} - faces
+        faces |= frontier
+    counts = [0] * (d + 1)
+    counts[d] = 1
+    for f in faces:
+        counts[len(_affine_basis([verts[i] for i in sorted(f)])[0])] += 1
+    return tuple(counts)
+
+
+def hypersimplex_f_vector(k, n):
+    """Faces of Delta(k, n) fix some coordinates to 0 or 1: a j-face (j >= 1)
+    is a Delta(k', j + 1) with 0 < k' < j + 1 on the free coordinates."""
+    f = [math.comb(n, k)]
+    for j in range(1, n):
+        m = j + 1
+        f.append(sum(
+            math.comb(n, m) * math.comb(n - m, k - kk)
+            for kk in range(1, m)
+            if 0 <= k - kk <= n - m
+        ))
+    return tuple(f)
+
+
+def exact_feasible(vertices, x):
+    """Whether x is a convex combination of the vertices (phase-1 simplex, Bland's rule)."""
+    m = len(x) + 1
+    rows = [[Fraction(v[i]) for v in vertices] for i in range(len(x))]
+    rows.append([Fraction(1)] * len(vertices))
+    rhs = [Fraction(c) for c in x] + [Fraction(1)]
+    for i in range(m):
+        if rhs[i] < 0:
+            rows[i], rhs[i] = [-a for a in rows[i]], -rhs[i]
+    cols = len(vertices)
+    total = cols + m
+    t = [rows[i] + [Fraction(int(j == i)) for j in range(m)] + [rhs[i]] for i in range(m)]
+    basis = [cols + i for i in range(m)]
+    obj = [Fraction(0)] * (total + 1)
+    for i in range(m):
+        obj = [o - a for o, a in zip(obj, t[i])]
+        obj[cols + i] += 1
+    while True:
+        enter = next((j for j in range(total) if obj[j] < 0), None)
+        if enter is None:
+            break
+        ratios = [(t[i][total] / t[i][enter], basis[i], i) for i in range(m) if t[i][enter] > 0]
+        if not ratios:
+            break
+        leave = min(ratios)[2]
+        piv = t[leave][enter]
+        t[leave] = [a / piv for a in t[leave]]
+        for i in range(m):
+            if i != leave and t[i][enter] != 0:
+                f = t[i][enter]
+                t[i] = [a - f * b for a, b in zip(t[i], t[leave])]
+        f = obj[enter]
+        obj = [a - f * b for a, b in zip(obj, t[leave])]
+        basis[leave] = enter
+    return obj[total] == 0
+
+
+def lp_member(vertices, x, tol=1e-9):
+    """Whether the l1 defect of the best convex combination is below the slack."""
+    n, nv = len(x), len(vertices)
+    vt = np.array(vertices, dtype=float).T
+    a_eq = np.vstack([
+        np.hstack([vt, np.eye(n), -np.eye(n)]),
+        np.hstack([np.ones(nv), np.zeros(2 * n)]),
+    ])
+    b_eq = np.concatenate([np.array(x, dtype=float), [1.0]])
+    c = np.concatenate([np.zeros(nv), np.ones(2 * n)])
+    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    return bool(res.success) and float(res.fun) <= tol * (1.0 + float(np.abs(b_eq).sum()))
+
+
+@st.composite
+def schubert_polytopes(draw):
+    n = draw(st.integers(2, 6))
+    entries = draw(st.sets(st.integers(1, n), min_size=1, max_size=n - 1))
+    return schubert_polytope(SchubertSymbol(tuple(sorted(entries)), n))
+
+
+@st.composite
+def polytope_and_point(draw, exact):
+    """A Schubert polytope and a point: a convex combination of its vertices,
+    optionally moved by a random displacement, or an arbitrary point."""
+    P = draw(schubert_polytopes())
+    nv, n = len(P.vertices), P.n
+    if exact:
+        weight = st.integers(0, 4).map(Fraction)
+        shift = st.integers(-3, 3).map(lambda a: Fraction(a, 4))
+    else:
+        weight = st.floats(0, 1)
+        shift = st.floats(-0.5, 0.5)
+    if draw(st.booleans()):
+        w = draw(st.lists(weight, min_size=nv, max_size=nv).filter(lambda w: sum(w) > 0.01))
+        x = [sum(wi * v[i] for wi, v in zip(w, P.vertices)) / sum(w) for i in range(n)]
+        if draw(st.booleans()):
+            x = [a + b for a, b in zip(x, draw(st.lists(shift, min_size=n, max_size=n)))]
+    else:
+        x = draw(st.lists(shift.map(lambda a: a + (Fraction(1, 2) if exact else 0.5)),
+                          min_size=n, max_size=n))
+    return P, x
+
+
+@settings(deadline=None)
+@given(polytope_and_point(exact=True))
+def test_exact_membership_matches_simplex(case):
+    P, x = case
+    assert membership(x, P) == exact_feasible(P.vertices, x)
+
+
+@settings(deadline=None)
+@given(polytope_and_point(exact=False))
+def test_float_membership_matches_linprog(case):
+    P, x = case
+    # compare only away from the boundary: every constraint value is either
+    # rounding noise around 0 or at least 1e-6 from it
+    prefix = np.cumsum(x)
+    values = [prefix[-1] - P.k, *x, *(1 - a for a in x)]
+    values += [p - min(sum(v[:i + 1]) for v in P.vertices) for i, p in enumerate(prefix)]
+    assume(all(abs(g) < 1e-12 or abs(g) >= 1e-6 for g in values))
+    assert membership(x, P) == lp_member(P.vertices, x)
