@@ -6,12 +6,15 @@ and the Schubert-calculus cup product.
 """
 
 from .symbols import (
+    MAX_SYMBOLS,
     AmbientMismatchError,
+    CapacityError,
     GeneralizedSchubertSymbol,
     PartialFlagSpectrum,
     SchubertSymbol,
     bruhat_leq,
     cell_dimension,
+    check_ambient,
     complement,
     critical_index,
     enumerate_generalized_symbols,
@@ -56,7 +59,6 @@ from .flows import (
     span_distance,
 )
 from .polytopes import (
-    CapacityError,
     MomentPoint,
     VertexPolytope,
     face_counts,

@@ -1,9 +1,17 @@
 """Command-line interface.
 
 Subcommand-per-module layout; ``--json`` switches every command from pretty
-text to machine-readable JSON.  Exit codes: 0 ok, 2 usage error, 3 internal
-consistency failure, 4 numerical ambiguity.  The default tolerance comes
-from ``--tol`` or the MORSEGRASS_TOL environment variable.
+text to machine-readable JSON.  The default tolerance comes from ``--tol``
+or the MORSEGRASS_TOL environment variable.  ``main`` is the one place that
+turns exceptions into exit codes; errors carry an error code, reported as
+"code" in JSON and as "error (<code>): ..." on stderr in text mode:
+
+  0  success, also when the reader of stdout closes it early
+  2  usage: bad arguments or input files
+  2  capacity: more than MAX_SYMBOLS = 100000 Schubert cells to enumerate,
+     or more than 64 polytope vertices for face enumeration
+  3  consistency: the three Poincare polynomial routes disagree
+  4  ambiguous-cell: a point too close to a cell boundary to classify
 """
 
 from __future__ import annotations
@@ -19,13 +27,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CONSISTENCY = 3
 EXIT_AMBIGUOUS = 4
-
-
-class _CliParser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        sys.exit(EXIT_USAGE)
 
 
 def _emit(args, payload: dict, text: str) -> int:
@@ -50,9 +51,12 @@ def _fail(args, code: int, error_code: str, message: str) -> int:
     return code
 
 
-def _parse_symbol(text: str, n: int) -> symbols.SchubertSymbol:
+def _parse_symbol(text: str, k: int, n: int) -> symbols.SchubertSymbol:
     entries = tuple(int(x) for x in text.strip("()").split(",") if x)
-    return symbols.SchubertSymbol(entries, n)
+    u = symbols.SchubertSymbol(entries, n)
+    if u.k != k:
+        raise ValueError(f"symbol {u} has k={u.k}, expected {k}")
+    return u
 
 
 def _load_matrix(path: str) -> flows.GrassmannPoint:
@@ -65,12 +69,8 @@ def _spectrum(text: str) -> flows.HeightSpectrum:
 
 
 def cmd_cells(args) -> int:
-    try:
-        syms = symbols.enumerate_symbols(args.k, args.n)
-    except ValueError as exc:
-        return _fail(args, EXIT_USAGE, "usage", str(exc))
     rows = []
-    for u in syms:
+    for u in symbols.enumerate_symbols(args.k, args.n):
         rows.append(
             {
                 "symbol": str(u),
@@ -91,16 +91,13 @@ def cmd_cells(args) -> int:
 
 def cmd_poincare(args) -> int:
     k, n = args.k, args.n
-    try:
-        results = {}
-        if args.method in ("cells", "all"):
-            results["cells"] = polynomials.morse_polynomial_by_cells(k, n)
-        if args.method in ("recurrence", "all"):
-            results["recurrence"] = polynomials.poincare_recurrence(k, n)
-        if args.method in ("closed", "all"):
-            results["closed"] = polynomials.poincare_closed(k, n)
-    except ValueError as exc:
-        return _fail(args, EXIT_USAGE, "usage", str(exc))
+    results = {}
+    if args.method in ("cells", "all"):
+        results["cells"] = polynomials.morse_polynomial_by_cells(k, n)
+    if args.method in ("recurrence", "all"):
+        results["recurrence"] = polynomials.poincare_recurrence(k, n)
+    if args.method in ("closed", "all"):
+        results["closed"] = polynomials.poincare_closed(k, n)
     agreement = len(set(results.values())) == 1
     if args.method == "all" and not agreement:
         return _fail(
@@ -119,12 +116,9 @@ def cmd_poincare(args) -> int:
 
 
 def cmd_flow(args) -> int:
-    try:
-        V = _load_matrix(args.matrix)
-        a = _spectrum(args.spectrum)
-        W = flows.flow(V, a, args.t)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        return _fail(args, EXIT_USAGE, "usage", str(exc))
+    V = _load_matrix(args.matrix)
+    a = _spectrum(args.spectrum)
+    W = flows.flow(V, a, args.t)
     mu = polytopes.moment_map(W)
     payload = {
         "matrix": W.to_json(),
@@ -139,23 +133,9 @@ def cmd_flow(args) -> int:
 
 
 def cmd_limit(args) -> int:
-    try:
-        V = _load_matrix(args.matrix)
-        a = _spectrum(args.spectrum)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        return _fail(args, EXIT_USAGE, "usage", str(exc))
-    if not a.is_strict:
-        return _fail(
-            args,
-            EXIT_USAGE,
-            "usage",
-            "tied spectrum values request Morse-Bott mode: limits land on "
-            "critical manifolds, not points; use a strict spectrum",
-        )
-    try:
-        u = flows.limit_symbol(V, args.direction, tol=args.tol, a=a)
-    except flows.AmbiguousCellError as exc:
-        return _fail(args, EXIT_AMBIGUOUS, "ambiguous-cell", str(exc))
+    V = _load_matrix(args.matrix)
+    a = _spectrum(args.spectrum)
+    u = flows.limit_symbol(V, args.direction, tol=args.tol, a=a)
     trace = polytopes.flow_moment_trace(V, a, [0.0, 1.0, 2.0, 4.0])
     payload = {
         "symbol": u.to_json(),
@@ -172,61 +152,42 @@ def cmd_witten(args) -> int:
             mode = tok
         else:
             params.append(tok)
-    try:
-        if args.source.startswith("builtin:"):
-            name = args.source.split(":", 1)[1]
-            if name == "circle":
-                c = witten.circle_complex(int(params[0]))
-            elif name == "rp":
-                c = witten.rp_complex(int(params[0]))
-            elif name == "torus":
-                c = witten.torus_complex()
-            elif name == "grassmannian":
-                c = witten.grassmannian_complex(int(params[0]), int(params[1]))
-            else:
-                return _fail(args, EXIT_USAGE, "usage", f"unknown builtin {name!r}")
+    if args.source.startswith("builtin:"):
+        name = args.source.split(":", 1)[1]
+        if name == "circle":
+            c = witten.circle_complex(int(params[0]))
+        elif name == "rp":
+            c = witten.rp_complex(int(params[0]))
+        elif name == "torus":
+            c = witten.torus_complex()
+        elif name == "grassmannian":
+            c = witten.grassmannian_complex(int(params[0]), int(params[1]))
         else:
-            with open(args.source) as fh:
-                c = witten.load_complex(fh.read())
-        h = witten.homology(c, mode)  # an invalid complex raises ComplexValidationError
-    except (OSError, ValueError, IndexError) as exc:
-        return _fail(args, EXIT_USAGE, "usage", str(exc))
+            raise ValueError(f"unknown builtin {name!r}")
+    else:
+        with open(args.source) as fh:
+            c = witten.load_complex(fh.read())
+    h = witten.homology(c, mode)
     degs = sorted(set(c.degrees) | set(h.ranks))
     lines = [f"H_{i} = {h.group_str(i)}" for i in degs]
     return _emit(args, {"homology": h.to_json()}, "\n".join(lines))
 
 
 def cmd_cup(args) -> int:
-    try:
-        syms = [_parse_symbol(s, args.n) for s in args.symbols]
-    except ValueError as exc:
-        return _fail(args, EXIT_USAGE, "usage", str(exc))
-    if not syms:
-        return _fail(args, EXIT_USAGE, "usage", "need at least one symbol")
-    try:
-        out = ring.CohomologyClass.basis(syms[0])
-        for u in syms[1:]:
-            out = ring.cup_product(out, ring.CohomologyClass.basis(u))
-    except ValueError as exc:
-        return _fail(args, EXIT_USAGE, "usage", str(exc))
+    syms = [_parse_symbol(s, args.k, args.n) for s in args.symbols]
+    out = ring.CohomologyClass.basis(syms[0])
+    for u in syms[1:]:
+        out = ring.cup_product(out, ring.CohomologyClass.basis(u))
     lhs = "".join(f"z{u}" for u in syms)
     return _emit(args, {"product": out.to_json()}, f"{lhs} = {out}")
 
 
 def cmd_polytope(args) -> int:
-    try:
-        if args.symbol:
-            u = _parse_symbol(args.symbol, args.n)
-            if u.k != args.k:
-                raise ValueError(f"symbol {u} has k={u.k}, expected {args.k}")
-            P = polytopes.schubert_polytope(u)
-        else:
-            P = polytopes.grassmannian_polytope(args.k, args.n)
-        f = polytopes.face_counts(P)
-    except polytopes.CapacityError as exc:
-        return _fail(args, EXIT_USAGE, "capacity", str(exc))
-    except ValueError as exc:
-        return _fail(args, EXIT_USAGE, "usage", str(exc))
+    if args.symbol:
+        P = polytopes.schubert_polytope(_parse_symbol(args.symbol, args.k, args.n))
+    else:
+        P = polytopes.grassmannian_polytope(args.k, args.n)
+    f = polytopes.face_counts(P)
     payload = {"polytope": P.to_json(), "f_vector": list(f)}
     text = f"vertices: {len(P.vertices)}\nf-vector: {f}"
     if args.plot_data:
@@ -250,24 +211,18 @@ def _octahedron_projection(P: polytopes.VertexPolytope) -> list:
 
 
 def cmd_moduli_dim(args) -> int:
-    try:
-        with open(args.graph) as fh:
-            data = json.load(fh)
-        g = graphs.FlowGraph.from_json(data)
-        ends = graphs.LabeledEnds(
-            tuple(data.get("incoming_indices", [])),
-            tuple(data.get("outgoing_indices", [])),
-            int(data["dim_m"]),
-        )
-        dim = graphs.moduli_dimension(g, ends)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-        return _fail(args, EXIT_USAGE, "usage", str(exc))
+    with open(args.graph) as fh:
+        data = json.load(fh)
+    g = graphs.FlowGraph.from_json(data)
+    dim = graphs.moduli_dimension(g, graphs.LabeledEnds.from_json(data))
     payload = {"dimension": dim, "first_betti": graphs.graph_first_betti(g)}
     return _emit(args, payload, f"moduli dimension: {dim}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _CliParser(prog="morsegrass", description=__doc__)
+    # argparse reports its own usage errors with exit code 2
+    parser = argparse.ArgumentParser(prog="morsegrass", description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--json", action="store_true", help="emit JSON payloads")
     parser.add_argument(
         "--tol",
@@ -279,60 +234,73 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("cells", help="Schubert cell table of Gr_k(C^n)")
-    p.add_argument("k", type=int)
-    p.add_argument("n", type=int)
-    p.set_defaults(func=cmd_cells)
+    def command(name, func, help, grassmannian=False):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        if grassmannian:
+            p.add_argument("k", type=int)
+            p.add_argument("n", type=int)
+        return p
 
-    p = sub.add_parser("poincare", help="Poincare polynomial of Gr_k(C^n)")
-    p.add_argument("k", type=int)
-    p.add_argument("n", type=int)
+    command("cells", cmd_cells, "Schubert cell table of Gr_k(C^n)", grassmannian=True)
+
+    p = command("poincare", cmd_poincare, "Poincare polynomial of Gr_k(C^n)", grassmannian=True)
     p.add_argument("method", nargs="?", default="all",
                    choices=["cells", "recurrence", "closed", "all"])
-    p.set_defaults(func=cmd_poincare)
 
-    p = sub.add_parser("flow", help="evolve a frame along the gradient flow")
+    p = command("flow", cmd_flow, "evolve a frame along the gradient flow")
     p.add_argument("matrix", help="JSON matrix file ([[re,im],...] rows)")
     p.add_argument("spectrum", help="comma-separated a_1,...,a_n")
     p.add_argument("t", type=float)
-    p.set_defaults(func=cmd_flow)
 
-    p = sub.add_parser("limit", help="classify the limiting Schubert cell")
+    p = command("limit", cmd_limit, "classify the limiting Schubert cell")
     p.add_argument("matrix")
     p.add_argument("spectrum")
     p.add_argument("direction", choices=["down", "up"])
-    p.set_defaults(func=cmd_limit)
 
-    p = sub.add_parser("witten", help="homology of a Witten complex")
+    p = command("witten", cmd_witten, "homology of a Witten complex")
     p.add_argument("source", help="file path or builtin:{circle,rp,torus,grassmannian}")
     p.add_argument("params", nargs="*",
                    help="builtin parameters, optionally followed by integers|mod2")
-    p.set_defaults(func=cmd_witten)
 
-    p = sub.add_parser("cup", help="cup product of Schubert classes")
-    p.add_argument("k", type=int)
-    p.add_argument("n", type=int)
+    p = command("cup", cmd_cup, "cup product of Schubert classes", grassmannian=True)
     p.add_argument("symbols", nargs="+", help="symbols like (2,4)")
-    p.set_defaults(func=cmd_cup)
 
-    p = sub.add_parser("polytope", help="momentum polytope and f-vector")
-    p.add_argument("k", type=int)
-    p.add_argument("n", type=int)
+    p = command("polytope", cmd_polytope, "momentum polytope and f-vector", grassmannian=True)
     p.add_argument("symbol", nargs="?", default=None)
     p.add_argument("--plot-data", default=None, help="write projected 3-d vertex coordinates")
-    p.set_defaults(func=cmd_polytope)
 
-    p = sub.add_parser("moduli-dim", help="expected dimension of graph-flow moduli")
+    p = command("moduli-dim", cmd_moduli_dim, "expected dimension of graph-flow moduli")
     p.add_argument("graph", help="JSON graph file with end labels and dim_m")
-    p.set_defaults(func=cmd_moduli_dim)
 
     return parser
 
 
+# exception types -> (exit code, error code), first match wins: subclasses before
+# bases.  ValueError covers JSONDecodeError, ComplexValidationError,
+# DegenerateInputError and numpy's LinAlgError.
+_ERRORS = (
+    (symbols.CapacityError, EXIT_USAGE, "capacity"),
+    (flows.AmbiguousCellError, EXIT_AMBIGUOUS, "ambiguous-cell"),
+    ((OSError, ValueError, KeyError, IndexError), EXIT_USAGE, "usage"),
+)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed early shows up here, not at exit
+        return code
+    except BrokenPipeError:
+        # nobody reads stdout any more: send the interpreter's final flush to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
+    except Exception as exc:
+        for kinds, code, error_code in _ERRORS:
+            if isinstance(exc, kinds):
+                return _fail(args, code, error_code, str(exc))
+        raise
 
 
 if __name__ == "__main__":

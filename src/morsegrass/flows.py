@@ -57,6 +57,8 @@ class HeightSpectrum:
     def __post_init__(self):
         a = tuple(float(x) for x in self.a)
         object.__setattr__(self, "a", a)
+        if not all(map(math.isfinite, a)):
+            raise ValueError(f"spectrum entries must be finite, got {a}")
         if any(a[i] < a[i + 1] for i in range(len(a) - 1)):
             raise ValueError(f"spectrum {a} must be nonincreasing")
         if a and a[-1] < 0:
@@ -86,8 +88,11 @@ class GrassmannPoint:
         if m.shape[1] > m.shape[0]:
             raise ValueError(f"need k <= n, got shape {m.shape}")
         if m.shape[1] > 0:
+            scale = float(np.abs(m).max())  # NaN or inf if any entry is
+            if not math.isfinite(scale):
+                raise ValueError(f"frame entries must be finite, got {m[~np.isfinite(m)][0]}")
             smin = np.linalg.svd(m, compute_uv=False)[-1]
-            if smin <= rank_floor * max(1.0, float(np.abs(m).max())):
+            if smin <= rank_floor * max(1.0, scale):
                 raise DegenerateInputError(f"columns are rank deficient (sigma_min={smin:.3e})")
         m.setflags(write=False)
         self.matrix = m
@@ -116,7 +121,11 @@ class GrassmannPoint:
 
     @classmethod
     def from_json(cls, data) -> "GrassmannPoint":
-        m = [[complex(re, im) for re, im in row] for row in data]
+        """Frame from a list of rows of [re, im] pairs; ValueError on any other shape."""
+        try:
+            m = [[complex(re, im) for re, im in row] for row in data]
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"a frame must be a list of rows of [re, im] number pairs ({exc})") from None
         return cls(m)
 
 
@@ -167,6 +176,8 @@ def flow(V: GrassmannPoint, a: HeightSpectrum, t: float) -> GrassmannPoint:
     """
     if a.n != V.n:
         raise ValueError("spectrum length does not match ambient dimension")
+    if not math.isfinite(t):
+        raise ValueError(f"flow time must be finite, got {t}")
     arr = np.array(a.a)
     exps = -t * arr
     exps = exps - exps.max()

@@ -89,8 +89,12 @@ class FlowGraph:
 
     @classmethod
     def from_json(cls, data: dict) -> "FlowGraph":
-        return cls(frozenset(data["vertices"]),
-                   tuple((a, b, kind) for a, b, kind in data["edges"]))
+        """Graph from {"vertices": [...], "edges": [[a, b, kind], ...]}; ValueError on any other shape."""
+        try:
+            return cls(frozenset(data["vertices"]),
+                       tuple((a, b, kind) for a, b, kind in data["edges"]))
+        except TypeError as exc:
+            raise ValueError(f"graph JSON needs 'vertices' and 'edges' lists ({exc})") from None
 
 
 @dataclass(frozen=True)
@@ -107,6 +111,15 @@ class LabeledEnds:
         for idx in self.incoming + self.outgoing:
             if not 0 <= idx <= self.dim_m:
                 raise ValueError(f"index {idx} outside 0..dim M = {self.dim_m}")
+
+    @classmethod
+    def from_json(cls, data: dict) -> "LabeledEnds":
+        """Labels from the "incoming_indices", "outgoing_indices" and "dim_m" keys of a graph file."""
+        try:
+            return cls(tuple(data.get("incoming_indices", [])),
+                       tuple(data.get("outgoing_indices", [])), int(data["dim_m"]))
+        except (AttributeError, TypeError, OverflowError) as exc:
+            raise ValueError(f"end labels need integer lists and an integer 'dim_m' ({exc})") from None
 
 
 def graph_first_betti(g: FlowGraph) -> int:

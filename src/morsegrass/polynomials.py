@@ -16,6 +16,7 @@ from functools import lru_cache
 from .symbols import (
     GeneralizedSchubertSymbol,
     cell_dimension,
+    check_ambient,
     enumerate_symbols,
     generalized_index,
 )
@@ -207,8 +208,7 @@ def partition_count(d: int, k: int, cap: int) -> int:
 
 def gaussian_generating(k: int, n: int) -> IntPolynomial:
     """Gaussian binomial [n choose k]_t as a polynomial (exact division)."""
-    if k < 0 or n < 0 or k > n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    check_ambient(k, n)
     num = IntPolynomial.one
     den = IntPolynomial.one
     for i in range(1, k + 1):
@@ -219,8 +219,7 @@ def gaussian_generating(k: int, n: int) -> IntPolynomial:
 
 def poincare_recurrence(k: int, n: int) -> IntPolynomial:
     """Poincare polynomial of Gr_k(C^n) via P_{k,n} = P_{k,n-1} + t^{2(n-k)} P_{k-1,n-1}."""
-    if k < 0 or n < 0 or k > n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    check_ambient(k, n)
 
     @lru_cache(maxsize=None)
     def rec(kk, nn):
@@ -233,8 +232,6 @@ def poincare_recurrence(k: int, n: int) -> IntPolynomial:
 
 def poincare_closed(k: int, n: int) -> IntPolynomial:
     """Poincare polynomial of Gr_k(C^n) via the closed product formula."""
-    if k < 0 or n < 0 or k > n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     return gaussian_generating(k, n).substitute_power(2)
 
 

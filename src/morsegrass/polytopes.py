@@ -23,13 +23,9 @@ from itertools import accumulate
 import numpy as np
 
 from .flows import GrassmannPoint, HeightSpectrum, flow, projector, tolerance
-from .symbols import SchubertSymbol, bruhat_leq, enumerate_symbols
+from .symbols import CapacityError, SchubertSymbol, bruhat_leq, enumerate_symbols
 
 MAX_FACE_VERTICES = 64
-
-
-class CapacityError(ValueError):
-    """Face enumeration refused a polytope with too many vertices."""
 
 
 @dataclass(frozen=True)
@@ -235,11 +231,7 @@ def flow_moment_trace(
     V: GrassmannPoint, a: HeightSpectrum, ts
 ) -> list[MomentPoint]:
     """Sample mu along the gradient flow of V at the requested times."""
-    out = []
-    for t in ts:
-        W = flow(V, a, float(t))
-        out.append(moment_map(W))
-    return out
+    return [moment_map(flow(V, a, float(t))) for t in ts]
 
 
 def moment_height(x: MomentPoint, a: HeightSpectrum) -> float:

@@ -190,10 +190,7 @@ class CohomologyClass:
 
     def __sub__(self, other):
         self._check(other)
-        out = dict(self.coefficients)
-        for u, c in other.coefficients.items():
-            out[u] = out.get(u, 0) - c
-        return CohomologyClass(self.k, self.n, out)
+        return self + other.scale(-1)
 
     def scale(self, c: int) -> "CohomologyClass":
         return CohomologyClass(self.k, self.n, {u: c * x for u, x in self.coefficients.items()})

@@ -13,11 +13,19 @@ dimensions of the plane sit in each eigenspace block.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+
+# enumerate_symbols refuses Grassmannians with more Schubert cells than this
+MAX_SYMBOLS = 100_000
 
 
 class AmbientMismatchError(ValueError):
     """Two symbols from different Grassmannians were combined."""
+
+
+class CapacityError(ValueError):
+    """A request too large to enumerate: too many Schubert cells or polytope vertices."""
 
 
 @dataclass(frozen=True)
@@ -113,10 +121,21 @@ class PartialFlagSpectrum:
         return sum(self.multiplicities)
 
 
-def enumerate_symbols(k: int, n: int) -> list[SchubertSymbol]:
-    """All C(n, k) Schubert symbols of Gr_k(C^n), in lexicographic order."""
+def check_ambient(k: int, n: int) -> None:
+    """ValueError unless 0 <= k <= n, the one check on the (k, n) of Gr_k(C^n)."""
     if k < 0 or n < 0 or k > n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+
+
+def enumerate_symbols(k: int, n: int) -> list[SchubertSymbol]:
+    """All C(n, k) Schubert symbols of Gr_k(C^n), in lexicographic order.
+
+    Raises CapacityError, before building any, if C(n, k) > MAX_SYMBOLS.
+    """
+    check_ambient(k, n)
+    # min(k, n - k) > 20 means C(n, k) >= C(42, 21) > MAX_SYMBOLS; math.comb stays cheap
+    if min(k, n - k) > 20 or math.comb(n, k) > MAX_SYMBOLS:
+        raise CapacityError(f"C({n},{k}) Schubert cells of Gr({k},{n}) exceed MAX_SYMBOLS = {MAX_SYMBOLS}")
     return [SchubertSymbol(c, n) for c in itertools.combinations(range(1, n + 1), k)]
 
 
@@ -179,9 +198,7 @@ def enumerate_generalized_symbols(
     blocks = tuple(int(m) for m in blocks)
     if any(m <= 0 for m in blocks):
         raise ValueError(f"block sizes {blocks} must be positive")
-    n = sum(blocks)
-    if k < 0 or k > n:
-        raise ValueError(f"need 0 <= k <= n = {n}, got k={k}")
+    check_ambient(k, sum(blocks))
 
     out = []
 

@@ -241,9 +241,7 @@ class HomologyResult:
     mode: str = "integers"
 
     def group_str(self, i: int) -> str:
-        parts = ["Z"] * self.ranks.get(i, 0)
-        if self.mode == "mod2":
-            parts = ["Z/2"] * self.ranks.get(i, 0)
+        parts = ["Z/2" if self.mode == "mod2" else "Z"] * self.ranks.get(i, 0)
         parts += [f"Z/{t}" for t in self.torsion.get(i, [])]
         return " + ".join(parts) if parts else "0"
 
@@ -264,8 +262,8 @@ class HomologyResult:
         }
 
 
-def validate_complex(c: WittenComplex) -> bool:
-    """True iff all shapes are consistent and every composite dd is zero."""
+def _dd_failure(c: WittenComplex) -> int | None:
+    """First degree i with d_i d_{i+1} != 0, or None; raises on inconsistent shapes."""
     c.check_shapes()
     for i in c.degrees:
         lower = c.boundary(i)
@@ -274,16 +272,26 @@ def validate_complex(c: WittenComplex) -> bool:
             continue
         prod = _mat_mul(lower, upper)
         if any(any(row) for row in prod):
-            return False
-    return True
+            return i
+    return None
+
+
+def _check_dd(c: WittenComplex) -> None:
+    i = _dd_failure(c)
+    if i is not None:
+        raise ComplexValidationError(f"dd != 0 between degrees {i + 1} and {i - 1}")
+
+
+def validate_complex(c: WittenComplex) -> bool:
+    """True iff all shapes are consistent and every composite dd is zero."""
+    return _dd_failure(c) is None
 
 
 def homology(c: WittenComplex, mode: str = "integers") -> HomologyResult:
     """Homology of a validated complex, over Z (with torsion) or over GF(2)."""
     if mode not in ("integers", "mod2"):
         raise ValueError(f"mode must be 'integers' or 'mod2', got {mode!r}")
-    if not validate_complex(c):
-        raise ComplexValidationError("boundary maps do not satisfy dd = 0")
+    _check_dd(c)
 
     ranks: dict[int, int] = {}
     torsion: dict[int, list[int]] = {}
@@ -439,10 +447,5 @@ def load_complex(text: str) -> WittenComplex:
         raise ComplexValidationError("missing 'degrees:' header")
     gens = {i: g for i, g in gens.items() if g}
     c = WittenComplex(generators=gens, boundaries=bnds)
-    if not validate_complex(c):
-        for i in c.degrees:
-            prod = _mat_mul(c.boundary(i), c.boundary(i + 1))
-            if prod and prod[0] and any(any(row) for row in prod):
-                raise ComplexValidationError(f"dd != 0 between degrees {i + 1} and {i - 1}")
-        raise ComplexValidationError("dd != 0")
+    _check_dd(c)
     return c

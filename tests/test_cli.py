@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,3 +242,104 @@ class TestUsageExit:
         with pytest.raises(SystemExit) as err:
             main([])
         assert err.value.code == 2
+
+
+class TestCapacity:
+    @pytest.mark.parametrize("argv", [
+        ["cells", "300", "600"],
+        ["polytope", "20", "40"],
+        ["poincare", "300", "600"],
+        ["cup", "10", "20", "(1,2,3,4,5,6,7,8,9,10)", "(1,2,3,4,5,6,7,8,9,11)"],
+        ["witten", "builtin:grassmannian", "10", "20"],
+        ["cells", "1000000000", "2000000000"],
+    ])
+    def test_refused_before_enumeration(self, capsys, argv):
+        # each of these used to enumerate C(n, k) symbols until killed
+        start = time.perf_counter()
+        code, data, _ = run_json(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert data["code"] == "capacity"
+        assert "MAX_SYMBOLS" in data["diagnostics"]
+
+    def test_text_mode_names_the_code(self, capsys):
+        code, out, err = run(capsys, "cells", "300", "600")
+        assert code == 2 and out == ""
+        assert err.startswith("error (capacity): ")
+
+
+class TestBrokenPipe:
+    def test_closed_stdout_exits_zero_quietly(self):
+        import morsegrass
+
+        env = dict(os.environ, PYTHONPATH=str(Path(morsegrass.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "morsegrass.cli", "cells", "4", "8"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()  # the reader goes away before anything is written
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert err == b""
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("argv", [
+        ["flow", "{p}", "2,1", "1.0"],
+        ["limit", "{p}", "2,1", "down"],
+    ])
+    def test_frame_that_is_not_rows_of_pairs(self, capsys, tmp_path, argv):
+        path = tmp_path / "p.json"
+        path.write_text("[1, 2]")
+        code, data, _ = run_json(capsys, *[a.format(p=path) for a in argv])
+        assert code == 2
+        assert data["code"] == "usage"
+        assert "[re, im]" in data["diagnostics"]
+
+    @pytest.mark.parametrize("doc", [[], {"vertices": 5, "edges": [], "dim_m": 3}])
+    def test_graph_of_the_wrong_shape(self, capsys, tmp_path, doc):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))
+        code, data, _ = run_json(capsys, "moduli-dim", str(path))
+        assert code == 2
+        assert data["code"] == "usage"
+
+    def test_end_labels_of_the_wrong_shape(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"vertices": ["v"], "edges": [], "dim_m": None}))
+        code, data, _ = run_json(capsys, "moduli-dim", str(path))
+        assert code == 2
+        assert data["code"] == "usage"
+
+    def test_nan_frame(self, capsys, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text("[[[NaN, 0], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 0]]]")
+        code, data, _ = run_json(capsys, "flow", str(path), "3,2,1", "1.0")
+        assert code == 2
+        assert "finite" in data["diagnostics"]
+
+    @pytest.mark.parametrize("spectrum,t", [("3,2,1", "inf"), ("3,2,1", "nan"), ("nan,2,1", "1.0")])
+    def test_non_finite_time_or_spectrum(self, capsys, tmp_path, spectrum, t):
+        path = write_point(tmp_path, [[1, 0], [0, 1], [0, 0]])
+        code, data, _ = run_json(capsys, "flow", path, spectrum, t)
+        assert code == 2
+        assert "finite" in data["diagnostics"]
+
+    def test_unknown_builtin_names_it(self, capsys):
+        code, data, _ = run_json(capsys, "witten", "builtin:sphere", "2")
+        assert code == 2
+        assert "sphere" in data["diagnostics"]
+
+    def test_dd_failure_names_the_degrees(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("degrees: 0 2\ngens 0: a\ngens 1: b\ngens 2: c\nd 1:\n1\nd 2:\n1\n")
+        code, data, _ = run_json(capsys, "witten", str(path))
+        assert code == 2
+        assert "between degrees 2 and 0" in data["diagnostics"]
+
+    def test_cup_symbol_of_another_grassmannian(self, capsys):
+        # the symbols used to be read in Gr(2, 3) whatever k said
+        code, data, _ = run_json(capsys, "cup", "5", "3", "(1,2)")
+        assert code == 2
+        assert "expected 5" in data["diagnostics"]

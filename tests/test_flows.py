@@ -324,3 +324,46 @@ class TestIndexConsistency:
                         if d2 < 0:
                             neg += 2  # complex direction: two real dimensions
                 assert neg == critical_index(u, "for_f")
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_spectrum_refuses(self, bad):
+        # NaN used to pass, because the ordering checks compare false
+        with pytest.raises(ValueError, match="finite"):
+            HeightSpectrum((bad, 1.0, 0.5))
+        with pytest.raises(ValueError, match="finite"):
+            HeightSpectrum((3.0, 1.0, bad))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    def test_frame_refuses(self, bad):
+        m = np.array([[1, 0], [0, 1], [0, 0]], dtype=complex)
+        m[2, 0] = bad
+        with pytest.raises(ValueError, match="finite") as err:
+            GrassmannPoint(m)
+        assert "SVD" not in str(err.value)
+
+    @pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
+    def test_flow_time_refuses(self, t):
+        V = coordinate((1, 2), 3)
+        with pytest.raises(ValueError, match="flow time must be finite"):
+            flow(V, HeightSpectrum((2.0, 1.0, 0.0)), t)
+
+    def test_extreme_finite_time_still_flows(self):
+        V = GrassmannPoint(np.array([[1, 1], [1, -1], [1, 0], [0, 1]], dtype=complex))
+        W = flow(V, A4, 1e300)
+        assert np.isfinite(W.matrix).all()
+
+
+class TestFrameJson:
+    @pytest.mark.parametrize("data", [
+        [1, 2], [[1]], [[[1, 2, 3]]], [[["a", 0]]], "ab", None, 5, {"rows": []},
+        [[[1, 0]], [[0, 1], [1, 1]]], [[[10 ** 400, 0]]],
+    ])
+    def test_wrong_shape_is_value_error(self, data):
+        with pytest.raises(ValueError):
+            GrassmannPoint.from_json(data)
+
+    def test_k_zero_round_trip(self):
+        V = GrassmannPoint(np.zeros((3, 0), dtype=complex))
+        assert GrassmannPoint.from_json(V.to_json()).matrix.shape == (3, 0)

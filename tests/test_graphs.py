@@ -138,3 +138,26 @@ class TestCupProductInstance:
                 SchubertSymbol((2, 4), 5),
                 SchubertSymbol((2, 4), 5),
             )
+
+
+class TestJsonShapes:
+    @pytest.mark.parametrize("data", [
+        [], "abc", {"vertices": 5, "edges": []}, {"vertices": [[1]], "edges": []},
+        {"vertices": ["v"], "edges": [5]}, {"vertices": ["v"], "edges": [[["v"], None, "incoming"]]},
+    ])
+    def test_graph_wrong_shape_is_value_error(self, data):
+        with pytest.raises(ValueError):
+            FlowGraph.from_json(data)
+
+    @pytest.mark.parametrize("data", [
+        [], {"dim_m": None}, {"dim_m": [3]}, {"dim_m": 3, "incoming_indices": 5},
+        {"dim_m": 3, "incoming_indices": [[1]]}, {"dim_m": float("inf")},
+    ])
+    def test_labels_wrong_shape_is_value_error(self, data):
+        with pytest.raises(ValueError):
+            LabeledEnds.from_json(data)
+
+    def test_labels_from_json(self):
+        ends = LabeledEnds.from_json({"incoming_indices": [5], "outgoing_indices": [2], "dim_m": 8})
+        assert ends == LabeledEnds((5,), (2,), 8)
+        assert LabeledEnds.from_json({"dim_m": 4}) == LabeledEnds((), (), 4)

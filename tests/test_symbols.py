@@ -3,13 +3,17 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+import morsegrass.symbols as symbols_module
 from morsegrass.symbols import (
+    MAX_SYMBOLS,
     AmbientMismatchError,
+    CapacityError,
     GeneralizedSchubertSymbol,
     PartialFlagSpectrum,
     SchubertSymbol,
     bruhat_leq,
     cell_dimension,
+    check_ambient,
     complement,
     critical_index,
     enumerate_generalized_symbols,
@@ -226,3 +230,39 @@ def test_serialization_round_trip():
     assert SchubertSymbol(tuple(data["entries"]), data["n"]) == u
     c = GeneralizedSchubertSymbol((0, 1, 0), (2, 3, 2))
     assert c.to_json() == {"blocks": [2, 3, 2], "counts": [0, 1, 0]}
+
+
+class TestAmbientCheck:
+    @pytest.mark.parametrize("k,n", [(-1, 3), (4, 3), (0, -1), (-2, -1)])
+    def test_rejects(self, k, n):
+        with pytest.raises(ValueError, match="need 0 <= k <= n"):
+            check_ambient(k, n)
+
+    @pytest.mark.parametrize("k,n", [(0, 0), (0, 3), (3, 3), (2, 5)])
+    def test_accepts(self, k, n):
+        assert check_ambient(k, n) is None
+
+    def test_generalized_symbols_use_it(self):
+        with pytest.raises(ValueError, match="need 0 <= k <= n"):
+            enumerate_generalized_symbols([1, 2], 4)
+
+
+class TestSymbolCapacity:
+    def test_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(symbols_module, "MAX_SYMBOLS", 6)
+        assert len(enumerate_symbols(2, 4)) == 6
+        with pytest.raises(CapacityError, match="MAX_SYMBOLS"):
+            enumerate_symbols(2, 5)
+
+    @pytest.mark.parametrize("k,n", [(300, 600), (10, 20), (10 ** 9, 2 * 10 ** 9), (20, 10 ** 12), (21, 10 ** 12)])
+    def test_refused_without_enumerating(self, k, n):
+        with pytest.raises(CapacityError):
+            enumerate_symbols(k, n)
+
+    def test_one_error_class(self):
+        from morsegrass import CapacityError as exported
+        from morsegrass.polytopes import CapacityError as from_polytopes
+
+        assert exported is from_polytopes is CapacityError
+        assert issubclass(CapacityError, ValueError)
+        assert MAX_SYMBOLS == 100_000

@@ -103,6 +103,16 @@ class TestValidation:
         with pytest.raises(ComplexValidationError):
             homology(c)
 
+    def test_dd_failure_names_the_degrees(self):
+        c = WittenComplex(
+            generators={0: ["a"], 1: ["b"], 2: ["c"], 3: ["d"]},
+            boundaries={1: [[0]], 2: [[1]], 3: [[1]]},
+        )
+        with pytest.raises(ComplexValidationError, match="between degrees 3 and 1"):
+            homology(c)
+        with pytest.raises(ComplexValidationError, match="between degrees 3 and 1"):
+            load_complex(dump_complex(c))
+
     def test_shape_mismatch(self):
         c = WittenComplex(generators={0: ["a"], 1: ["b"]}, boundaries={1: [[1, 2]]})
         with pytest.raises(ComplexValidationError):
