@@ -76,6 +76,7 @@ from .witten import (
     WittenComplex,
     circle_complex,
     dump_complex,
+    elementary_divisors,
     grassmannian_complex,
     homology,
     load_complex,

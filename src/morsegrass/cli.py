@@ -9,7 +9,8 @@ turns exceptions into exit codes; errors carry an error code, reported as
   0  success, also when the reader of stdout closes it early
   2  usage: bad arguments or input files
   2  capacity: more than MAX_SYMBOLS = 100000 Schubert cells to enumerate,
-     or more than 64 polytope vertices for face enumeration
+     Witten degrees to span or builtin circle/rp entries to build, or more
+     than 64 polytope vertices for face enumeration
   3  consistency: the three Poincare polynomial routes disagree
   4  ambiguous-cell: a point too close to a cell boundary to classify
 """

@@ -218,16 +218,22 @@ def gaussian_generating(k: int, n: int) -> IntPolynomial:
 
 
 def poincare_recurrence(k: int, n: int) -> IntPolynomial:
-    """Poincare polynomial of Gr_k(C^n) via P_{k,n} = P_{k,n-1} + t^{2(n-k)} P_{k-1,n-1}."""
+    """Poincare polynomial of Gr_k(C^n) via P_{k,n} = P_{k,n-1} + t^{2(n-k)} P_{k-1,n-1}.
+
+    Iterative over Pascal rows of coefficient lists: after step nn, row[kk]
+    holds P_{kk,nn} for every kk that P_{k,n} still needs, that is
+    max(0, k - (n - nn)) <= kk <= min(k, nn).
+    """
     check_ambient(k, n)
-
-    @lru_cache(maxsize=None)
-    def rec(kk, nn):
-        if kk == 0 or kk == nn:
-            return IntPolynomial.one
-        return rec(kk, nn - 1) + IntPolynomial.monomial(2 * (nn - kk)) * rec(kk - 1, nn - 1)
-
-    return rec(k, n)
+    row = [[1] for _ in range(k + 1)]
+    for nn in range(1, n + 1):
+        for kk in range(min(k, nn - 1), max(0, k - (n - nn) - 1), -1):
+            shift, low = 2 * (nn - kk), row[kk - 1]
+            out = row[kk] + [0] * (shift + len(low) - len(row[kk]))
+            for d, c in enumerate(low, shift):
+                out[d] += c
+            row[kk] = out
+    return IntPolynomial(row[k])
 
 
 def poincare_closed(k: int, n: int) -> IntPolynomial:

@@ -2,8 +2,11 @@
 
 A WittenComplex stores, per degree, a list of generator names (critical
 points, graded by Morse index) and the integer boundary matrices between
-adjacent degrees.  Homology is computed exactly: Smith normal form over the
-integers, Gaussian elimination over GF(2) for the mod-2 variant.
+adjacent degrees.  Homology is computed exactly: over the integers from the
+invariant factors of each boundary (elementary_divisors, a unit-pivot-first
+reduction that builds no transforms), over GF(2) by Gaussian elimination.
+smith_normal_form, with its unimodular transforms, stays public and is the
+independent reference the tests check elementary_divisors against.
 
 Built-in complexes cover the standard small instances: circle height
 functions with m maxima/minima, real projective spaces, the torus, and the
@@ -12,9 +15,10 @@ functions with m maxima/minima, real projective spaces, the torus, and the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
-from .symbols import cell_dimension, enumerate_symbols
+from .symbols import MAX_SYMBOLS, CapacityError, cell_dimension, enumerate_symbols
 
 
 class ComplexValidationError(ValueError):
@@ -163,6 +167,65 @@ def _extgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
+def elementary_divisors(m: Matrix) -> list[int]:
+    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix, no transforms.
+
+    The same numbers as the nonzero diagonal of smith_normal_form(m)[0], by
+    elementary reduction (Kaczynski-Mischaikow-Mrozek, Computational Homology):
+    a +-1 pivot is taken whenever one exists, and clears its column by row
+    operations alone, after which its row and column are dropped.  Otherwise
+    the pivot is an entry of least absolute value; its column and then its row
+    are reduced to remainders, and a nonzero remainder is a smaller pivot for
+    the next round.  Zero rows are dropped as they appear.  The non-unit
+    pivots so found are a diagonal equivalent to the core, which a gcd/lcm
+    pass puts into divisibility order.
+    """
+    rows = [r[:] for r in m if any(r)]
+    ones = 0
+    others: list[int] = []
+    while rows:
+        i, j = _pivot(rows)
+        prow = rows[i]
+        p = prow[j]
+        unit = p in (1, -1)
+        done = True
+        for r in rows:
+            if r[j] and r is not prow:
+                q = r[j] * p if unit else (2 * r[j] + p) // (2 * p)  # nearest to r[j] / p
+                r[:] = [a - q * b for a, b in zip(r, prow)]
+                done = done and not r[j]
+        if done and not unit:
+            # column j is clear, so column operations only change the pivot row
+            prow[:] = [x - (2 * x + p) // (2 * p) * p for x in prow]
+            prow[j] = p
+            done = prow.count(0) == len(prow) - 1
+        if done:
+            if unit:
+                ones += 1
+            else:
+                others.append(abs(p))
+            del rows[i]
+            for r in rows:
+                del r[j]
+        rows = [r for r in rows if any(r)]
+    for a in range(len(others)):
+        for b in range(a + 1, len(others)):
+            g = math.gcd(others[a], others[b])
+            others[a], others[b] = g, others[a] * others[b] // g
+    return [1] * ones + others
+
+
+def _pivot(rows: Matrix) -> tuple[int, int]:
+    """Position of the first +-1 entry, else of an entry of least |value| (rows nonzero)."""
+    for i, r in enumerate(rows):
+        for unit in (1, -1):
+            if unit in r:
+                return i, r.index(unit)
+    size, i = min((min(filter(None, map(abs, r))), i) for i, r in enumerate(rows))
+    r = rows[i]
+    return i, r.index(size) if size in r else r.index(-size)
+
+
 def _rank_mod2(m: Matrix) -> int:
     rows = [sum((x & 1) << j for j, x in enumerate(row)) for row in m]
     rank = 0
@@ -288,35 +351,32 @@ def validate_complex(c: WittenComplex) -> bool:
 
 
 def homology(c: WittenComplex, mode: str = "integers") -> HomologyResult:
-    """Homology of a validated complex, over Z (with torsion) or over GF(2)."""
+    """Homology of a validated complex, over Z (with torsion) or over GF(2).
+
+    Each stored boundary is reduced once per call: to its invariant factors
+    over Z, or to its GF(2) rank, kept as that many unit factors (over a field
+    every invariant factor is 1).  Raises CapacityError when the degrees span
+    more than MAX_SYMBOLS, before listing any of them.
+    """
     if mode not in ("integers", "mod2"):
         raise ValueError(f"mode must be 'integers' or 'mod2', got {mode!r}")
     _check_dd(c)
+    degs = c.degrees
+    if degs and degs[-1] - degs[0] >= MAX_SYMBOLS:
+        raise CapacityError(
+            f"degrees {degs[0]}..{degs[-1]} span more than MAX_SYMBOLS = {MAX_SYMBOLS}"
+        )
+    if mode == "mod2":
+        factors = {i: [1] * _rank_mod2(m) for i, m in c.boundaries.items() if m and m[0]}
+    else:
+        factors = {i: elementary_divisors(m) for i, m in c.boundaries.items() if m and m[0]}
 
     ranks: dict[int, int] = {}
     torsion: dict[int, list[int]] = {}
-    degs = list(c.degrees)
-    span = range(min(degs), max(degs) + 1) if degs else range(0)
-    for i in span:
-        ci = c.rank(i)
-        low = c.boundary(i)       # d_i : C_i -> C_{i-1}
-        high = c.boundary(i + 1)  # d_{i+1} : C_{i+1} -> C_i
-        if mode == "mod2":
-            r_low = _rank_mod2(low) if low and low[0] else 0
-            r_high = _rank_mod2(high) if high and high[0] else 0
-            ranks[i] = ci - r_low - r_high
-            torsion[i] = []
-            continue
-        d_low, _, _ = smith_normal_form(low) if low and low[0] else ([], None, None)
-        d_high, _, _ = smith_normal_form(high) if high and high[0] else ([], None, None)
-        r_low = sum(1 for t in range(min(len(d_low), len(d_low[0]) if d_low else 0)) if d_low[t][t])
-        diag_high = [
-            d_high[t][t]
-            for t in range(min(len(d_high), len(d_high[0]) if d_high else 0))
-            if d_high[t][t]
-        ]
-        ranks[i] = ci - r_low - len(diag_high)
-        torsion[i] = [t for t in diag_high if t > 1]
+    for i in range(degs[0], degs[-1] + 1) if degs else ():
+        high = factors.get(i + 1, [])  # d_{i+1} : C_{i+1} -> C_i
+        ranks[i] = c.rank(i) - len(factors.get(i, [])) - len(high)
+        torsion[i] = [t for t in high if t > 1]
     return HomologyResult(ranks=ranks, torsion=torsion, mode=mode)
 
 
@@ -328,6 +388,8 @@ def circle_complex(m: int) -> WittenComplex:
     """
     if m < 1:
         raise ValueError("need at least one maximum/minimum")
+    if m * m > MAX_SYMBOLS:
+        raise CapacityError(f"circle_complex({m}) needs {m}x{m} boundary entries, over MAX_SYMBOLS = {MAX_SYMBOLS}")
     minima = [f"A{j}" for j in range(m)]
     maxima = [f"M{j}" for j in range(m)]
     d1 = [[0] * m for _ in range(m)]
@@ -341,6 +403,8 @@ def rp_complex(n: int) -> WittenComplex:
     """Real projective n-space: one generator per degree, d_i = (2) for even i."""
     if n < 1:
         raise ValueError("need n >= 1")
+    if n + 1 > MAX_SYMBOLS:
+        raise CapacityError(f"rp_complex({n}) needs {n + 1} degrees, over MAX_SYMBOLS = {MAX_SYMBOLS}")
     gens = {i: [f"V{n - i}"] for i in range(n + 1)}
     bnds = {i: [[2 if i % 2 == 0 else 0]] for i in range(1, n + 1)}
     return WittenComplex(generators=gens, boundaries=bnds)

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -27,6 +29,30 @@ def write_point(tmp_path, matrix, name="point.json"):
     path = tmp_path / name
     path.write_text(json.dumps(GrassmannPoint(np.array(matrix, dtype=complex)).to_json()))
     return str(path)
+
+
+def child_env():
+    import morsegrass
+
+    return dict(os.environ, PYTHONPATH=str(Path(morsegrass.__file__).parents[1]))
+
+
+def bareiss_det(m):
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    a = [row[:] for row in m]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
 
 
 class TestCells:
@@ -66,6 +92,16 @@ class TestPoincare:
     def test_usage_error(self, capsys):
         code, _, _ = run_json(capsys, "poincare", "4", "2")
         assert code == 2
+
+    def test_deep_recurrence(self, capsys):
+        # the recurrence used to recurse once per unit of n and hit RecursionError
+        from morsegrass.polynomials import poincare_closed
+
+        start = time.perf_counter()
+        code, data, err = run_json(capsys, "poincare", "1", "1500", "recurrence")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and "Traceback" not in err
+        assert data["payload"]["recurrence"] == poincare_closed(1, 1500).to_json()
 
 
 class TestFlowAndLimit:
@@ -162,6 +198,31 @@ class TestWitten:
         code, _, _ = run_json(capsys, "witten", "builtin:sphere", "2")
         assert code == 2
 
+    def test_dense_40x40_file(self, tmp_path):
+        from morsegrass.witten import WittenComplex, dump_complex
+
+        rng = random.Random(40)
+        m = [[rng.randint(-3, 3) for _ in range(40)] for _ in range(40)]
+        c = WittenComplex(
+            generators={0: [f"a{j}" for j in range(40)], 1: [f"b{j}" for j in range(40)]},
+            boundaries={1: m},
+        )
+        path = tmp_path / "dense40.txt"
+        path.write_text(dump_complex(c))
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "morsegrass.cli", "--json", "witten", str(path)],
+            capture_output=True, env=child_env(), timeout=60,
+        )
+        assert time.perf_counter() - start < 5.0
+        assert proc.returncode == 0, proc.stderr
+        h = json.loads(proc.stdout)["payload"]["homology"]
+        det = bareiss_det(m)
+        assert det != 0
+        assert h["ranks"] == {"0": 0, "1": 0}
+        assert h["torsion"]["1"] == []
+        assert math.prod(h["torsion"]["0"]) == abs(det)
+
 
 class TestCup:
     def test_square_of_z24(self, capsys):
@@ -252,11 +313,24 @@ class TestCapacity:
         ["cup", "10", "20", "(1,2,3,4,5,6,7,8,9,10)", "(1,2,3,4,5,6,7,8,9,11)"],
         ["witten", "builtin:grassmannian", "10", "20"],
         ["cells", "1000000000", "2000000000"],
+        ["witten", "builtin:circle", "1000000"],
+        ["witten", "builtin:rp", "1000000"],
     ])
     def test_refused_before_enumeration(self, capsys, argv):
         # each of these used to enumerate C(n, k) symbols until killed
         start = time.perf_counter()
         code, data, _ = run_json(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert data["code"] == "capacity"
+        assert "MAX_SYMBOLS" in data["diagnostics"]
+
+    def test_degree_gap_refused(self, capsys, tmp_path):
+        # homology used to walk all three million empty degrees
+        path = tmp_path / "gap.txt"
+        path.write_text("degrees: 0 3000000\ngens 0: a\ngens 3000000: b\n")
+        start = time.perf_counter()
+        code, data, _ = run_json(capsys, "witten", str(path))
         assert time.perf_counter() - start < 1.0
         assert code == 2
         assert data["code"] == "capacity"
@@ -270,12 +344,9 @@ class TestCapacity:
 
 class TestBrokenPipe:
     def test_closed_stdout_exits_zero_quietly(self):
-        import morsegrass
-
-        env = dict(os.environ, PYTHONPATH=str(Path(morsegrass.__file__).parents[1]))
         proc = subprocess.Popen(
             [sys.executable, "-m", "morsegrass.cli", "cells", "4", "8"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
         )
         proc.stdout.close()  # the reader goes away before anything is written
         err = proc.stderr.read()

@@ -84,6 +84,14 @@ class TestPoincareRoutes:
                 assert cells == poincare_recurrence(k, n)
                 assert cells == poincare_closed(k, n)
 
+    def test_recurrence_against_closed_form(self):
+        for n in range(10, 15):
+            for k in range(n + 1):
+                assert poincare_recurrence(k, n) == poincare_closed(k, n)
+        # deeper than the default recursion limit
+        assert poincare_recurrence(1, 1500) == poincare_closed(1, 1500)
+        assert poincare_recurrence(1499, 1500) == poincare_recurrence(1, 1500)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             poincare_closed(4, 2)

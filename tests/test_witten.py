@@ -1,14 +1,19 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from morsegrass import witten
 from morsegrass.polynomials import IntPolynomial, morse_inequalities
+from morsegrass.symbols import CapacityError
 from morsegrass.witten import (
     ComplexValidationError,
     WittenComplex,
     circle_complex,
     dump_complex,
+    elementary_divisors,
     grassmannian_complex,
     homology,
     load_complex,
@@ -85,6 +90,111 @@ class TestSmithNormalForm:
             # unimodularity (exact: float det overflows for the larger transforms)
             assert abs(exact_det(u)) == 1
             assert abs(exact_det(v)) == 1
+
+
+@st.composite
+def int_matrices(draw):
+    """Integer matrices up to 8x8, entries in [-6, 6], some rows and columns zeroed."""
+    rows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    m = draw(st.lists(st.lists(st.integers(-6, 6), min_size=cols, max_size=cols),
+                      min_size=rows, max_size=rows))
+    zero_rows = draw(st.sets(st.integers(0, 7), max_size=3))
+    zero_cols = draw(st.sets(st.integers(0, 7), max_size=3))
+    return [[0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(r)]
+            for i, r in enumerate(m)]
+
+
+def snf_divisors(m):
+    d = smith_normal_form(m)[0]
+    return [abs(d[t][t]) for t in range(min(len(d), len(d[0]) if d else 0)) if d[t][t]]
+
+
+class TestElementaryDivisors:
+    @settings(max_examples=300, deadline=None)
+    @given(int_matrices())
+    @example([])
+    @example([[], []])
+    @example([[0, 0, 0], [0, 0, 0]])
+    @example([[4, 6], [6, 9], [0, 0]])
+    def test_matches_smith_normal_form(self, m):
+        before = [r[:] for r in m]
+        assert elementary_divisors(m) == snf_divisors(m)
+        assert m == before
+
+    def test_diagonal_is_normalised(self):
+        assert elementary_divisors([[2, 0], [0, 3]]) == [1, 6]
+        assert elementary_divisors([[6, 0, 0], [0, 4, 0], [0, 0, 10]]) == [2, 2, 60]
+
+    def test_dense_30x30_against_smith_normal_form(self):
+        rng = np.random.default_rng(30)
+        m = rng.integers(-3, 4, size=(30, 30)).tolist()
+        assert elementary_divisors(m) == snf_divisors(m)
+
+
+def _homology_inputs():
+    dense = WittenComplex(
+        generators={0: [f"a{j}" for j in range(6)], 1: [f"b{j}" for j in range(6)]},
+        boundaries={1: np.random.default_rng(6).integers(-3, 4, size=(6, 6)).tolist()},
+    )
+    return [circle_complex(4), rp_complex(6), torus_complex(), grassmannian_complex(2, 4), dense]
+
+
+class TestHomologyReductions:
+    @pytest.mark.parametrize("mode", ["integers", "mod2"])
+    def test_each_boundary_reduced_once(self, monkeypatch, mode):
+        seen = []
+        for name in ("elementary_divisors", "_rank_mod2"):
+            real = getattr(witten, name)
+            monkeypatch.setattr(witten, name, lambda m, real=real: seen.append(id(m)) or real(m))
+        for c in _homology_inputs():
+            seen.clear()
+            homology(c, mode)
+            stored = [id(m) for m in c.boundaries.values() if m and m[0]]
+            assert sorted(seen) == sorted(stored)
+
+    def test_smith_normal_form_not_called(self, monkeypatch):
+        def refuse(m):
+            raise AssertionError("homology called smith_normal_form")
+
+        monkeypatch.setattr(witten, "smith_normal_form", refuse)
+        for c in _homology_inputs():
+            homology(c, "integers")
+            homology(c, "mod2")
+
+    def test_torsion_matches_smith_normal_form(self):
+        for c in _homology_inputs():
+            h = homology(c)
+            for i in h.ranks:
+                high = snf_divisors(c.boundary(i + 1)) if c.rank(i) and c.rank(i + 1) else []
+                assert h.torsion[i] == [t for t in high if t > 1]
+
+
+class TestCapacity:
+    def test_degree_gap_refused(self):
+        c = WittenComplex(generators={0: ["a"], 3_000_000: ["b"]})
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="MAX_SYMBOLS"):
+            homology(c)
+        assert time.perf_counter() - start < 1.0
+
+    def test_widest_span_allowed(self):
+        h = homology(WittenComplex(generators={0: ["a"], witten.MAX_SYMBOLS - 1: ["b"]}))
+        assert len(h.ranks) == witten.MAX_SYMBOLS
+
+    @pytest.mark.parametrize("build", [lambda: circle_complex(10**6), lambda: rp_complex(10**6)])
+    def test_builtins_refused_before_building(self, build):
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="MAX_SYMBOLS"):
+            build()
+        assert time.perf_counter() - start < 1.0
+
+    def test_largest_builtins_allowed(self):
+        assert circle_complex(316).rank(1) == 316
+        with pytest.raises(CapacityError):
+            circle_complex(317)
+        assert rp_complex(witten.MAX_SYMBOLS - 1).rank(0) == 1
+        with pytest.raises(CapacityError):
+            rp_complex(witten.MAX_SYMBOLS)
 
 
 class TestValidation:
