@@ -9,10 +9,15 @@ turns exceptions into exit codes; errors carry an error code, reported as
   0  success, also when the reader of stdout closes it early
   2  usage: bad arguments or input files
   2  capacity: more than MAX_SYMBOLS = 100000 Schubert cells to enumerate,
-     Witten degrees to span or builtin circle/rp entries to build, or more
-     than 64 polytope vertices for face enumeration
+     Witten degrees to span or builtin circle/rp entries to build, more than
+     1000 * MAX_SYMBOLS coefficient updates for the poincare recurrence or
+     closed routes, or more than 64 polytope vertices for face enumeration
   3  consistency: the three Poincare polynomial routes disagree
   4  ambiguous-cell: a point too close to a cell boundary to classify
+
+Each subcommand imports only the modules it uses.  cells, poincare, witten,
+cup and moduli-dim are exact and run without numpy, as do usage errors;
+flow, limit and polytope import numpy through flows.
 """
 
 from __future__ import annotations
@@ -21,8 +26,12 @@ import argparse
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
-from . import flows, graphs, polynomials, polytopes, ring, symbols, witten
+from . import symbols
+
+if TYPE_CHECKING:
+    from . import flows, polytopes
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -60,13 +69,12 @@ def _parse_symbol(text: str, k: int, n: int) -> symbols.SchubertSymbol:
     return u
 
 
-def _load_matrix(path: str) -> flows.GrassmannPoint:
-    with open(path) as fh:
-        return flows.GrassmannPoint.from_json(json.load(fh))
+def _frame_and_spectrum(args) -> tuple[flows.GrassmannPoint, flows.HeightSpectrum]:
+    from . import flows
 
-
-def _spectrum(text: str) -> flows.HeightSpectrum:
-    return flows.HeightSpectrum(tuple(float(x) for x in text.split(",")))
+    with open(args.matrix) as fh:
+        V = flows.GrassmannPoint.from_json(json.load(fh))
+    return V, flows.HeightSpectrum(tuple(float(x) for x in args.spectrum.split(",")))
 
 
 def cmd_cells(args) -> int:
@@ -91,6 +99,8 @@ def cmd_cells(args) -> int:
 
 
 def cmd_poincare(args) -> int:
+    from . import polynomials
+
     k, n = args.k, args.n
     results = {}
     if args.method in ("cells", "all"):
@@ -117,8 +127,9 @@ def cmd_poincare(args) -> int:
 
 
 def cmd_flow(args) -> int:
-    V = _load_matrix(args.matrix)
-    a = _spectrum(args.spectrum)
+    from . import flows, polytopes
+
+    V, a = _frame_and_spectrum(args)
     W = flows.flow(V, a, args.t)
     mu = polytopes.moment_map(W)
     payload = {
@@ -134,8 +145,9 @@ def cmd_flow(args) -> int:
 
 
 def cmd_limit(args) -> int:
-    V = _load_matrix(args.matrix)
-    a = _spectrum(args.spectrum)
+    from . import flows, polytopes
+
+    V, a = _frame_and_spectrum(args)
     u = flows.limit_symbol(V, args.direction, tol=args.tol, a=a)
     trace = polytopes.flow_moment_trace(V, a, [0.0, 1.0, 2.0, 4.0])
     payload = {
@@ -146,6 +158,8 @@ def cmd_limit(args) -> int:
 
 
 def cmd_witten(args) -> int:
+    from . import witten
+
     mode = "integers"
     params = []
     for tok in args.params:
@@ -175,6 +189,8 @@ def cmd_witten(args) -> int:
 
 
 def cmd_cup(args) -> int:
+    from . import ring
+
     syms = [_parse_symbol(s, args.k, args.n) for s in args.symbols]
     out = ring.CohomologyClass.basis(syms[0])
     for u in syms[1:]:
@@ -184,6 +200,8 @@ def cmd_cup(args) -> int:
 
 
 def cmd_polytope(args) -> int:
+    from . import polytopes
+
     if args.symbol:
         P = polytopes.schubert_polytope(_parse_symbol(args.symbol, args.k, args.n))
     else:
@@ -212,6 +230,8 @@ def _octahedron_projection(P: polytopes.VertexPolytope) -> list:
 
 
 def cmd_moduli_dim(args) -> int:
+    from . import graphs
+
     with open(args.graph) as fh:
         data = json.load(fh)
     g = graphs.FlowGraph.from_json(data)
@@ -227,10 +247,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="emit JSON payloads")
     parser.add_argument(
         "--tol",
-        type=flows.tolerance,
+        type=symbols.tolerance,
         # a string default goes through the type at parse time, so a bad
         # MORSEGRASS_TOL is a usage error like a bad --tol
-        default=os.environ.get("MORSEGRASS_TOL", flows.DEFAULT_TOL),
+        default=os.environ.get("MORSEGRASS_TOL", symbols.DEFAULT_TOL),
         help="numerical tolerance (default 1e-9, or MORSEGRASS_TOL)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -282,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 # DegenerateInputError and numpy's LinAlgError.
 _ERRORS = (
     (symbols.CapacityError, EXIT_USAGE, "capacity"),
-    (flows.AmbiguousCellError, EXIT_AMBIGUOUS, "ambiguous-cell"),
+    (symbols.AmbiguousCellError, EXIT_AMBIGUOUS, "ambiguous-cell"),
     ((OSError, ValueError, KeyError, IndexError), EXIT_USAGE, "usage"),
 )
 

@@ -17,31 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symbols import SchubertSymbol
-
-DEFAULT_TOL = 1e-9
+# tolerance, DEFAULT_TOL and AmbiguousCellError live in symbols so that the CLI
+# can parse --tol and map exit codes without importing numpy
+from .symbols import DEFAULT_TOL, AmbiguousCellError, SchubertSymbol, tolerance
 
 # exp() overflows past ~709; flows clamp the largest exponent magnitude here
 MAX_EXPONENT = 700.0
 
 
-def tolerance(value) -> float:
-    """A numerical tolerance as a float; ValueError unless finite and positive.
-
-    Accepts numbers and numeric strings, so it also serves as an argparse type.
-    """
-    tol = float(value)
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tolerance must be finite and positive, got {value!r}")
-    return tol
-
-
 class DegenerateInputError(ValueError):
     """A frame whose columns are numerically rank deficient."""
-
-
-class AmbiguousCellError(ValueError):
-    """Echelon pivots too small to classify the cell of a point reliably."""
 
 
 class DivergenceError(RuntimeError):
@@ -273,12 +258,14 @@ def limit_symbol(
 
 
 def plucker_embed(V: GrassmannPoint) -> np.ndarray:
-    """Plucker coordinates: maximal minors in lexicographic symbol order."""
-    n, k = V.n, V.k
-    out = np.empty(len(list(itertools.combinations(range(n), k))), dtype=complex)
-    for idx, rows in enumerate(itertools.combinations(range(n), k)):
-        out[idx] = np.linalg.det(V.matrix[list(rows), :]) if k else 1.0
-    return out
+    """Plucker coordinates: maximal minors in lexicographic symbol order.
+
+    One stacked det over the C(n, k) row selections; k = 0 gives [1].
+    """
+    if V.k == 0:
+        return np.ones(1, dtype=complex)
+    rows = np.array(list(itertools.combinations(range(V.n), V.k)))
+    return np.linalg.det(V.matrix[rows])
 
 
 def plucker_weights(a: HeightSpectrum, k: int) -> list[float]:

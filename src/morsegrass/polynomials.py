@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .symbols import (
+    MAX_SYMBOLS,
+    CapacityError,
     GeneralizedSchubertSymbol,
     cell_dimension,
     check_ambient,
@@ -206,9 +208,28 @@ def partition_count(d: int, k: int, cap: int) -> int:
     return count(d, k, cap)
 
 
+def _check_updates(updates: int, route: str, k: int, n: int) -> None:
+    """CapacityError, before any work, if a route would exceed 1000 * MAX_SYMBOLS coefficient updates.
+
+    For the routes that enumerate no cells; 10^8 updates take one to three seconds.
+    """
+    if updates > 1000 * MAX_SYMBOLS:
+        raise CapacityError(
+            f"the {route} for Gr({k},{n}) needs up to {updates:.3g} coefficient updates, "
+            f"more than 1000 * MAX_SYMBOLS = {1000 * MAX_SYMBOLS}"
+        )
+
+
 def gaussian_generating(k: int, n: int) -> IntPolynomial:
-    """Gaussian binomial [n choose k]_t as a polynomial (exact division)."""
+    """Gaussian binomial [n choose k]_t as a polynomial (exact division).
+
+    Raises CapacityError first if the k binomial products of the numerator and
+    of the denominator, plus the long division, would exceed the update budget.
+    """
     check_ambient(k, n)
+    low = k * (k + 1) // 2  # degree of the denominator
+    top = k * (n - k) + low  # degree of the numerator
+    _check_updates(2 * k * (top + 1) * (n + 1) + (top - low + 1) * (low + 1), "closed form", k, n)
     num = IntPolynomial.one
     den = IntPolynomial.one
     for i in range(1, k + 1):
@@ -222,9 +243,12 @@ def poincare_recurrence(k: int, n: int) -> IntPolynomial:
 
     Iterative over Pascal rows of coefficient lists: after step nn, row[kk]
     holds P_{kk,nn} for every kk that P_{k,n} still needs, that is
-    max(0, k - (n - nn)) <= kk <= min(k, nn).
+    max(0, k - (n - nn)) <= kk <= min(k, nn).  That is at most min(k, n - k)
+    updates per row, each of at most 2k(n - k) + 1 coefficients; CapacityError
+    if their product with n exceeds the update budget.
     """
     check_ambient(k, n)
+    _check_updates(n * min(k, n - k) * (2 * k * (n - k) + 1), "recurrence", k, n)
     row = [[1] for _ in range(k + 1)]
     for nn in range(1, n + 1):
         for kk in range(min(k, nn - 1), max(0, k - (n - nn) - 1), -1):

@@ -22,8 +22,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .flows import GrassmannPoint, HeightSpectrum, flow, projector, tolerance
-from .symbols import CapacityError, SchubertSymbol, bruhat_leq, enumerate_symbols
+from .flows import GrassmannPoint, HeightSpectrum, flow, projector
+from .symbols import CapacityError, SchubertSymbol, bruhat_leq, enumerate_symbols, tolerance
 
 MAX_FACE_VERTICES = 64
 

@@ -19,6 +19,19 @@ from dataclasses import dataclass
 # enumerate_symbols refuses Grassmannians with more Schubert cells than this
 MAX_SYMBOLS = 100_000
 
+DEFAULT_TOL = 1e-9
+
+
+def tolerance(value) -> float:
+    """A numerical tolerance as a float; ValueError unless finite and positive.
+
+    Accepts numbers and numeric strings, so it also serves as an argparse type.
+    """
+    tol = float(value)
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {value!r}")
+    return tol
+
 
 class AmbientMismatchError(ValueError):
     """Two symbols from different Grassmannians were combined."""
@@ -26,6 +39,10 @@ class AmbientMismatchError(ValueError):
 
 class CapacityError(ValueError):
     """A request too large to enumerate: too many Schubert cells or polytope vertices."""
+
+
+class AmbiguousCellError(ValueError):
+    """Echelon pivots too small to classify the cell of a point reliably."""
 
 
 @dataclass(frozen=True)

@@ -103,6 +103,13 @@ class TestPoincare:
         assert code == 0 and "Traceback" not in err
         assert data["payload"]["recurrence"] == poincare_closed(1, 1500).to_json()
 
+    def test_long_recurrence_within_budget(self, capsys):
+        from morsegrass.polynomials import poincare_closed
+
+        code, data, _ = run_json(capsys, "poincare", "1499", "1500", "recurrence")
+        assert code == 0
+        assert data["payload"]["recurrence"] == poincare_closed(1, 1500).to_json()
+
 
 class TestFlowAndLimit:
     def test_flow_moves_toward_minimum(self, capsys, tmp_path):
@@ -315,9 +322,12 @@ class TestCapacity:
         ["cells", "1000000000", "2000000000"],
         ["witten", "builtin:circle", "1000000"],
         ["witten", "builtin:rp", "1000000"],
+        ["poincare", "300", "600", "closed"],
+        ["poincare", "300", "600", "recurrence"],
     ])
     def test_refused_before_enumeration(self, capsys, argv):
-        # each of these used to enumerate C(n, k) symbols until killed
+        # each of these used to run until killed: most enumerated C(n, k) symbols,
+        # the two poincare routes without cells built huge polynomials
         start = time.perf_counter()
         code, data, _ = run_json(capsys, *argv)
         assert time.perf_counter() - start < 1.0
@@ -414,3 +424,102 @@ class TestMalformedInput:
         code, data, _ = run_json(capsys, "cup", "5", "3", "(1,2)")
         assert code == 2
         assert "expected 5" in data["diagnostics"]
+
+
+# Runs main(argv) in a fresh interpreter; the last stderr line reports whether
+# numpy was imported and the exit code.
+PROBE = """
+import sys
+from morsegrass.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+sys.stdout.flush()
+print("numpy" in sys.modules, code, file=sys.stderr)
+"""
+
+
+def probe(tmp_path, *argv):
+    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], cwd=tmp_path, env=child_env(),
+                          capture_output=True, text=True, timeout=60)
+    numpy_loaded, code = proc.stderr.splitlines()[-1].split()
+    return numpy_loaded == "True", int(code)
+
+
+class TestLazyLoading:
+    def test_import_loads_no_submodule(self):
+        code = ("import sys, morsegrass\n"
+                "print(sorted(m for m in sys.modules if m.startswith(('morsegrass', 'numpy'))))")
+        out = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
+                             text=True, check=True, timeout=60).stdout
+        assert out.strip() == "['morsegrass']"
+
+    @pytest.mark.parametrize("argv", [
+        ["cells", "2", "4"],
+        ["poincare", "2", "5"],
+        ["cup", "2", "4", "(2,4)", "(2,4)"],
+        ["witten", "builtin:grassmannian", "2", "4"],
+        ["witten", "circle.txt", "mod2"],
+        ["moduli-dim", "graph.json"],
+    ])
+    def test_exact_subcommands_run_without_numpy(self, tmp_path, argv):
+        from morsegrass.witten import circle_complex, dump_complex
+
+        (tmp_path / "circle.txt").write_text(dump_complex(circle_complex(3)))
+        (tmp_path / "graph.json").write_text(json.dumps(
+            {"vertices": ["v"], "edges": [["v", None, "incoming"]], "incoming_indices": [2], "dim_m": 4}))
+        assert probe(tmp_path, *argv) == (False, 0)
+
+    def test_usage_error_runs_without_numpy(self, tmp_path):
+        assert probe(tmp_path, "cells", "two", "4") == (False, 2)
+
+    def test_tol_nan_is_a_usage_error_before_flows_loads(self, tmp_path):
+        assert probe(tmp_path, "--tol", "nan", "limit", "p.json", "4,3,2,1", "down") == (False, 2)
+
+    def test_ambiguous_cell_exit_code_in_a_fresh_process(self, tmp_path):
+        write_point(tmp_path, [[1, 0], [5e-7, 0], [0, 1], [0, 5e-7]], "p.json")
+        assert probe(tmp_path, "--tol", "1e-6", "limit", "p.json", "4,3,2,1", "down") == (True, 4)
+
+    def test_submodule_resolves_after_bare_import(self):
+        code = ("import sys, morsegrass\n"
+                "assert 'numpy' not in sys.modules\n"
+                "assert morsegrass.flows.flow is morsegrass.flow\n"
+                "assert 'numpy' in sys.modules\n")
+        subprocess.run([sys.executable, "-c", code], env=child_env(), check=True, timeout=60)
+
+
+class TestPackageExports:
+    def test_every_export_is_the_owning_modules_object(self):
+        import importlib
+
+        import morsegrass
+
+        for module, names in morsegrass._EXPORTS.items():
+            owner = importlib.import_module(f"morsegrass.{module}")
+            assert getattr(morsegrass, module) is owner
+            for name in names:
+                assert getattr(morsegrass, name) is getattr(owner, name), name
+
+    def test_dir_and_star_import(self):
+        import morsegrass
+
+        assert set(dir(morsegrass)) >= set(morsegrass.__all__) | set(morsegrass._EXPORTS)
+        namespace = {}
+        exec("from morsegrass import *", namespace)
+        assert set(morsegrass.__all__) <= set(namespace)
+        assert namespace["limit_symbol"] is morsegrass.flows.limit_symbol
+
+    def test_unknown_name(self):
+        import morsegrass
+
+        with pytest.raises(AttributeError, match="nope"):
+            morsegrass.nope
+        assert not hasattr(morsegrass, "nope")
+
+    def test_moved_names_are_shared(self):
+        from morsegrass import flows, polytopes, symbols
+
+        assert flows.AmbiguousCellError is symbols.AmbiguousCellError
+        assert flows.tolerance is symbols.tolerance is polytopes.tolerance
+        assert flows.DEFAULT_TOL == symbols.DEFAULT_TOL == 1e-9

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -258,7 +259,24 @@ class TestLimitSymbol:
             limit_symbol(GrassmannPoint(m), "down")
 
 
+def plucker_by_minor(V):
+    """The former per-minor loop, kept as the oracle for the stacked det."""
+    rows = list(itertools.combinations(range(V.n), V.k))
+    out = np.empty(len(rows), dtype=complex)
+    for idx, r in enumerate(rows):
+        out[idx] = np.linalg.det(V.matrix[list(r), :]) if V.k else 1.0
+    return out
+
+
 class TestPlucker:
+    def test_stacked_det_matches_minor_loop(self):
+        for n in range(8):
+            for k in range(n + 1):
+                V = random_point(k, n, RNG) if k else GrassmannPoint(np.zeros((n, 0)))
+                p = plucker_embed(V)
+                assert p.shape == (math.comb(n, k),) and p.dtype == complex
+                np.testing.assert_allclose(p, plucker_by_minor(V), rtol=1e-12, atol=1e-12)
+
     def test_coordinate_plane_embeds_to_basis_vector(self):
         syms = enumerate_symbols(2, 4)
         for idx, u in enumerate(syms):
