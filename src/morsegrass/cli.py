@@ -8,10 +8,10 @@ turns exceptions into exit codes; errors carry an error code, reported as
 
   0  success, also when the reader of stdout closes it early
   2  usage: bad arguments or input files
-  2  capacity: more than MAX_SYMBOLS = 100000 Schubert cells to enumerate,
-     Witten degrees to span or builtin circle/rp entries to build, more than
-     1000 * MAX_SYMBOLS coefficient updates for the poincare recurrence or
-     closed routes, or more than 64 polytope vertices for face enumeration
+  2  capacity: a cost over the one work budget MAX_SYMBOLS = 100000, stated
+     before the work in each engine's unit: Schubert cells, Witten degrees,
+     builtin circle/rp entries, thousands of poincare coefficient updates,
+     or polytope rank updates and facet intersections
   3  consistency: the three Poincare polynomial routes disagree
   4  ambiguous-cell: a point too close to a cell boundary to classify
 
@@ -101,14 +101,12 @@ def cmd_cells(args) -> int:
 def cmd_poincare(args) -> int:
     from . import polynomials
 
-    k, n = args.k, args.n
-    results = {}
-    if args.method in ("cells", "all"):
-        results["cells"] = polynomials.morse_polynomial_by_cells(k, n)
-    if args.method in ("recurrence", "all"):
-        results["recurrence"] = polynomials.poincare_recurrence(k, n)
-    if args.method in ("closed", "all"):
-        results["closed"] = polynomials.poincare_closed(k, n)
+    routes = {"cells": polynomials.morse_polynomial_by_cells, "recurrence": polynomials.poincare_recurrence,
+              "closed": polynomials.poincare_closed}
+    results = dict.fromkeys(routes if args.method == "all" else [args.method])
+    # cells runs last: the other routes refuse on arithmetic alone, before any cell is built
+    for name in sorted(results, key="cells".__eq__):
+        results[name] = routes[name](args.k, args.n)
     agreement = len(set(results.values())) == 1
     if args.method == "all" and not agreement:
         return _fail(

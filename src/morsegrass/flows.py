@@ -23,6 +23,8 @@ from .symbols import DEFAULT_TOL, AmbiguousCellError, SchubertSymbol, tolerance
 
 # exp() overflows past ~709; flows clamp the largest exponent magnitude here
 MAX_EXPONENT = 700.0
+# GrassmannPoint refuses frames with sigma_min <= RANK_FLOOR * max(1, largest |entry|)
+RANK_FLOOR = 1e-12
 
 
 class DegenerateInputError(ValueError):
@@ -66,7 +68,7 @@ class GrassmannPoint:
 
     __slots__ = ("matrix",)
 
-    def __init__(self, matrix, rank_floor: float = 1e-12):
+    def __init__(self, matrix):
         m = np.array(matrix, dtype=complex)
         if m.ndim != 2:
             raise ValueError("expected a 2-d matrix")
@@ -77,7 +79,7 @@ class GrassmannPoint:
             if not math.isfinite(scale):
                 raise ValueError(f"frame entries must be finite, got {m[~np.isfinite(m)][0]}")
             smin = np.linalg.svd(m, compute_uv=False)[-1]
-            if smin <= rank_floor * max(1.0, scale):
+            if smin <= RANK_FLOOR * max(1.0, scale):
                 raise DegenerateInputError(f"columns are rank deficient (sigma_min={smin:.3e})")
         m.setflags(write=False)
         self.matrix = m

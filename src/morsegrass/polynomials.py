@@ -14,11 +14,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .symbols import (
-    MAX_SYMBOLS,
-    CapacityError,
     GeneralizedSchubertSymbol,
     cell_dimension,
     check_ambient,
+    check_budget,
     enumerate_symbols,
     generalized_index,
 )
@@ -184,10 +183,11 @@ class MorseViolation:
 
 def morse_polynomial_by_cells(k: int, n: int) -> IntPolynomial:
     """Morse polynomial of -f on Gr_k(C^n), one term t^(2 dim S_u) per cell."""
-    out = IntPolynomial.zero
-    for u in enumerate_symbols(k, n):
-        out = out + IntPolynomial.monomial(2 * cell_dimension(u))
-    return out
+    cells = enumerate_symbols(k, n)
+    out = [0] * (2 * k * (n - k) + 1)
+    for u in cells:
+        out[2 * cell_dimension(u)] += 1
+    return IntPolynomial(out)
 
 
 def partition_count(d: int, k: int, cap: int) -> int:
@@ -208,34 +208,25 @@ def partition_count(d: int, k: int, cap: int) -> int:
     return count(d, k, cap)
 
 
-def _check_updates(updates: int, route: str, k: int, n: int) -> None:
-    """CapacityError, before any work, if a route would exceed 1000 * MAX_SYMBOLS coefficient updates.
-
-    For the routes that enumerate no cells; 10^8 updates take one to three seconds.
-    """
-    if updates > 1000 * MAX_SYMBOLS:
-        raise CapacityError(
-            f"the {route} for Gr({k},{n}) needs up to {updates:.3g} coefficient updates, "
-            f"more than 1000 * MAX_SYMBOLS = {1000 * MAX_SYMBOLS}"
-        )
-
-
 def gaussian_generating(k: int, n: int) -> IntPolynomial:
-    """Gaussian binomial [n choose k]_t as a polynomial (exact division).
+    """Gaussian binomial [n choose k]_t by k = min(k, n - k) passes over one coefficient list.
 
-    Raises CapacityError first if the k binomial products of the numerator and
-    of the denominator, plus the long division, would exceed the update budget.
+    Pass i turns [n-k+i-1 choose i-1]_t into [n-k+i choose i]_t: multiply by 1 - t^(n-k+i), then
+    divide exactly by 1 - t^i.  CapacityError first if the passes' 2k(k(n - k) + 1) coefficient
+    updates, counted in 64-bit words (every coefficient is below 2^n), exceed the budget.
     """
     check_ambient(k, n)
-    low = k * (k + 1) // 2  # degree of the denominator
-    top = k * (n - k) + low  # degree of the numerator
-    _check_updates(2 * k * (top + 1) * (n + 1) + (top - low + 1) * (low + 1), "closed form", k, n)
-    num = IntPolynomial.one
-    den = IntPolynomial.one
+    what = f"thousands of word updates for the closed form of Gr({k},{n})"
+    k = min(k, n - k)  # [n choose k]_t = [n choose n - k]_t
+    check_budget(2 * k * (k * (n - k) + 1) * (1 + n // 64) // 1000, what)
+    c = [1] + [0] * (k * (n - k) + k)
     for i in range(1, k + 1):
-        num = num * (IntPolynomial.one - IntPolynomial.monomial(n - k + i))
-        den = den * (IntPolynomial.one - IntPolynomial.monomial(i))
-    return num.divide_exact(den)
+        a, top = n - k + i, i * (n - k) + i  # top: degree after the multiply
+        for d in range(top, a - 1, -1):
+            c[d] -= c[d - a]
+        for d in range(i, top + 1):
+            c[d] += c[d - i]
+    return IntPolynomial(c)
 
 
 def poincare_recurrence(k: int, n: int) -> IntPolynomial:
@@ -245,10 +236,11 @@ def poincare_recurrence(k: int, n: int) -> IntPolynomial:
     holds P_{kk,nn} for every kk that P_{k,n} still needs, that is
     max(0, k - (n - nn)) <= kk <= min(k, nn).  That is at most min(k, n - k)
     updates per row, each of at most 2k(n - k) + 1 coefficients; CapacityError
-    if their product with n exceeds the update budget.
+    if their product with n, in thousands, exceeds the budget.
     """
     check_ambient(k, n)
-    _check_updates(n * min(k, n - k) * (2 * k * (n - k) + 1), "recurrence", k, n)
+    updates = n * min(k, n - k) * (2 * k * (n - k) + 1)
+    check_budget(updates // 1000, f"thousands of coefficient updates for the recurrence of Gr({k},{n})")
     row = [[1] for _ in range(k + 1)]
     for nn in range(1, n + 1):
         for kk in range(min(k, nn - 1), max(0, k - (n - nn) - 1), -1):

@@ -9,8 +9,8 @@ These polytopes are Schubert matroid polytopes, cut out by
 0 <= x <= 1, sum x = k and prefix bounds x_1 + ... + x_i >= c_i read off the
 vertices.  Membership checks those O(n) inequalities, exactly for rational
 input and with a scaled slack for floats.  Faces come from the at most 3n
-facet candidates among them, with exact integer arithmetic throughout;
-face enumeration is capped at 64 vertices.
+facet candidates among them, with exact integer arithmetic throughout, at a
+cost priced against the work budget MAX_SYMBOLS.
 """
 
 from __future__ import annotations
@@ -23,9 +23,8 @@ from itertools import accumulate
 import numpy as np
 
 from .flows import GrassmannPoint, HeightSpectrum, flow, projector
-from .symbols import CapacityError, SchubertSymbol, bruhat_leq, enumerate_symbols, tolerance
-
-MAX_FACE_VERTICES = 64
+from .symbols import CapacityError  # noqa: F401 (re-exported)
+from .symbols import SchubertSymbol, bruhat_leq, check_budget, enumerate_symbols, tolerance
 
 
 @dataclass(frozen=True)
@@ -103,7 +102,7 @@ def _prefix_bounds(verts) -> list | None:
     otherwise None.  The rows are intervals of coordinates, so the system is
     totally unimodular and its polytope is the hull of those 0/1 points.
     """
-    if any(c not in (0, 1) for v in verts for c in v):
+    if not verts[0] or any(c not in (0, 1) for v in verts for c in v):
         return None
     sums = [tuple(accumulate(v)) for v in verts]
     bounds = [min(col) for col in zip(*sums)]
@@ -181,14 +180,14 @@ def face_counts(P: VertexPolytope) -> tuple[int, ...]:
     x_1 + ... + x_i >= c_i: an inequality is a facet when its tight vertices
     span dimension d - 1.  Closing the facet vertex sets under intersection
     gives all proper faces.  Supports the polytopes ``membership`` does and
-    raises ValueError otherwise; more than 64 vertices raise CapacityError.
+    raises ValueError otherwise.  CapacityError before each rank stage if its
+    coordinate updates exceed MAX_SYMBOLS, and before each closure round if
+    the facet intersections so far, len(frontier) * len(facets) each, do.
     """
     verts = P.vertices
     nv = len(verts)
-    if nv > MAX_FACE_VERTICES:
-        raise CapacityError(
-            f"{nv} vertices exceeds the face enumeration cap {MAX_FACE_VERTICES}"
-        )
+    # each rank below reduces every point against at most n rows of n coordinates
+    check_budget(nv * P.n**2, f"coordinate updates to rank {nv} vertices")
     d = _affine_rank(verts)
     if d <= 1:
         return (1,) if d == 0 else (2, 1)
@@ -206,11 +205,15 @@ def face_counts(P: VertexPolytope) -> tuple[int, ...]:
         ):
             if 0 < len(tight) < nv:
                 candidates.add(tight)
+    check_budget(sum(map(len, candidates)) * P.n**2, f"coordinate updates to rank facet candidates of {nv} vertices")
     facets = [f for f in candidates if _affine_rank([verts[j] for j in f]) == d - 1]
 
     faces: set[frozenset[int]] = set(facets)
     frontier = set(facets)
+    intersections = 0
     while frontier:
+        intersections += len(frontier) * len(facets)
+        check_budget(intersections, f"facet intersections to close the face lattice of {nv} vertices")
         new = set()
         for f in frontier:
             for g in facets:

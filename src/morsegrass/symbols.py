@@ -16,7 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-# enumerate_symbols refuses Grassmannians with more Schubert cells than this
+# the one work budget: check_budget refuses any engine whose stated cost exceeds it
 MAX_SYMBOLS = 100_000
 
 DEFAULT_TOL = 1e-9
@@ -38,7 +38,7 @@ class AmbientMismatchError(ValueError):
 
 
 class CapacityError(ValueError):
-    """A request too large to enumerate: too many Schubert cells or polytope vertices."""
+    """A request whose stated cost exceeds the work budget MAX_SYMBOLS."""
 
 
 class AmbiguousCellError(ValueError):
@@ -144,15 +144,22 @@ def check_ambient(k: int, n: int) -> None:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
 
 
+def check_budget(cost: int, what: str) -> None:
+    """CapacityError if cost, stated in the unit ``what`` names before that work, exceeds MAX_SYMBOLS."""
+    if cost > MAX_SYMBOLS:
+        shown = cost if cost < 2**64 else f"2^{cost.bit_length() - 1} or more"
+        raise CapacityError(f"{what}: {shown} exceeds the budget MAX_SYMBOLS = {MAX_SYMBOLS}")
+
+
 def enumerate_symbols(k: int, n: int) -> list[SchubertSymbol]:
     """All C(n, k) Schubert symbols of Gr_k(C^n), in lexicographic order.
 
     Raises CapacityError, before building any, if C(n, k) > MAX_SYMBOLS.
     """
     check_ambient(k, n)
-    # min(k, n - k) > 20 means C(n, k) >= C(42, 21) > MAX_SYMBOLS; math.comb stays cheap
-    if min(k, n - k) > 20 or math.comb(n, k) > MAX_SYMBOLS:
-        raise CapacityError(f"C({n},{k}) Schubert cells of Gr({k},{n}) exceed MAX_SYMBOLS = {MAX_SYMBOLS}")
+    # past min(k, n - k) = 20, C(n, k) >= C(n, 21) >= C(42, 21) > MAX_SYMBOLS: price C(n, 21)
+    j = min(k, n - k, 21)
+    check_budget(math.comb(n, j), f"Schubert cells of Gr({k},{n}), {'at least ' * (j == 21)}C({n},{j})")
     return [SchubertSymbol(c, n) for c in itertools.combinations(range(1, n + 1), k)]
 
 

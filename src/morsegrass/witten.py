@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .symbols import MAX_SYMBOLS, CapacityError, cell_dimension, enumerate_symbols
+from .symbols import MAX_SYMBOLS, cell_dimension, check_budget, enumerate_symbols  # noqa: F401 (re-exported)
 
 
 class ComplexValidationError(ValueError):
@@ -281,12 +281,7 @@ class WittenComplex:
                 )
 
     def morse_polynomial(self):
-        from .polynomials import IntPolynomial
-
-        out = IntPolynomial.zero
-        for i in self.degrees:
-            out = out + IntPolynomial.monomial(i, self.rank(i))
-        return out
+        return _polynomial({i: len(g) for i, g in self.generators.items()})
 
     def to_json(self) -> dict:
         return {
@@ -309,13 +304,7 @@ class HomologyResult:
         return " + ".join(parts) if parts else "0"
 
     def poincare_polynomial(self):
-        from .polynomials import IntPolynomial
-
-        out = IntPolynomial.zero
-        for i, r in self.ranks.items():
-            if r:
-                out = out + IntPolynomial.monomial(i, r)
-        return out
+        return _polynomial(self.ranks)
 
     def to_json(self) -> dict:
         return {
@@ -323,6 +312,16 @@ class HomologyResult:
             "ranks": {str(i): r for i, r in self.ranks.items()},
             "torsion": {str(i): t for i, t in self.torsion.items()},
         }
+
+
+def _polynomial(counts: dict[int, int]):
+    """The polynomial sum of count * t^degree, filled into one coefficient list."""
+    from .polynomials import IntPolynomial
+
+    terms = {d: count for d, count in counts.items() if count}
+    if min(terms, default=0) < 0:
+        raise ValueError(f"a polynomial in t has no negative degrees, got {min(terms)}")
+    return IntPolynomial([terms.get(d, 0) for d in range(max(terms, default=-1) + 1)])
 
 
 def _dd_failure(c: WittenComplex) -> int | None:
@@ -362,10 +361,8 @@ def homology(c: WittenComplex, mode: str = "integers") -> HomologyResult:
         raise ValueError(f"mode must be 'integers' or 'mod2', got {mode!r}")
     _check_dd(c)
     degs = c.degrees
-    if degs and degs[-1] - degs[0] >= MAX_SYMBOLS:
-        raise CapacityError(
-            f"degrees {degs[0]}..{degs[-1]} span more than MAX_SYMBOLS = {MAX_SYMBOLS}"
-        )
+    if degs:
+        check_budget(degs[-1] - degs[0] + 1, f"degrees {degs[0]}..{degs[-1]} to list")
     if mode == "mod2":
         factors = {i: [1] * _rank_mod2(m) for i, m in c.boundaries.items() if m and m[0]}
     else:
@@ -388,8 +385,7 @@ def circle_complex(m: int) -> WittenComplex:
     """
     if m < 1:
         raise ValueError("need at least one maximum/minimum")
-    if m * m > MAX_SYMBOLS:
-        raise CapacityError(f"circle_complex({m}) needs {m}x{m} boundary entries, over MAX_SYMBOLS = {MAX_SYMBOLS}")
+    check_budget(m * m, f"boundary entries of circle_complex({m})")
     minima = [f"A{j}" for j in range(m)]
     maxima = [f"M{j}" for j in range(m)]
     d1 = [[0] * m for _ in range(m)]
@@ -403,8 +399,7 @@ def rp_complex(n: int) -> WittenComplex:
     """Real projective n-space: one generator per degree, d_i = (2) for even i."""
     if n < 1:
         raise ValueError("need n >= 1")
-    if n + 1 > MAX_SYMBOLS:
-        raise CapacityError(f"rp_complex({n}) needs {n + 1} degrees, over MAX_SYMBOLS = {MAX_SYMBOLS}")
+    check_budget(n + 1, f"degrees of rp_complex({n})")
     gens = {i: [f"V{n - i}"] for i in range(n + 1)}
     bnds = {i: [[2 if i % 2 == 0 else 0]] for i in range(1, n + 1)}
     return WittenComplex(generators=gens, boundaries=bnds)

@@ -103,6 +103,13 @@ class TestPoincare:
         assert code == 0 and "Traceback" not in err
         assert data["payload"]["recurrence"] == poincare_closed(1, 1500).to_json()
 
+    def test_long_closed_form_within_budget(self, capsys):
+        from morsegrass.polynomials import poincare_recurrence
+
+        code, data, _ = run_json(capsys, "poincare", "1499", "1500", "closed")
+        assert code == 0
+        assert data["payload"]["closed"] == poincare_recurrence(1499, 1500).to_json()
+
     def test_long_recurrence_within_budget(self, capsys):
         from morsegrass.polynomials import poincare_closed
 
@@ -270,6 +277,12 @@ class TestPolytope:
         assert code == 2
         assert data["code"] == "capacity"
 
+    def test_hypersimplex_4_8_within_budget(self, capsys):
+        # 70 vertices, over the former 64-vertex cap; its face lattice fits the budget
+        code, data, _ = run_json(capsys, "polytope", "4", "8")
+        assert code == 0
+        assert data["payload"]["f_vector"] == [70, 560, 1120, 980, 448, 112, 16, 1]
+
     def test_hypersimplex_3_7_within_bound(self, capsys):
         start = time.perf_counter()
         code, data, _ = run_json(capsys, "polytope", "3", "7")
@@ -324,10 +337,14 @@ class TestCapacity:
         ["witten", "builtin:rp", "1000000"],
         ["poincare", "300", "600", "closed"],
         ["poincare", "300", "600", "recurrence"],
+        ["poincare", "1", "100000"],
+        ["polytope", "3", "9"],
+        ["polytope", "5", "10"],
     ])
     def test_refused_before_enumeration(self, capsys, argv):
-        # each of these used to run until killed: most enumerated C(n, k) symbols,
-        # the two poincare routes without cells built huge polynomials
+        # each of these used to run until killed, or was refused by a rule of its own:
+        # most enumerated C(n, k) symbols, the poincare routes without cells built huge
+        # polynomials, and the polytopes' face lattices exceed the facet intersection budget
         start = time.perf_counter()
         code, data, _ = run_json(capsys, *argv)
         assert time.perf_counter() - start < 1.0

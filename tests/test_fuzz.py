@@ -1,7 +1,8 @@
 """Fuzz of the input boundaries: every input is an answer or a documented error.
 
 Library parsers must either succeed or raise ValueError.  The CLI must end
-every argv drawn from its real subcommands (k, n <= 8) with exit code 0, 2,
+every argv drawn from its real subcommands (k, n <= 8, and for poincare a
+few sizes up to 1500 on both sides of the work budget) with exit code 0, 2,
 3 or 4 and never a traceback.
 """
 
@@ -76,12 +77,15 @@ FILES = {
 }
 
 k_or_n = st.integers(-1, 8).map(str)
+large_k_or_n = st.sampled_from(["1", "300", "600", "1499", "1500"])
 symbol = st.lists(st.integers(0, 9), max_size=4).map(lambda xs: "(" + ",".join(map(str, xs)) + ")")
 frame_file = st.sampled_from(["frame.json", "flat.json", "nan.json", "rank1.json", "missing.json"])
 spectrum = st.sampled_from(["4,3,2,1", "2,2,1,1", "nan,2,1,0", "4,3,2,inf", "1,2,3,4", "3,2,1", "x"])
 argvs = st.one_of(
     st.tuples(st.just("cells"), k_or_n, k_or_n),
     st.tuples(st.just("poincare"), k_or_n, k_or_n,
+              st.sampled_from(["cells", "recurrence", "closed", "all"])),
+    st.tuples(st.just("poincare"), large_k_or_n, large_k_or_n,
               st.sampled_from(["cells", "recurrence", "closed", "all"])),
     st.builds(lambda k, n, syms: ["cup", k, n, *syms], k_or_n, k_or_n,
               st.lists(symbol, min_size=1, max_size=3)),

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -20,6 +21,16 @@ from morsegrass.symbols import enumerate_generalized_symbols
 
 def poly(*coeffs):
     return IntPolynomial(coeffs)
+
+
+def gaussian_by_products(k, n):
+    """[n choose k]_t as the product of the 1 - t^(n-k+i) over that of the 1 - t^i,
+    by general polynomial products and one long division: the oracle for the passes."""
+    num = den = IntPolynomial.one
+    for i in range(1, k + 1):
+        num = num * (IntPolynomial.one - IntPolynomial.monomial(n - k + i))
+        den = den * (IntPolynomial.one - IntPolynomial.monomial(i))
+    return num.divide_exact(den)
 
 
 class TestIntPolynomial:
@@ -96,6 +107,13 @@ class TestPoincareRoutes:
         with pytest.raises(ValueError):
             poincare_closed(4, 2)
 
+    def test_cells_fill_one_list(self):
+        # C(447, 2) = 99 681 cells, just within the budget: the route must stay
+        # linear in the cells, not in cells times degree
+        start = time.perf_counter()
+        assert morse_polynomial_by_cells(2, 447) == poincare_closed(2, 447)
+        assert time.perf_counter() - start < 2.0
+
 
 class TestGaussianGenerating:
     def test_gr24(self):
@@ -108,6 +126,15 @@ class TestGaussianGenerating:
         for n in range(8):
             for k in range(n + 1):
                 assert gaussian_generating(k, n) == gaussian_generating(n - k, n)
+
+    def test_passes_match_products_and_long_division(self):
+        for n in range(15):
+            for k in range(n + 1):
+                assert gaussian_generating(k, n) == gaussian_by_products(k, n), (k, n)
+
+    def test_large_cases_match_the_recurrence(self):
+        assert gaussian_generating(50, 100).substitute_power(2) == poincare_recurrence(50, 100)
+        assert poincare_closed(1499, 1500) == poincare_recurrence(1499, 1500)
 
     def test_substitution_matches_cells(self):
         for n in range(8):

@@ -77,6 +77,11 @@ class TestPolytopes:
         pt = VertexPolytope(((1, 0),), 1, 2)
         assert face_counts(pt) == (1,)
 
+    def test_point_with_no_coordinates(self):
+        # Gr(0, 0) is a point whose vertex is the empty tuple
+        assert face_counts(grassmannian_polytope(0, 0)) == (1,)
+        assert membership((), grassmannian_polytope(0, 0))
+
     def test_schubert_polytope_dense_cell_is_full(self):
         dense = sym((3, 4), 4)
         assert set(schubert_polytope(dense).vertices) == \
@@ -124,7 +129,7 @@ class TestPolytopes:
                     assert face_counts(P) == brute_force_face_counts(P.vertices), u
 
     def test_hypersimplex_closed_form(self):
-        for n in range(2, 8):
+        for n in range(2, 9):
             for k in range(1, n):
                 assert face_counts(grassmannian_polytope(k, n)) == hypersimplex_f_vector(k, n)
 

@@ -1,4 +1,6 @@
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +16,7 @@ from morsegrass.symbols import (
     bruhat_leq,
     cell_dimension,
     check_ambient,
+    check_budget,
     complement,
     critical_index,
     enumerate_generalized_symbols,
@@ -266,3 +269,35 @@ class TestSymbolCapacity:
         assert exported is from_polytopes is CapacityError
         assert issubclass(CapacityError, ValueError)
         assert MAX_SYMBOLS == 100_000
+
+
+def _capacity_raises(node, where):
+    """The enclosing function of each ``raise CapacityError`` below node."""
+    for child in ast.iter_child_nodes(node):
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else where
+        if isinstance(child, ast.Raise) and child.exc is not None:
+            exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+            if getattr(exc, "id", getattr(exc, "attr", None)) == "CapacityError":
+                yield where
+        yield from _capacity_raises(child, inner)
+
+
+class TestOneBudget:
+    def test_limit_is_inclusive(self):
+        check_budget(MAX_SYMBOLS, "steps")
+        with pytest.raises(CapacityError, match=r"^steps: 100001 exceeds the budget MAX_SYMBOLS = 100000$"):
+            check_budget(MAX_SYMBOLS + 1, "steps")
+
+    def test_huge_cost_shown_as_a_power_of_two(self):
+        with pytest.raises(CapacityError, match=r"steps: 2\^4000 or more exceeds the budget MAX_SYMBOLS"):
+            check_budget(2**4000 + 1, "steps")
+
+    def test_the_only_raise_site(self):
+        # every size refusal in the package goes through check_budget
+        package = Path(symbols_module.__file__).parent
+        sites = [
+            (path.name, where)
+            for path in sorted(package.glob("*.py"))
+            for where in _capacity_raises(ast.parse(path.read_text()), None)
+        ]
+        assert sites == [("symbols.py", "check_budget")]

@@ -188,6 +188,14 @@ class TestCapacity:
             build()
         assert time.perf_counter() - start < 1.0
 
+    def test_morse_polynomial_of_the_largest_rp(self):
+        # linear in the degrees, not quadratic
+        c = rp_complex(witten.MAX_SYMBOLS - 1)
+        start = time.perf_counter()
+        m = c.morse_polynomial()
+        assert time.perf_counter() - start < 1.0
+        assert m.coeffs == (1,) * witten.MAX_SYMBOLS
+
     def test_largest_builtins_allowed(self):
         assert circle_complex(316).rank(1) == 316
         with pytest.raises(CapacityError):
@@ -299,6 +307,14 @@ class TestGrassmannianAndTorus:
         assert [h.ranks[i] for i in (0, 1, 2)] == [1, 2, 1]
         assert torus_complex().morse_polynomial() == IntPolynomial([1, 2, 1])
         assert h.poincare_polynomial() == IntPolynomial([1, 2, 1])
+
+    def test_negative_degrees_have_no_polynomial(self):
+        # a polynomial in t has nowhere to put them
+        c = WittenComplex(generators={-1: ["a"], 0: ["b"]})
+        with pytest.raises(ValueError, match="negative degrees"):
+            c.morse_polynomial()
+        with pytest.raises(ValueError, match="negative degrees"):
+            homology(c).poincare_polynomial()
 
 
 class TestUniversalCoefficients:
