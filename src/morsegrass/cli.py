@@ -9,9 +9,10 @@ turns exceptions into exit codes; errors carry an error code, reported as
   0  success, also when the reader of stdout closes it early
   2  usage: bad arguments or input files
   2  capacity: a cost over the one work budget MAX_SYMBOLS = 100000, stated
-     before the work in each engine's unit: Schubert cells, Witten degrees,
-     builtin circle/rp entries, thousands of poincare coefficient updates,
-     or polytope rank updates and facet intersections
+     before the work in each engine's unit: Schubert cells, cells-table
+     condition entries, Witten degrees, builtin circle/rp entries,
+     thousands of poincare coefficient updates, or polytope rank updates
+     and facet intersections
   3  consistency: the three Poincare polynomial routes disagree
   4  ambiguous-cell: a point too close to a cell boundary to classify
 
@@ -78,8 +79,11 @@ def _frame_and_spectrum(args) -> tuple[flows.GrassmannPoint, flows.HeightSpectru
 
 
 def cmd_cells(args) -> int:
+    k, n = args.k, args.n
+    # each cell prints n condition entries
+    symbols.check_budget(symbols.cell_count(k, n) * n, f"Schubert condition entries of Gr({k},{n}), C({n},{k})*{n}")
     rows = []
-    for u in symbols.enumerate_symbols(args.k, args.n):
+    for u in symbols.enumerate_symbols(k, n):
         rows.append(
             {
                 "symbol": str(u),

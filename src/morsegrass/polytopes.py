@@ -7,10 +7,13 @@ spanned by the vertices below u in the closure order.
 
 These polytopes are Schubert matroid polytopes, cut out by
 0 <= x <= 1, sum x = k and prefix bounds x_1 + ... + x_i >= c_i read off the
-vertices.  Membership checks those O(n) inequalities, exactly for rational
-input and with a scaled slack for floats.  Faces come from the at most 3n
-facet candidates among them, with exact integer arithmetic throughout, at a
-cost priced against the work budget MAX_SYMBOLS.
+vertices, and their vertices are listed from the Bruhat interval below u.
+Membership checks those O(n) inequalities, exactly for rational input and
+with a scaled slack for floats.  Faces come from the at most 3n facet
+candidates among them, with exact integer arithmetic throughout, at a cost
+priced against the work budget MAX_SYMBOLS.  In the graded face lattice
+(Ziegler, Lectures on Polytopes, ch. 2) a face h is covered by the smallest
+face f != h that meets some facet exactly in h, which fixes its dimension.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 
 from .flows import GrassmannPoint, HeightSpectrum, flow, projector
 from .symbols import CapacityError  # noqa: F401 (re-exported)
-from .symbols import SchubertSymbol, bruhat_leq, check_budget, enumerate_symbols, tolerance
+from .symbols import SchubertSymbol, cell_count, check_ambient, check_budget, tolerance
 
 
 @dataclass(frozen=True)
@@ -70,7 +73,14 @@ class VertexPolytope:
 
 def symbol_vertex(u: SchubertSymbol) -> tuple[int, ...]:
     """Indicator vector e_u = e_{u_1} + ... + e_{u_k}."""
-    return tuple(1 if i in set(u.entries) else 0 for i in range(1, u.n + 1))
+    return _indicator(u.entries, u.n)
+
+
+def _indicator(entries, n: int) -> tuple[int, ...]:
+    x = [0] * n
+    for e in entries:
+        x[e - 1] = 1
+    return tuple(x)
 
 
 def moment_map(V: GrassmannPoint) -> MomentPoint:
@@ -79,18 +89,31 @@ def moment_map(V: GrassmannPoint) -> MomentPoint:
 
 
 def grassmannian_polytope(k: int, n: int) -> VertexPolytope:
-    """The hypersimplex Delta(k, n): vertices e_u over all symbols."""
-    return VertexPolytope(
-        tuple(symbol_vertex(u) for u in enumerate_symbols(k, n)), k, n
-    )
+    """The hypersimplex Delta(k, n), the Schubert polytope of the top cell (n-k+1, ..., n)."""
+    check_ambient(k, n)
+    return schubert_polytope(SchubertSymbol(tuple(range(n - k + 1, n + 1)), n))
 
 
 def schubert_polytope(u: SchubertSymbol) -> VertexPolytope:
-    """Moment image of the Schubert variety X_u: hull of {e_v : v in closure of S_u}."""
-    verts = tuple(
-        symbol_vertex(v) for v in enumerate_symbols(u.k, u.n) if bruhat_leq(u, v)
-    )
-    return VertexPolytope(verts, u.k, u.n)
+    """Moment image of the Schubert variety X_u: hull of {e_v : v in closure of S_u}.
+
+    The closure holds the symbols v with v_j <= u_j for every j, listed in
+    lexicographic order by stepping from one to the next.  CapacityError, as
+    for ``enumerate_symbols``, if Gr_k(C^n) has more than MAX_SYMBOLS cells.
+    """
+    cell_count(u.k, u.n)
+    bounds, k = u.entries, u.k
+    v = list(range(1, k + 1))  # the least symbol, below u since u_j >= j
+    verts = []
+    while True:
+        verts.append(_indicator(v, u.n))
+        j = k - 1
+        while j >= 0 and v[j] == bounds[j]:
+            j -= 1
+        if j < 0:
+            return VertexPolytope(tuple(verts), u.k, u.n)
+        # raise the last entry below its bound, then the least tail; u_i >= u_j + (i - j)
+        v[j:] = range(v[j] + 1, v[j] + 1 + k - j)
 
 
 def _prefix_bounds(verts) -> list | None:
@@ -179,7 +202,13 @@ def face_counts(P: VertexPolytope) -> tuple[int, ...]:
     Facets are read off the at most 3n inequalities x_i >= 0, x_i <= 1 and
     x_1 + ... + x_i >= c_i: an inequality is a facet when its tight vertices
     span dimension d - 1.  Closing the facet vertex sets under intersection
-    gives all proper faces.  Supports the polytopes ``membership`` does and
+    gives all proper faces.  The face lattice is graded (Ziegler, Lectures
+    on Polytopes, ch. 2), and every face G covering a face h meets some facet
+    exactly in h: h is the intersection of the facets containing it, and one
+    of them does not contain G.  So the smallest face f != h with f & g == h
+    for a facet g covers h, and dim h = dim f - 1, assigned in order of
+    decreasing size from the facets at d - 1; only the vertex set and the
+    candidates are ranked.  Supports the polytopes ``membership`` does and
     raises ValueError otherwise.  CapacityError before each rank stage if its
     coordinate updates exceed MAX_SYMBOLS, and before each closure round if
     the facet intersections so far, len(frontier) * len(facets) each, do.
@@ -208,25 +237,36 @@ def face_counts(P: VertexPolytope) -> tuple[int, ...]:
     check_budget(sum(map(len, candidates)) * P.n**2, f"coordinate updates to rank facet candidates of {nv} vertices")
     facets = [f for f in candidates if _affine_rank([verts[j] for j in f]) == d - 1]
 
-    faces: set[frozenset[int]] = set(facets)
-    frontier = set(facets)
+    # cover[h]: the smallest face f != h with f & g == h for a facet g.  It covers h;
+    # the keys are the faces below the facets, each found first in one round's frontier
+    cover: dict[frozenset[int], frozenset[int]] = {}
+    frontier = facets
     intersections = 0
     while frontier:
         intersections += len(frontier) * len(facets)
         check_budget(intersections, f"facet intersections to close the face lattice of {nv} vertices")
-        new = set()
+        new = []
         for f in frontier:
+            size = len(f)
             for g in facets:
                 h = f & g
-                if h and h not in faces:
-                    new.add(h)
-        faces |= new
+                if 0 < len(h) < size:
+                    c = cover.get(h)
+                    if c is None:
+                        cover[h] = f
+                        new.append(h)
+                    elif size < len(c):
+                        cover[h] = f
         frontier = new
 
+    # a cover is larger than the face it covers, so it has its dimension first
+    dims = dict.fromkeys(facets, d - 1)
+    for h in sorted(cover, key=len, reverse=True):
+        dims[h] = dims[cover[h]] - 1
     counts = [0] * (d + 1)
     counts[d] = 1  # the polytope itself
-    for f in faces:
-        counts[_affine_rank([verts[i] for i in sorted(f)])] += 1
+    for dim in dims.values():
+        counts[dim] += 1
     return tuple(counts)
 
 

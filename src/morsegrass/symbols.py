@@ -151,15 +151,25 @@ def check_budget(cost: int, what: str) -> None:
         raise CapacityError(f"{what}: {shown} exceeds the budget MAX_SYMBOLS = {MAX_SYMBOLS}")
 
 
+def cell_count(k: int, n: int) -> int:
+    """C(n, k), the number of Schubert cells of Gr_k(C^n).
+
+    ValueError unless 0 <= k <= n; CapacityError if C(n, k) > MAX_SYMBOLS.
+    """
+    check_ambient(k, n)
+    # past min(k, n - k) = 20, C(n, k) >= C(n, 21) >= C(42, 21) > MAX_SYMBOLS: price C(n, 21)
+    j = min(k, n - k, 21)
+    cells = math.comb(n, j)
+    check_budget(cells, f"Schubert cells of Gr({k},{n}), {'at least ' * (j == 21)}C({n},{j})")
+    return cells
+
+
 def enumerate_symbols(k: int, n: int) -> list[SchubertSymbol]:
     """All C(n, k) Schubert symbols of Gr_k(C^n), in lexicographic order.
 
     Raises CapacityError, before building any, if C(n, k) > MAX_SYMBOLS.
     """
-    check_ambient(k, n)
-    # past min(k, n - k) = 20, C(n, k) >= C(n, 21) >= C(42, 21) > MAX_SYMBOLS: price C(n, 21)
-    j = min(k, n - k, 21)
-    check_budget(math.comb(n, j), f"Schubert cells of Gr({k},{n}), {'at least ' * (j == 21)}C({n},{j})")
+    cell_count(k, n)
     return [SchubertSymbol(c, n) for c in itertools.combinations(range(1, n + 1), k)]
 
 

@@ -71,6 +71,15 @@ class TestCells:
         assert by_symbol["(2,4)"]["index_minus_f"] == 6
         assert by_symbol["(2,4)"]["index_f"] == 2
 
+    def test_table_within_entry_budget(self, capsys):
+        # 70 cells of 8 condition entries each, well inside the budget
+        code, out, _ = run(capsys, "cells", "4", "8")
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 71
+        assert lines[0] == "symbol     dim  idx(-f)  idx(f)  conditions"
+        assert lines[1] == "(1,2,3,4)    0        0      32  1,2,3,4,4,4,4,4"
+        assert lines[-1] == "(5,6,7,8)   16       32       0  0,0,0,0,1,2,3,4"
+
     def test_bad_arguments(self, capsys):
         code, data, _ = run_json(capsys, "cells", "5", "4")
         assert code == 2
@@ -340,11 +349,14 @@ class TestCapacity:
         ["poincare", "1", "100000"],
         ["polytope", "3", "9"],
         ["polytope", "5", "10"],
+        ["cells", "6", "22"],
+        ["cells", "2", "447"],
     ])
     def test_refused_before_enumeration(self, capsys, argv):
         # each of these used to run until killed, or was refused by a rule of its own:
         # most enumerated C(n, k) symbols, the poincare routes without cells built huge
-        # polynomials, and the polytopes' face lattices exceed the facet intersection budget
+        # polynomials, the polytopes' face lattices exceed the facet intersection budget,
+        # and the last two have few enough cells but C(n, k) * n condition entries over it
         start = time.perf_counter()
         code, data, _ = run_json(capsys, *argv)
         assert time.perf_counter() - start < 1.0

@@ -1,12 +1,13 @@
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import linprog
 
+from morsegrass import polytopes, symbols
 from morsegrass.flows import GrassmannPoint, HeightSpectrum, flow, height_value, random_point
 from morsegrass.polytopes import (
     CapacityError,
@@ -21,7 +22,13 @@ from morsegrass.polytopes import (
     schubert_polytope,
     symbol_vertex,
 )
-from morsegrass.symbols import SchubertSymbol, enumerate_symbols, schubert_conditions
+from morsegrass.symbols import (
+    SchubertSymbol,
+    bruhat_leq,
+    check_budget,
+    enumerate_symbols,
+    schubert_conditions,
+)
 
 
 def sym(entries, n):
@@ -142,6 +149,88 @@ class TestPolytopes:
                     if all(sum(v[:i + 1]) >= c[i] for i in range(n))
                 }
                 assert points == set(schubert_polytope(u).vertices)
+
+
+def refused(engine, P):
+    try:
+        engine(P)
+    except CapacityError:
+        return True
+    return False
+
+
+class TestExactStructure:
+    """Vertices listed from the Bruhat interval and face dimensions read off covers,
+    checked against the Bruhat filter and the per-face rank they replaced."""
+
+    def test_symbol_vertex_matches_old_definition(self):
+        for n in range(9):
+            for k in range(n + 1):
+                for u in enumerate_symbols(k, n):
+                    assert symbol_vertex(u) == old_symbol_vertex(u), u
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_vertices_match_bruhat_filter(self, n):
+        for k in range(n + 1):
+            for u in enumerate_symbols(k, n):
+                assert schubert_polytope(u).vertices == filtered_vertices(u), u
+            top = SchubertSymbol(tuple(range(n - k + 1, n + 1)), n)
+            assert grassmannian_polytope(k, n).vertices == filtered_vertices(top)
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_face_counts_match_rank_binning(self, n):
+        # every polytope with n <= 8 fits the budget
+        for k in range(n + 1):
+            assert face_counts(grassmannian_polytope(k, n)) == binned_face_counts(
+                grassmannian_polytope(k, n))
+            for u in enumerate_symbols(k, n):
+                P = schubert_polytope(u)
+                assert face_counts(P) == binned_face_counts(P), u
+
+    def test_refusals_match_rank_binning(self):
+        # every hypersimplex with n <= 11, and every 41st Schubert polytope of
+        # each Gr(k, n) with 9 <= n <= 11, where refusals begin
+        cases = [grassmannian_polytope(k, n) for n in range(12) for k in range(n + 1)]
+        cases += [schubert_polytope(u) for n in range(9, 12) for k in range(n + 1)
+                  for u in enumerate_symbols(k, n)[::41]]
+        verdicts = set()
+        for P in cases:
+            verdict = refused(closed_faces, P)
+            assert refused(face_counts, P) == verdict, P.vertices
+            verdicts.add(verdict)
+        assert verdicts == {False, True}
+
+    def test_rank_runs_on_vertices_and_candidates_only(self, monkeypatch):
+        calls = []
+        rank = polytopes._affine_rank
+        monkeypatch.setattr(polytopes, "_affine_rank", lambda points: calls.append(1) or rank(points))
+        for P in [grassmannian_polytope(4, 8), grassmannian_polytope(2, 6),
+                  schubert_polytope(sym((2, 4, 7), 7)), schubert_polytope(sym((3, 5, 6, 8), 8))]:
+            calls.clear()
+            face_counts(P)
+            assert 0 < len(calls) <= 1 + len(facet_candidates(P.vertices))
+
+    def test_vertices_skip_bruhat_filter(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the vertex list is stepped through, not filtered")
+
+        for name in ("bruhat_leq", "enumerate_symbols"):
+            monkeypatch.setattr(symbols, name, forbidden)
+            monkeypatch.setattr(polytopes, name, forbidden, raising=False)
+        assert len(schubert_polytope(sym((3, 5, 8), 8)).vertices) == 37
+        assert len(grassmannian_polytope(4, 8).vertices) == 70
+        assert grassmannian_polytope(0, 0).vertices == ((),)
+        assert grassmannian_polytope(3, 3).vertices == ((1, 1, 1),)
+
+    def test_cell_budget_still_prices_the_grassmannian(self):
+        # the cell (1, ..., 20) of Gr(20, 40) is a single vertex, but Gr(20, 40)
+        # has more than MAX_SYMBOLS cells, so it is refused as before
+        with pytest.raises(CapacityError, match="Schubert cells of Gr"):
+            schubert_polytope(sym(range(1, 21), 40))
+        with pytest.raises(CapacityError, match="Schubert cells of Gr"):
+            grassmannian_polytope(20, 40)
+        with pytest.raises(ValueError, match="need 0 <= k <= n"):
+            grassmannian_polytope(-1, 3)
 
 
 class TestMembership:
@@ -315,6 +404,61 @@ def brute_force_face_counts(vertices):
     counts[d] = 1
     for f in faces:
         counts[len(_affine_basis([verts[i] for i in sorted(f)])[0])] += 1
+    return tuple(counts)
+
+
+def old_symbol_vertex(u):
+    """e_u as first written, testing membership in a fresh set per coordinate."""
+    return tuple(1 if i in set(u.entries) else 0 for i in range(1, u.n + 1))
+
+
+def filtered_vertices(u):
+    """The vertices of X_u as the Bruhat filter over every symbol of Gr(k, n) lists them."""
+    return tuple(old_symbol_vertex(v) for v in enumerate_symbols(u.k, u.n) if bruhat_leq(u, v))
+
+
+def facet_candidates(verts):
+    """Tight vertex sets of x_i >= 0, x_i <= 1 and the prefix bounds, neither empty nor all."""
+    bounds = polytopes._prefix_bounds(verts)
+    sums = [list(accumulate(v)) for v in verts]
+    tight = []
+    for i, c in enumerate(bounds):
+        tight.append(frozenset(j for j, v in enumerate(verts) if v[i] == 0))
+        tight.append(frozenset(j for j, v in enumerate(verts) if v[i] == 1))
+        tight.append(frozenset(j for j, p in enumerate(sums) if p[i] == c))
+    return {t for t in tight if 0 < len(t) < len(verts)}
+
+
+def closed_faces(P):
+    """Dimension d and the proper faces, as vertex index sets, of a polytope of
+    dimension d >= 2: the facets closed under intersection, with the three
+    priced stages of face_counts."""
+    verts, nv, n = P.vertices, len(P.vertices), P.n
+    check_budget(nv * n**2, "vertex rank")
+    d = polytopes._affine_rank(verts)
+    if d <= 1:
+        return d, set()
+    candidates = facet_candidates(verts)
+    check_budget(sum(map(len, candidates)) * n**2, "candidate ranks")
+    facets = [f for f in candidates if polytopes._affine_rank([verts[j] for j in f]) == d - 1]
+    faces, frontier, intersections = set(facets), set(facets), 0
+    while frontier:
+        intersections += len(frontier) * len(facets)
+        check_budget(intersections, "facet intersections")
+        frontier = {f & g for f in frontier for g in facets if f & g} - faces
+        faces |= frontier
+    return d, faces
+
+
+def binned_face_counts(P):
+    """face_counts before covers: the rank of every closed face, binned."""
+    d, faces = closed_faces(P)
+    if d <= 1:
+        return (1,) if d == 0 else (2, 1)
+    counts = [0] * (d + 1)
+    counts[d] = 1
+    for f in faces:
+        counts[polytopes._affine_rank([P.vertices[i] for i in sorted(f)])] += 1
     return tuple(counts)
 
 
