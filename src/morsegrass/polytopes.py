@@ -25,7 +25,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .flows import GrassmannPoint, HeightSpectrum, flow, projector
+from .flows import GrassmannPoint, HeightSpectrum, _flow_frames, projector
+from .flows import flow  # noqa: F401 (re-exported)
 from .symbols import CapacityError  # noqa: F401 (re-exported)
 from .symbols import SchubertSymbol, cell_count, check_ambient, check_budget, tolerance
 
@@ -273,8 +274,13 @@ def face_counts(P: VertexPolytope) -> tuple[int, ...]:
 def flow_moment_trace(
     V: GrassmannPoint, a: HeightSpectrum, ts
 ) -> list[MomentPoint]:
-    """Sample mu along the gradient flow of V at the requested times."""
-    return [moment_map(flow(V, a, float(t))) for t in ts]
+    """Sample mu along the gradient flow of V at the requested times.
+
+    One stacked QR gives an orthonormal frame per time; mu is the squared
+    row norms of each frame, the diagonal of its projector.
+    """
+    mus = (np.abs(_flow_frames(V, a, ts)) ** 2).sum(axis=2)
+    return [MomentPoint(tuple(float(x) for x in mu)) for mu in mus]
 
 
 def moment_height(x: MomentPoint, a: HeightSpectrum) -> float:

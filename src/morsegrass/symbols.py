@@ -167,9 +167,12 @@ def cell_count(k: int, n: int) -> int:
 def enumerate_symbols(k: int, n: int) -> list[SchubertSymbol]:
     """All C(n, k) Schubert symbols of Gr_k(C^n), in lexicographic order.
 
-    Raises CapacityError, before building any, if C(n, k) > MAX_SYMBOLS.
+    Raises CapacityError, before building any, if C(n, k) > MAX_SYMBOLS, or
+    if C(n, k) * (1 + k // 16) does: each symbol also builds k entries, and
+    16 entries cost about as much to build as one symbol.
     """
-    cell_count(k, n)
+    cells = cell_count(k, n)
+    check_budget(cells * (1 + k // 16), f"Schubert symbols with their entries, C({n},{k})*(1+{k}//16)")
     return [SchubertSymbol(c, n) for c in itertools.combinations(range(1, n + 1), k)]
 
 

@@ -351,12 +351,14 @@ class TestCapacity:
         ["polytope", "5", "10"],
         ["cells", "6", "22"],
         ["cells", "2", "447"],
+        ["poincare", "1499", "1500", "cells"],
     ])
     def test_refused_before_enumeration(self, capsys, argv):
         # each of these used to run until killed, or was refused by a rule of its own:
         # most enumerated C(n, k) symbols, the poincare routes without cells built huge
         # polynomials, the polytopes' face lattices exceed the facet intersection budget,
-        # and the last two have few enough cells but C(n, k) * n condition entries over it
+        # cells 6 22 and 2 447 have few enough cells but C(n, k) * n condition entries over
+        # it, and the cells route of poincare 1499 1500 built 1500 symbols of 1499 entries
         start = time.perf_counter()
         code, data, _ = run_json(capsys, *argv)
         assert time.perf_counter() - start < 1.0

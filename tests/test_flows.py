@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from morsegrass.flows import (
     AmbiguousCellError,
     DegenerateInputError,
+    DivergenceError,
     GrassmannPoint,
     HeightSpectrum,
     flow,
@@ -194,6 +196,79 @@ class TestIntegrateFlow:
         ]
         ratios = [errs[i] / errs[i + 1] for i in range(2)]
         assert all(12.0 < r < 20.0 for r in ratios)
+
+    @pytest.mark.parametrize("k,n", [(1, 3), (2, 5), (3, 7), (4, 8), (5, 10)])
+    def test_same_spans_as_per_step_qr(self, k, n):
+        # the field commutes with Y -> YA, so one final QR gives the spans of a QR per step
+        rng = np.random.default_rng(1000 * k + n)
+        a = HeightSpectrum(tuple(float(x) for x in range(n, 0, -1)))
+        for steps in (40, 400):
+            V = random_point(k, n, rng)
+            t = float(rng.uniform(0.0, 3.0))
+            old = integrate_by_per_step_qr(V, a, t, steps)
+            assert span_distance(integrate_flow(V, a, t, steps=steps), old) <= 1e-12
+
+    @pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
+    def test_non_finite_time_refused_before_stepping(self, t):
+        # used to step on NaN frames, warn, and blame the frame entries
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="flow time must be finite"):
+                integrate_flow(coordinate((1, 2), 4), A4, t)
+
+
+def integrate_by_per_step_qr(V, a, t, steps):
+    """The former integrator, n x n projectors and a QR after every step, kept as the oracle."""
+    d = a.diagonal()
+    eye = np.eye(V.n, dtype=complex)
+
+    def vel(y):
+        pi = y @ np.linalg.solve(y.conj().T @ y, y.conj().T)
+        return -(eye - pi) @ d @ y
+
+    h = t / steps
+    y = V.orthonormal_frame()
+    for _ in range(steps):
+        k1 = vel(y)
+        k2 = vel(y + 0.5 * h * k1)
+        k3 = vel(y + 0.5 * h * k2)
+        k4 = vel(y + h * k3)
+        y, _ = np.linalg.qr(y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+    return GrassmannPoint(y)
+
+
+class TestDivergence:
+    # frames whose single RK4 step over t = 1 under A4 (h * spread = 3) moves
+    # Y^H Y by 1.05 and 0.31 in Frobenius norm; two steps move it by 0.027 and 0.014
+    FRAMES = ([[1], [0], [0], [2]], [[1, 0], [0, 1], [0, 1], [1, 0]])
+
+    def test_oversized_spectrum_raises(self):
+        # h * spread = 90: this used to return a plane 1.58 from the closed form
+        rng = np.random.default_rng(30)
+        a = HeightSpectrum((30.0, 20.0, 10.0, 0.0))
+        for _ in range(5):
+            with pytest.raises(DivergenceError, match="Gram matrix drifted"):
+                integrate_flow(random_point(2, 4, rng), a, 3.0, steps=1)
+
+    @pytest.mark.parametrize("frame", FRAMES)
+    def test_one_step_raises_two_steps_do_not(self, frame):
+        V = GrassmannPoint(frame)
+        with pytest.raises(DivergenceError):
+            integrate_flow(V, A4, 1.0, steps=1)
+        assert span_distance(integrate_flow(V, A4, 1.0, steps=2), flow(V, A4, 1.0)) < 0.1
+
+    def test_two_steps_never_raise(self):
+        rng = np.random.default_rng(31)
+        for k in (1, 2, 3):
+            for _ in range(50):
+                integrate_flow(random_point(k, 4, rng), A4, 1.0, steps=2)
+
+    def test_non_finite_gram_raises(self):
+        # overflow leaves NaN in Y^H Y, which every comparison calls false
+        a = HeightSpectrum((1e200, 0.0, 0.0, 0.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match="nan"):
+                integrate_flow(random_point(2, 4, np.random.default_rng(32)), a, 1.0, steps=1)
 
 
 class TestLimitSymbol:

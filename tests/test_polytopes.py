@@ -310,6 +310,25 @@ class TestFlowTrace:
             for p in trace:
                 assert membership(p, P, tol=1e-7)
 
+    def test_stacked_trace_matches_moment_map_per_time(self):
+        # the former trace, one flow and one moment_map per time, kept as the oracle;
+        # t = 1e6 clamps the exponent
+        rng = np.random.default_rng(7)
+        ts = [0.0, 0.25, 1.0, 3.0, 40.0, 1e6]
+        for k, n in [(0, 3), (1, 3), (2, 4), (2, 5), (3, 7), (4, 8)]:
+            a = HeightSpectrum(tuple(float(x) for x in range(n, 0, -1)))
+            V = random_point(k, n, rng) if k else GrassmannPoint(np.zeros((n, 0)))
+            trace = flow_moment_trace(V, a, ts)
+            assert len(trace) == len(ts)
+            for p, t in zip(trace, ts):
+                np.testing.assert_allclose(p.coords, moment_map(flow(V, a, t)).coords, rtol=0, atol=1e-12)
+        assert flow_moment_trace(V, a, []) == []
+
+    def test_non_finite_time_refused(self):
+        V = random_point(2, 4, np.random.default_rng(8))
+        with pytest.raises(ValueError, match="flow time must be finite"):
+            flow_moment_trace(V, HeightSpectrum((4.0, 3.0, 2.0, 1.0)), [0.0, float("nan")])
+
     def test_height_monotone_along_downward_flow(self):
         rng = np.random.default_rng(6)
         a = HeightSpectrum((4.0, 3.0, 2.0, 1.0))

@@ -1,5 +1,6 @@
 import ast
 import itertools
+import time
 from pathlib import Path
 
 import pytest
@@ -261,6 +262,14 @@ class TestSymbolCapacity:
     def test_refused_without_enumerating(self, k, n):
         with pytest.raises(CapacityError):
             enumerate_symbols(k, n)
+
+    def test_entries_priced(self):
+        # 1500 symbols of 1499 entries each are few cells but about 2.2 million entries
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match=r"C\(1500,1499\)\*\(1\+1499//16\): 141000 exceeds"):
+            enumerate_symbols(1499, 1500)
+        assert time.perf_counter() - start < 0.1
+        assert len(enumerate_symbols(99, 100)) == 100
 
     def test_one_error_class(self):
         from morsegrass import CapacityError as exported
