@@ -190,8 +190,8 @@ def integrate_flow(V: GrassmannPoint, a: HeightSpectrum, t: float, steps: int = 
     pi_Y = Y (Y^H Y)^{-1} Y^H, so the velocity costs k x k algebra.  The field
     keeps Y^H Y fixed and commutes with Y -> YA, so RK4 from an orthonormal
     frame needs no per-step QR: one QR at the end gives the same span.  A
-    step that moves Y^H Y more than 0.1 from I (Frobenius) raises
-    DivergenceError; the exact flow keeps it at 0.
+    step whose Y^H Y drifts more than 0.1 from I (Frobenius) or whose stage
+    Gram matrix is singular raises DivergenceError; exact flow keeps Y^H Y = I.
     """
     if steps < 1:
         raise ValueError("need steps >= 1")
@@ -212,9 +212,12 @@ def integrate_flow(V: GrassmannPoint, a: HeightSpectrum, t: float, steps: int = 
     gram = y.conj().T @ y
     for _ in range(steps):
         k1 = vel(y, gram)  # the Gram matrix the drift check computed
-        k2 = vel(y + (h / 2) * k1)
-        k3 = vel(y + (h / 2) * k2)
-        k4 = vel(y + h * k3)
+        try:
+            k2 = vel(y + (h / 2) * k1)
+            k3 = vel(y + (h / 2) * k2)
+            k4 = vel(y + h * k3)
+        except np.linalg.LinAlgError:  # a stage's frame lost rank
+            raise DivergenceError("a stage's Gram matrix is singular; reduce the step size") from None
         y = y + (h / 6) * (k1 + k4) + (h / 3) * (k2 + k3)
         gram = y.conj().T @ y
         err = gram - eye

@@ -9,11 +9,11 @@ These polytopes are Schubert matroid polytopes, cut out by
 0 <= x <= 1, sum x = k and prefix bounds x_1 + ... + x_i >= c_i read off the
 vertices, and their vertices are listed from the Bruhat interval below u.
 Membership checks those O(n) inequalities, exactly for rational input and
-with a scaled slack for floats.  Faces come from the at most 3n facet
-candidates among them, with exact integer arithmetic throughout, at a cost
-priced against the work budget MAX_SYMBOLS.  In the graded face lattice
-(Ziegler, Lectures on Polytopes, ch. 2) a face h is covered by the smallest
-face f != h that meets some facet exactly in h, which fixes its dimension.
+with a scaled slack for floats.  They describe the polytope exactly, so its
+facets, the maximal proper faces (Ziegler, Lectures on Polytopes, ch. 2), are
+the proper tight vertex sets of those inequalities that no other contains.
+Faces are int bitmasks over the vertices, closed under intersection within
+the work budget MAX_SYMBOLS; the covers in their lattice give dimensions.
 """
 
 from __future__ import annotations
@@ -200,23 +200,24 @@ def _affine_rank(points) -> int:
 def face_counts(P: VertexPolytope) -> tuple[int, ...]:
     """f-vector (faces per dimension, including the polytope itself).
 
-    Facets are read off the at most 3n inequalities x_i >= 0, x_i <= 1 and
-    x_1 + ... + x_i >= c_i: an inequality is a facet when its tight vertices
-    span dimension d - 1.  Closing the facet vertex sets under intersection
-    gives all proper faces.  The face lattice is graded (Ziegler, Lectures
-    on Polytopes, ch. 2), and every face G covering a face h meets some facet
-    exactly in h: h is the intersection of the facets containing it, and one
-    of them does not contain G.  So the smallest face f != h with f & g == h
-    for a facet g covers h, and dim h = dim f - 1, assigned in order of
-    decreasing size from the facets at d - 1; only the vertex set and the
-    candidates are ranked.  Supports the polytopes ``membership`` does and
-    raises ValueError otherwise.  CapacityError before each rank stage if its
-    coordinate updates exceed MAX_SYMBOLS, and before each closure round if
-    the facet intersections so far, len(frontier) * len(facets) each, do.
+    A face is an int whose bit j stands for vertex j.  The system 0 <= x <= 1,
+    x_1 + ... + x_i >= c_i (equal at i = n) describes P, so its facets, the
+    maximal proper faces (Ziegler, Lectures on Polytopes, ch. 2), are the
+    proper tight sets of its at most 3n inequalities that no other contains;
+    only the vertex set is ranked, for d.  Closing the facets under
+    intersection gives all proper faces.  Every face G covering a face h
+    meets some facet exactly in h: h is the intersection of the facets
+    containing it, and one of them does not contain G.  So the smallest face
+    f != h with f & g == h for a facet g covers h, and dim h = dim f - 1,
+    assigned in order of decreasing size from the facets at d - 1.  Supports
+    the polytopes ``membership`` does and raises ValueError otherwise.
+    CapacityError if the vertex rank's coordinate updates exceed MAX_SYMBOLS,
+    and before each closure round if the facet intersections so far,
+    len(frontier) * len(facets) each, do.
     """
     verts = P.vertices
     nv = len(verts)
-    # each rank below reduces every point against at most n rows of n coordinates
+    # the rank reduces every vertex against at most n rows of n coordinates
     check_budget(nv * P.n**2, f"coordinate updates to rank {nv} vertices")
     d = _affine_rank(verts)
     if d <= 1:
@@ -226,21 +227,18 @@ def face_counts(P: VertexPolytope) -> tuple[int, ...]:
         raise _not_supported(P)
 
     sums = [tuple(accumulate(v)) for v in verts]
+    every = (1 << nv) - 1
     candidates = set()
     for i in range(P.n):
-        for tight in (
-            frozenset(j for j, v in enumerate(verts) if v[i] == 0),
-            frozenset(j for j, v in enumerate(verts) if v[i] == 1),
-            frozenset(j for j, s in enumerate(sums) if s[i] == bounds[i]),
-        ):
-            if 0 < len(tight) < nv:
-                candidates.add(tight)
-    check_budget(sum(map(len, candidates)) * P.n**2, f"coordinate updates to rank facet candidates of {nv} vertices")
-    facets = [f for f in candidates if _affine_rank([verts[j] for j in f]) == d - 1]
+        ones = sum(1 << j for j, v in enumerate(verts) if v[i])
+        prefix = sum(1 << j for j, s in enumerate(sums) if s[i] == bounds[i])
+        candidates.update(t for t in (every ^ ones, ones, prefix) if 0 < t < every)
+    # the maximal candidates: at most 9n^2 ands, under 3 * MAX_SYMBOLS as nv >= 3
+    facets = [f for f in candidates if not any(f & g == f != g for g in candidates)]
 
     # cover[h]: the smallest face f != h with f & g == h for a facet g.  It covers h;
     # the keys are the faces below the facets, each found first in one round's frontier
-    cover: dict[frozenset[int], frozenset[int]] = {}
+    cover: dict[int, int] = {}
     frontier = facets
     intersections = 0
     while frontier:
@@ -248,24 +246,23 @@ def face_counts(P: VertexPolytope) -> tuple[int, ...]:
         check_budget(intersections, f"facet intersections to close the face lattice of {nv} vertices")
         new = []
         for f in frontier:
-            size = len(f)
+            size = f.bit_count()
             for g in facets:
                 h = f & g
-                if 0 < len(h) < size:
+                if h and h != f:
                     c = cover.get(h)
                     if c is None:
                         cover[h] = f
                         new.append(h)
-                    elif size < len(c):
+                    elif size < c.bit_count():
                         cover[h] = f
         frontier = new
 
     # a cover is larger than the face it covers, so it has its dimension first
     dims = dict.fromkeys(facets, d - 1)
-    for h in sorted(cover, key=len, reverse=True):
+    for h in sorted(cover, key=int.bit_count, reverse=True):
         dims[h] = dims[cover[h]] - 1
-    counts = [0] * (d + 1)
-    counts[d] = 1  # the polytope itself
+    counts = [0] * d + [1]  # the polytope itself
     for dim in dims.values():
         counts[dim] += 1
     return tuple(counts)

@@ -263,6 +263,13 @@ class TestDivergence:
             for _ in range(50):
                 integrate_flow(random_point(k, 4, rng), A4, 1.0, steps=2)
 
+    def test_singular_stage_gram_raises(self):
+        # one stage of this step leaves a frame of rank < k: numpy's solve
+        # raises LinAlgError, which must not escape
+        a = HeightSpectrum((1e100, 0, 0, 0))
+        with pytest.raises(DivergenceError, match="singular"):
+            integrate_flow(random_point(2, 4, np.random.default_rng(3)), a, 1.0, steps=1)
+
     def test_non_finite_gram_raises(self):
         # overflow leaves NaN in Y^H Y, which every comparison calls false
         a = HeightSpectrum((1e200, 0.0, 0.0, 0.0))

@@ -200,7 +200,53 @@ class TestExactStructure:
             verdicts.add(verdict)
         assert verdicts == {False, True}
 
-    def test_rank_runs_on_vertices_and_candidates_only(self, monkeypatch):
+    @pytest.mark.parametrize("n", range(9))
+    def test_maximal_candidates_are_the_ranked_facets(self, n):
+        # face_counts takes the candidates no other contains; the rank rule it
+        # replaced takes those whose vertices span dimension d - 1
+        for k in range(n + 1):
+            cases = [grassmannian_polytope(k, n)] + [schubert_polytope(u) for u in enumerate_symbols(k, n)]
+            for P in cases:
+                verts = P.vertices
+                d = polytopes._affine_rank(verts)
+                if d < 2:
+                    continue
+                candidates = facet_candidates(verts)
+                maximal = {f for f in candidates if not any(f < g for g in candidates)}
+                ranked = {f for f in candidates if polytopes._affine_rank([verts[j] for j in f]) == d - 1}
+                assert maximal == ranked, verts
+                assert face_counts(P)[d - 1] == len(ranked), verts
+
+    # every Schubert polytope with n <= 11 whose candidate ranks (the third
+    # stage of closed_faces) exceed the budget while its closure fits it
+    CANDIDATE_RANKS_OVER_BUDGET = [
+        (2, 5, 7, 9), (2, 6, 7, 9), (4, 5, 6, 9),
+        (1, 3, 6, 8, 10), (1, 3, 7, 8, 10), (1, 5, 6, 7, 10), (2, 3, 7, 8, 9),
+        (2, 4, 6, 7, 9), (2, 5, 6, 7, 9),
+        (1, 2, 4, 7, 9, 11), (1, 2, 4, 8, 9, 11), (1, 2, 6, 7, 8, 11),
+        (1, 3, 4, 8, 9, 10), (1, 3, 5, 7, 8, 10), (1, 3, 6, 7, 8, 10),
+        (1, 2, 4, 5, 9, 10, 11), (1, 2, 4, 6, 8, 9, 11), (1, 2, 4, 7, 8, 9, 11),
+    ]
+
+    @pytest.mark.parametrize("entries", CANDIDATE_RANKS_OVER_BUDGET)
+    def test_answered_without_candidate_ranks(self, entries):
+        P = schubert_polytope(sym(entries, 11))
+        with pytest.raises(CapacityError, match="candidate ranks"):
+            closed_faces(P)
+        f = face_counts(P)
+        d = polytopes._affine_rank(P.vertices)
+        assert f[0] == len(P.vertices)
+        assert len(f) == d + 1
+        assert sum((-1) ** i * fi for i, fi in enumerate(f)) == 1  # Euler's relation, with f_d = 1
+
+    def test_answered_f_vectors_match_rank_binning(self, monkeypatch):
+        # one polytope per vertex count (75, 76, 80); the oracle needs a larger budget
+        cases = [schubert_polytope(sym(entries, 11)) for entries in self.CANDIDATE_RANKS_OVER_BUDGET[:3]]
+        answers = [face_counts(P) for P in cases]
+        monkeypatch.setattr(symbols, "MAX_SYMBOLS", 10**6)
+        assert answers == [binned_face_counts(P) for P in cases]
+
+    def test_rank_runs_once_on_the_vertices(self, monkeypatch):
         calls = []
         rank = polytopes._affine_rank
         monkeypatch.setattr(polytopes, "_affine_rank", lambda points: calls.append(1) or rank(points))
@@ -208,7 +254,7 @@ class TestExactStructure:
                   schubert_polytope(sym((2, 4, 7), 7)), schubert_polytope(sym((3, 5, 6, 8), 8))]:
             calls.clear()
             face_counts(P)
-            assert 0 < len(calls) <= 1 + len(facet_candidates(P.vertices))
+            assert len(calls) == 1
 
     def test_vertices_skip_bruhat_filter(self, monkeypatch):
         def forbidden(*args):
