@@ -11,8 +11,8 @@ turns exceptions into exit codes; errors carry an error code, reported as
   2  capacity: a cost over the one work budget MAX_SYMBOLS = 100000, stated
      before the work in each engine's unit: Schubert cells, cells-table
      condition entries, Witten degrees, builtin circle/rp entries,
-     thousands of poincare coefficient updates, or polytope rank updates
-     and facet intersections
+     thousands of poincare coefficient updates, or polytope vertex
+     coordinates, rank updates and facet intersections
   3  consistency: the three Poincare polynomial routes disagree
   4  ambiguous-cell: a point too close to a cell boundary to classify
 
@@ -162,25 +162,20 @@ def cmd_limit(args) -> int:
 def cmd_witten(args) -> int:
     from . import witten
 
-    mode = "integers"
-    params = []
-    for tok in args.params:
-        if tok in ("integers", "mod2"):
-            mode = tok
-        else:
-            params.append(tok)
-    if args.source.startswith("builtin:"):
-        name = args.source.split(":", 1)[1]
-        if name == "circle":
-            c = witten.circle_complex(int(params[0]))
-        elif name == "rp":
-            c = witten.rp_complex(int(params[0]))
-        elif name == "torus":
-            c = witten.torus_complex()
-        elif name == "grassmannian":
-            c = witten.grassmannian_complex(int(params[0]), int(params[1]))
-        else:
-            raise ValueError(f"unknown builtin {name!r}")
+    # builtin -> (builder, number of integer parameters); a file takes none
+    builtins = {"circle": (witten.circle_complex, 1), "rp": (witten.rp_complex, 1),
+                "torus": (witten.torus_complex, 0), "grassmannian": (witten.grassmannian_complex, 2)}
+    params = list(args.params)
+    mode = params.pop() if params[-1:] in (["integers"], ["mod2"]) else "integers"
+    builtin = args.source.startswith("builtin:")
+    name = args.source.removeprefix("builtin:")
+    if builtin and name not in builtins:
+        raise ValueError(f"unknown builtin {name!r}")
+    build, arity = builtins[name] if builtin else (None, 0)
+    if len(params) != arity:
+        raise ValueError(f"{args.source} takes {arity} integer parameter(s) before integers|mod2, got {params}")
+    if build is not None:
+        c = build(*(int(p) for p in params))
     else:
         with open(args.source) as fh:
             c = witten.load_complex(fh.read())

@@ -245,6 +245,8 @@ def limit_symbol(
     if direction not in ("down", "up"):
         raise ValueError(f"direction must be 'down' or 'up', got {direction!r}")
     tol = tolerance(tol)
+    if a is not None and a.n != V.n:
+        raise ValueError("spectrum length does not match ambient dimension")
     if a is not None and not a.is_strict:
         raise ValueError(
             "limit_symbol needs a strict (Morse) spectrum; tied values give "

@@ -28,7 +28,7 @@ import numpy as np
 from .flows import GrassmannPoint, HeightSpectrum, _flow_frames, projector
 from .flows import flow  # noqa: F401 (re-exported)
 from .symbols import CapacityError  # noqa: F401 (re-exported)
-from .symbols import SchubertSymbol, cell_count, check_ambient, check_budget, tolerance
+from .symbols import MAX_SYMBOLS, SchubertSymbol, cell_count, check_budget, tolerance
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ def moment_map(V: GrassmannPoint) -> MomentPoint:
 
 def grassmannian_polytope(k: int, n: int) -> VertexPolytope:
     """The hypersimplex Delta(k, n), the Schubert polytope of the top cell (n-k+1, ..., n)."""
-    check_ambient(k, n)
+    cell_count(k, n)  # before the symbol's k entries are built
     return schubert_polytope(SchubertSymbol(tuple(range(n - k + 1, n + 1)), n))
 
 
@@ -99,10 +99,14 @@ def schubert_polytope(u: SchubertSymbol) -> VertexPolytope:
     """Moment image of the Schubert variety X_u: hull of {e_v : v in closure of S_u}.
 
     The closure holds the symbols v with v_j <= u_j for every j, listed in
-    lexicographic order by stepping from one to the next.  CapacityError, as
-    for ``enumerate_symbols``, if Gr_k(C^n) has more than MAX_SYMBOLS cells.
+    lexicographic order by stepping from one to the next.  CapacityError if
+    Gr_k(C^n) has more than MAX_SYMBOLS cells or the vertices more coordinates.
     """
-    cell_count(u.k, u.n)
+    cells = cell_count(u.k, u.n)
+    if cells * u.n > MAX_SYMBOLS:  # else all C(n, k) cells fit; count the e_v above e_u's prefix sums
+        check_budget(u.n, f"coordinates of a vertex of Gr({u.k},{u.n})")
+        count = _lattice_paths(list(accumulate(_indicator(u.entries, u.n))), u.k)
+        check_budget(count * u.n, f"Schubert polytope vertex coordinates in Gr({u.k},{u.n}), {count}*{u.n}")
     bounds, k = u.entries, u.k
     v = list(range(1, k + 1))  # the least symbol, below u since u_j >= j
     verts = []
@@ -132,11 +136,22 @@ def _prefix_bounds(verts) -> list | None:
     bounds = [min(col) for col in zip(*sums)]
     if any(s[-1] != bounds[-1] for s in sums):
         return None
-    # ways[j]: 0/1 prefixes with coordinate sum j meeting every bound so far
-    ways = [1] + [0] * len(bounds)
-    for c in bounds:
-        ways = [ways[j] + (ways[j - 1] if j else 0) if j >= c else 0 for j in range(len(ways))]
-    return bounds if ways[bounds[-1]] == len(verts) else None
+    return bounds if _lattice_paths(bounds, bounds[-1]) == len(verts) else None
+
+
+def _lattice_paths(bounds, total: int) -> int:
+    """Number of 0/1 vectors with coordinate sum total and i-th prefix sum >= bounds[i - 1].
+
+    ways[j + 1] counts the prefixes of sum j that meet every bound so far.
+    """
+    n = len(bounds)
+    ways = [0, 1] + [0] * total
+    for i, c in enumerate(bounds, 1):
+        low = max(c, total - n + i)  # sums below low cannot meet c or end at total
+        for j in range(min(i, total), low - 1, -1):  # downwards, so ways[j] is the last step's
+            ways[j + 1] += ways[j]
+        ways[low] = 0  # sum low - 1, the only one below low that is read again
+    return ways[total + 1]
 
 
 def _not_supported(P: VertexPolytope) -> ValueError:

@@ -8,6 +8,9 @@ reduction that builds no transforms), over GF(2) by Gaussian elimination.
 smith_normal_form, with its unimodular transforms, stays public and is the
 independent reference the tests check elementary_divisors against.
 
+A complex is checked once, when it is built or loaded: boundary shapes and
+dd = 0, else ComplexValidationError.  Changing its maps afterwards is unsupported.
+
 Built-in complexes cover the standard small instances: circle height
 functions with m maxima/minima, real projective spaces, the torus, and the
 (boundary-free) Grassmannian complexes coming from perfect Morse functions.
@@ -242,18 +245,23 @@ def _rank_mod2(m: Matrix) -> int:
     return rank
 
 
-@dataclass
+@dataclass(frozen=True)
 class WittenComplex:
     """Graded free abelian groups on named generators with integer boundaries.
 
     generators[i] lists the degree-i generator names; boundaries[i] is the
     matrix of d_i : C_i -> C_{i-1}, rows indexed by degree-(i-1) generators,
     columns by degree-i generators.  Degrees with no generators are simply
-    absent from both maps.
+    absent from both maps.  Construction checks the shapes and dd = 0.
     """
 
     generators: dict[int, list[str]] = field(default_factory=dict)
     boundaries: dict[int, Matrix] = field(default_factory=dict)
+
+    def __post_init__(self):
+        i = _dd_failure(self)
+        if i is not None:
+            raise ComplexValidationError(f"dd != 0 between degrees {i + 1} and {i - 1}")
 
     @property
     def degrees(self) -> list[int]:
@@ -268,26 +276,8 @@ class WittenComplex:
             return self.boundaries[i]
         return [[0] * self.rank(i) for _ in range(self.rank(i - 1))]
 
-    def check_shapes(self):
-        for i, mat in self.boundaries.items():
-            want_rows, want_cols = self.rank(i - 1), self.rank(i)
-            rows = len(mat)
-            cols = len(mat[0]) if mat else 0
-            if mat and any(len(r) != cols for r in mat):
-                raise ComplexValidationError(f"ragged boundary matrix in degree {i}")
-            if (rows, cols) != (want_rows, want_cols) and not (want_rows == 0 and rows == 0):
-                raise ComplexValidationError(
-                    f"boundary d_{i} has shape {rows}x{cols}, expected {want_rows}x{want_cols}"
-                )
-
     def morse_polynomial(self):
         return _polynomial({i: len(g) for i, g in self.generators.items()})
-
-    def to_json(self) -> dict:
-        return {
-            "generators": {str(i): g for i, g in self.generators.items()},
-            "boundaries": {str(i): m for i, m in self.boundaries.items()},
-        }
 
 
 @dataclass
@@ -325,32 +315,33 @@ def _polynomial(counts: dict[int, int]):
 
 
 def _dd_failure(c: WittenComplex) -> int | None:
-    """First degree i with d_i d_{i+1} != 0, or None; raises on inconsistent shapes."""
-    c.check_shapes()
-    for i in c.degrees:
-        lower = c.boundary(i)
-        upper = c.boundary(i + 1)
-        if not lower or not upper or not upper[0]:
-            continue
-        prod = _mat_mul(lower, upper)
-        if any(any(row) for row in prod):
+    """First degree i with d_i d_{i+1} != 0, or None; raises on inconsistent shapes.
+
+    Multiplies only pairs of stored boundaries that are both nonzero.
+    """
+    for i, mat in c.boundaries.items():
+        want_rows, want_cols = c.rank(i - 1), c.rank(i)
+        rows = len(mat)
+        cols = len(mat[0]) if mat else 0
+        if any(len(r) != cols for r in mat):
+            raise ComplexValidationError(f"ragged boundary matrix in degree {i}")
+        if (rows, cols) != (want_rows, want_cols) and not (want_rows == 0 and rows == 0):
+            raise ComplexValidationError(f"boundary d_{i} has shape {rows}x{cols}, "
+                                         f"expected {want_rows}x{want_cols}")
+    nonzero = {i for i, mat in c.boundaries.items() if any(map(any, mat))}
+    for i in sorted(nonzero):
+        if i + 1 in nonzero and any(map(any, _mat_mul(c.boundaries[i], c.boundaries[i + 1]))):
             return i
     return None
 
 
-def _check_dd(c: WittenComplex) -> None:
-    i = _dd_failure(c)
-    if i is not None:
-        raise ComplexValidationError(f"dd != 0 between degrees {i + 1} and {i - 1}")
-
-
 def validate_complex(c: WittenComplex) -> bool:
-    """True iff all shapes are consistent and every composite dd is zero."""
+    """True iff all shapes are consistent and every composite dd is zero, as checked when built."""
     return _dd_failure(c) is None
 
 
 def homology(c: WittenComplex, mode: str = "integers") -> HomologyResult:
-    """Homology of a validated complex, over Z (with torsion) or over GF(2).
+    """Homology of a complex (checked when built), over Z (with torsion) or over GF(2).
 
     Each stored boundary is reduced once per call: to its invariant factors
     over Z, or to its GF(2) rank, kept as that many unit factors (over a field
@@ -359,7 +350,6 @@ def homology(c: WittenComplex, mode: str = "integers") -> HomologyResult:
     """
     if mode not in ("integers", "mod2"):
         raise ValueError(f"mode must be 'integers' or 'mod2', got {mode!r}")
-    _check_dd(c)
     degs = c.degrees
     if degs:
         check_budget(degs[-1] - degs[0] + 1, f"degrees {degs[0]}..{degs[-1]} to list")
@@ -433,22 +423,19 @@ def dump_complex(c: WittenComplex) -> str:
     lines = [f"degrees: {lo} {hi}"]
     for i in range(lo, hi + 1):
         lines.append(f"gens {i}: " + " ".join(c.generators.get(i, [])))
-    for i in range(lo + 1, hi + 1):
-        mat = c.boundary(i)
-        if not mat or not mat[0]:
-            continue
-        lines.append(f"d {i}:")
-        for row in mat:
-            lines.append(" ".join(str(x) for x in row))
+    for i, mat in sorted(c.boundaries.items()):
+        if mat and mat[0]:  # an empty d lies outside lo..hi or maps to or from 0
+            lines.append(f"d {i}:")
+            lines += [" ".join(str(x) for x in row) for row in mat]
     return "\n".join(lines) + "\n"
 
 
 def load_complex(text: str) -> WittenComplex:
-    """Parse the plain-text chain-complex format and validate the result.
+    """Parse the plain-text chain-complex format; building the result checks it.
 
-    Format: a "degrees: lo hi" header, one "gens <i>: name ..." line per
-    degree, then blocks "d <i>:" followed by the rows of the boundary matrix
-    (targets x sources).
+    Format: a "degrees: lo hi" header with lo <= hi, then one "gens <i>: name ..."
+    line per degree, then blocks "d <i>:" followed by the rows of the boundary
+    matrix (targets x sources), every i in lo..hi.
     """
     lines = text.splitlines()
     gens: dict[int, list[str]] = {}
@@ -464,47 +451,47 @@ def load_complex(text: str) -> WittenComplex:
         if not line or line.startswith("#"):
             idx += 1
             continue
-        if line.startswith("degrees:"):
-            parts = line.split()
-            if len(parts) != 3:
+        head, colon, rest = line.partition(":")
+        words = head.split() if colon else []
+        if words == ["degrees"] and lo is None:  # a second header is an unrecognized line
+            try:
+                lo, hi = (int(x) for x in rest.split())
+            except ValueError:
                 fail(idx, "expected 'degrees: lo hi'")
-            lo, hi = int(parts[1]), int(parts[2])
+            if lo > hi:
+                fail(idx, f"degrees: lo = {lo} exceeds hi = {hi}")
             idx += 1
-        elif line.startswith("gens"):
-            head, _, names = line.partition(":")
-            try:
-                deg = int(head.split()[1])
-            except (IndexError, ValueError):
-                fail(idx, "expected 'gens <degree>: names'")
-            gens[deg] = names.split()
-            idx += 1
-        elif line.startswith("d"):
-            head, _, _ = line.partition(":")
-            try:
-                deg = int(head.split()[1])
-            except (IndexError, ValueError):
-                fail(idx, "expected 'd <degree>:'")
-            idx += 1
-            rows: Matrix = []
-            want = len(gens.get(deg - 1, []))
-            for _ in range(want):
-                if idx >= len(lines):
-                    fail(idx - 1, f"boundary d {deg}: expected {want} rows")
-                try:
-                    row = [int(x) for x in lines[idx].split()]
-                except ValueError:
-                    fail(idx, "boundary rows must be integers")
-                if len(row) != len(gens.get(deg, [])):
-                    fail(idx, f"boundary d {deg}: row width {len(row)}, "
-                              f"expected {len(gens.get(deg, []))}")
-                rows.append(row)
-                idx += 1
-            bnds[deg] = rows
-        else:
+            continue
+        if words[:1] not in (["gens"], ["d"]):
             fail(idx, f"unrecognized line {line!r}")
+        try:
+            (deg,) = (int(x) for x in words[1:])
+        except ValueError:
+            fail(idx, "expected 'gens <degree>: names'" if words[0] == "gens" else "expected 'd <degree>:'")
+        if lo is None:
+            fail(idx, "missing 'degrees:' header")
+        if not lo <= deg <= hi:
+            fail(idx, f"degree {deg} outside the header's degrees {lo}..{hi}")
+        idx += 1
+        if words[0] == "gens":
+            gens[deg] = rest.split()
+            continue
+        rows: Matrix = []
+        want = len(gens.get(deg - 1, []))
+        for _ in range(want):
+            if idx >= len(lines):
+                fail(idx - 1, f"boundary d {deg}: expected {want} rows")
+            try:
+                row = [int(x) for x in lines[idx].split()]
+            except ValueError:
+                fail(idx, "boundary rows must be integers")
+            if len(row) != len(gens.get(deg, [])):
+                fail(idx, f"boundary d {deg}: row width {len(row)}, "
+                          f"expected {len(gens.get(deg, []))}")
+            rows.append(row)
+            idx += 1
+        bnds[deg] = rows
     if lo is None:
         raise ComplexValidationError("missing 'degrees:' header")
     gens = {i: g for i, g in gens.items() if g}
-    c = WittenComplex(generators=gens, boundaries=bnds)
-    _check_dd(c)
-    return c
+    return WittenComplex(generators=gens, boundaries=bnds)

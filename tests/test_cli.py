@@ -221,6 +221,33 @@ class TestWitten:
         code, _, _ = run_json(capsys, "witten", "builtin:sphere", "2")
         assert code == 2
 
+    @pytest.mark.parametrize("params", [
+        ["builtin:torus", "5"],
+        ["builtin:rp", "3", "4"],
+        ["builtin:rp"],
+        ["builtin:grassmannian", "2"],
+        ["circle.txt", "3"],
+        ["builtin:rp", "3", "integers", "mod2"],
+        ["builtin:torus", "mod2", "integers"],
+        ["circle.txt", "integers", "mod2"],
+    ])
+    def test_parameter_count_is_checked(self, capsys, tmp_path, monkeypatch, params):
+        from morsegrass.witten import circle_complex, dump_complex
+
+        (tmp_path / "circle.txt").write_text(dump_complex(circle_complex(3)))
+        monkeypatch.chdir(tmp_path)
+        code, data, _ = run_json(capsys, "witten", *params)
+        assert code == 2
+        assert data["code"] == "usage"
+
+    def test_parameters_then_mode(self, capsys):
+        code, data, _ = run_json(capsys, "witten", "builtin:grassmannian", "2", "4", "mod2")
+        assert code == 0
+        assert data["payload"]["homology"]["mode"] == "mod2"
+        code, data, _ = run_json(capsys, "witten", "builtin:torus", "integers")
+        assert code == 0
+        assert data["payload"]["homology"]["ranks"] == {"0": 1, "1": 2, "2": 1}
+
     def test_dense_40x40_file(self, tmp_path):
         from morsegrass.witten import WittenComplex, dump_complex
 
@@ -352,13 +379,15 @@ class TestCapacity:
         ["cells", "6", "22"],
         ["cells", "2", "447"],
         ["poincare", "1499", "1500", "cells"],
+        ["polytope", "2", "447"],
     ])
     def test_refused_before_enumeration(self, capsys, argv):
         # each of these used to run until killed, or was refused by a rule of its own:
         # most enumerated C(n, k) symbols, the poincare routes without cells built huge
         # polynomials, the polytopes' face lattices exceed the facet intersection budget,
         # cells 6 22 and 2 447 have few enough cells but C(n, k) * n condition entries over
-        # it, and the cells route of poincare 1499 1500 built 1500 symbols of 1499 entries
+        # it, the cells route of poincare 1499 1500 built 1500 symbols of 1499 entries, and
+        # polytope 2 447 listed all 99 681 vertices of 447 coordinates before its faces
         start = time.perf_counter()
         code, data, _ = run_json(capsys, *argv)
         assert time.perf_counter() - start < 1.0

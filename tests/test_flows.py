@@ -335,6 +335,13 @@ class TestLimitSymbol:
         with pytest.raises(ValueError):
             limit_symbol(V, "down", a=HeightSpectrum((1.0, 1.0, 0.0, 0.0)))
 
+    @pytest.mark.parametrize("a", [(3.0, 2.0, 1.0), (5.0, 4.0, 3.0, 2.0, 1.0)])
+    def test_spectrum_length_must_match(self, a):
+        # as for height_value, gradient, flow and integrate_flow
+        V = random_point(2, 4, RNG)
+        with pytest.raises(ValueError, match="spectrum length does not match ambient dimension"):
+            limit_symbol(V, "down", a=HeightSpectrum(a))
+
     def test_boundary_point_ambiguous(self):
         m = np.array([[1.0, 0], [0, 1.0], [0, 1e-10], [0, 0]], dtype=complex)
         with pytest.raises(AmbiguousCellError):

@@ -268,6 +268,24 @@ class TestExactStructure:
         assert grassmannian_polytope(0, 0).vertices == ((),)
         assert grassmannian_polytope(3, 3).vertices == ((1, 1, 1),)
 
+    @pytest.mark.parametrize("n", range(9))
+    def test_lattice_paths_count_the_vertices(self, n):
+        for k in range(n + 1):
+            for u in enumerate_symbols(k, n):
+                bounds = list(accumulate(symbol_vertex(u)))
+                assert polytopes._lattice_paths(bounds, k) == len(schubert_polytope(u).vertices), u
+
+    def test_vertex_coordinates_priced_before_listing(self):
+        # Gr(2, 447) has 99 681 cells, within the budget, but listing them took
+        # 99 681 * 447 coordinates before face_counts refused the polytope
+        with pytest.raises(CapacityError, match=r"Schubert polytope vertex coordinates in Gr\(2,447\), 99681\*447"):
+            grassmannian_polytope(2, 447)
+        with pytest.raises(CapacityError, match=r"coordinates of a vertex of Gr\(0,3000000\)"):
+            grassmannian_polytope(0, 3_000_000)
+        # a small interval of a large Grassmannian is priced by its own vertices
+        assert len(schubert_polytope(sym((1, 200), 447)).vertices) == 199
+        assert len(schubert_polytope(sym(range(1, 10), 18)).vertices) == 1
+
     def test_cell_budget_still_prices_the_grassmannian(self):
         # the cell (1, ..., 20) of Gr(20, 40) is a single vertex, but Gr(20, 40)
         # has more than MAX_SYMBOLS cells, so it is refused as before
@@ -277,6 +295,9 @@ class TestExactStructure:
             grassmannian_polytope(20, 40)
         with pytest.raises(ValueError, match="need 0 <= k <= n"):
             grassmannian_polytope(-1, 3)
+        # refused before the symbol of n - k entries is built
+        with pytest.raises(CapacityError, match="Schubert cells of Gr"):
+            grassmannian_polytope(10**9, 2 * 10**9)
 
 
 class TestMembership:

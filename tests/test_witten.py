@@ -1,5 +1,8 @@
+import ast
+import dataclasses
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -213,28 +216,75 @@ class TestValidation:
         assert validate_complex(grassmannian_complex(2, 4))
 
     def test_nonzero_composition_rejected(self):
-        c = WittenComplex(
-            generators={0: ["a"], 1: ["b"], 2: ["c"]},
-            boundaries={1: [[1]], 2: [[1]]},
-        )
-        assert not validate_complex(c)
-        with pytest.raises(ComplexValidationError):
-            homology(c)
+        with pytest.raises(ComplexValidationError, match="between degrees 2 and 0"):
+            WittenComplex(
+                generators={0: ["a"], 1: ["b"], 2: ["c"]},
+                boundaries={1: [[1]], 2: [[1]]},
+            )
 
     def test_dd_failure_names_the_degrees(self):
-        c = WittenComplex(
-            generators={0: ["a"], 1: ["b"], 2: ["c"], 3: ["d"]},
-            boundaries={1: [[0]], 2: [[1]], 3: [[1]]},
-        )
         with pytest.raises(ComplexValidationError, match="between degrees 3 and 1"):
-            homology(c)
+            WittenComplex(
+                generators={0: ["a"], 1: ["b"], 2: ["c"], 3: ["d"]},
+                boundaries={1: [[0]], 2: [[1]], 3: [[1]]},
+            )
+        text = "degrees: 0 3\ngens 0: a\ngens 1: b\ngens 2: c\ngens 3: d\nd 1:\n0\nd 2:\n1\nd 3:\n1\n"
         with pytest.raises(ComplexValidationError, match="between degrees 3 and 1"):
-            load_complex(dump_complex(c))
+            load_complex(text)
 
     def test_shape_mismatch(self):
-        c = WittenComplex(generators={0: ["a"], 1: ["b"]}, boundaries={1: [[1, 2]]})
-        with pytest.raises(ComplexValidationError):
-            validate_complex(c)
+        with pytest.raises(ComplexValidationError, match="d_1 has shape 1x2, expected 1x1"):
+            WittenComplex(generators={0: ["a"], 1: ["b"]}, boundaries={1: [[1, 2]]})
+        with pytest.raises(ComplexValidationError, match="ragged boundary matrix in degree 1"):
+            WittenComplex(generators={0: ["a", "b"], 1: ["c", "d"]}, boundaries={1: [[1, 0], [0]]})
+
+    def test_fields_are_frozen_and_validate_complex_rechecks(self):
+        c = WittenComplex(generators={0: ["a"], 1: ["b"], 2: ["c"]}, boundaries={1: [[0]], 2: [[1]]})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.boundaries = {}
+        c.boundaries[1][0][0] = 1  # unsupported, but validate_complex re-runs the check
+        assert not validate_complex(c)
+
+
+def _mat_mul_sites(node, where):
+    """The enclosing function of each call to _mat_mul below node."""
+    for child in ast.iter_child_nodes(node):
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+        if isinstance(child, ast.Call) and getattr(child.func, "id", getattr(child.func, "attr", None)) == "_mat_mul":
+            yield where
+        yield from _mat_mul_sites(child, inner)
+
+
+class TestCheckedOnce:
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        calls = []
+        real = witten._dd_failure
+        monkeypatch.setattr(witten, "_dd_failure", lambda c: calls.append(c) or real(c))
+        return calls
+
+    @pytest.mark.parametrize("mode", ["integers", "mod2"])
+    def test_homology_checks_nothing(self, checks, mode):
+        for c in _homology_inputs():
+            checks.clear()
+            homology(c, mode)
+            assert checks == []
+
+    def test_load_complex_checks_once(self, checks):
+        text = dump_complex(rp_complex(4))
+        checks.clear()
+        c = load_complex(text)
+        assert checks == [c]
+
+    def test_composite_formed_in_one_function(self):
+        # d_i d_{i+1} is multiplied out only where a complex is checked
+        package = Path(witten.__file__).parent
+        sites = [
+            (path.name, where)
+            for path in sorted(package.glob("*.py"))
+            for where in _mat_mul_sites(ast.parse(path.read_text()), None)
+        ]
+        assert sites == [("witten.py", "_dd_failure")]
 
 
 class TestCircle:
@@ -373,3 +423,25 @@ class TestFileFormat:
     def test_missing_header(self):
         with pytest.raises(ComplexValidationError):
             load_complex("gens 0: a\n")
+
+    @pytest.mark.parametrize("text,where", [
+        ("degrees: 0 0\ngens 0: a\ngens 7: b\n", "line 3: degree 7 outside the header's degrees 0..0"),
+        ("degrees: 1 2\ngens 0: a\n", "line 2: degree 0 outside"),
+        ("degrees: 0 1\ngens 0: a\ngens 1: b\nd 2:\n", "line 4: degree 2 outside"),
+        ("degrees: 2 0\ngens 0: a\n", "line 1: degrees: lo = 2 exceeds hi = 0"),
+        ("degrees: 0 1\ndegrees: 0 5\n", "line 2: unrecognized line"),
+        ("degrees: 0 1\ngens 0: a\ngens 1: b\ndd 1:\n1\n", "line 4: unrecognized line"),
+        ("degrees: 0 1\ngensXYZ 0: a\n", "line 2: unrecognized line"),
+        ("degrees: 0 1\ngens 0 1: a\n", "line 2: expected 'gens <degree>: names'"),
+        ("degrees: 0 1 2\n", "line 1: expected 'degrees: lo hi'"),
+    ])
+    def test_header_and_keywords_are_exact(self, text, where):
+        with pytest.raises(ComplexValidationError, match=where):
+            load_complex(text)
+
+    @pytest.mark.parametrize("c", _homology_inputs(), ids=["circle", "rp", "torus", "gr24", "dense"])
+    def test_dump_round_trips(self, c):
+        c2 = load_complex(dump_complex(c))
+        assert c2.generators == c.generators
+        assert {i: m for i, m in c2.boundaries.items() if m and m[0]} == \
+            {i: m for i, m in c.boundaries.items() if m and m[0]}
