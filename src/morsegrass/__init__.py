@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "symbols": (
         "MAX_SYMBOLS", "AmbientMismatchError", "AmbiguousCellError", "CapacityError",
-        "GeneralizedSchubertSymbol", "PartialFlagSpectrum", "SchubertSymbol", "bruhat_leq",
+        "GeneralizedSchubertSymbol", "SchubertSymbol", "bruhat_leq",
         "cell_dimension", "check_ambient", "complement", "critical_index",
         "enumerate_generalized_symbols", "enumerate_symbols", "flow_line_exists",
         "generalized_index", "morse_refinements", "ndcm_dimension", "ndcm_shape",

@@ -25,7 +25,7 @@ import numpy as np
 
 # tolerance, DEFAULT_TOL and AmbiguousCellError live in symbols so that the CLI
 # can parse --tol and map exit codes without importing numpy
-from .symbols import DEFAULT_TOL, AmbiguousCellError, SchubertSymbol, tolerance
+from .symbols import DEFAULT_TOL, AmbiguousCellError, SchubertSymbol, check_ambient, tolerance
 
 # exp() overflows past ~709; flows clamp the largest exponent magnitude here
 MAX_EXPONENT = 700.0
@@ -78,8 +78,7 @@ class GrassmannPoint:
         m = np.array(matrix, dtype=complex)
         if m.ndim != 2:
             raise ValueError("expected a 2-d matrix")
-        if m.shape[1] > m.shape[0]:
-            raise ValueError(f"need k <= n, got shape {m.shape}")
+        check_ambient(m.shape[1], m.shape[0])
         if m.shape[1] > 0:
             scale = float(np.abs(m).max())  # NaN or inf if any entry is
             if not math.isfinite(scale):
@@ -143,17 +142,26 @@ def span_distance(V: GrassmannPoint, W: GrassmannPoint) -> float:
     return float(np.linalg.norm(projector(V) - projector(W)))
 
 
-def height_value(V: GrassmannPoint, a: HeightSpectrum) -> float:
-    """f(V) = trace(pi_V D) = sum_i a_i (pi_V)_{ii}."""
+def _check_flow_input(V: GrassmannPoint, a: HeightSpectrum, ts=()) -> list[float]:
+    """The times ts as floats; ValueError unless a has one height per coordinate of V and each t is finite."""
     if a.n != V.n:
         raise ValueError("spectrum length does not match ambient dimension")
+    ts = [float(t) for t in ts]
+    for t in ts:
+        if not math.isfinite(t):
+            raise ValueError(f"flow time must be finite, got {t}")
+    return ts
+
+
+def height_value(V: GrassmannPoint, a: HeightSpectrum) -> float:
+    """f(V) = trace(pi_V D) = sum_i a_i (pi_V)_{ii}."""
+    _check_flow_input(V, a)
     return float(np.real(np.sum(np.array(a.a) * np.diag(projector(V)))))
 
 
 def gradient(V: GrassmannPoint, a: HeightSpectrum) -> TangentVector:
     """Negative gradient -grad f = -i (pi D pi_perp + pi_perp D pi)."""
-    if a.n != V.n:
-        raise ValueError("spectrum length does not match ambient dimension")
+    _check_flow_input(V, a)
     pi = projector(V)
     perp = np.eye(V.n, dtype=complex) - pi
     d = a.diagonal()
@@ -164,18 +172,20 @@ def _flow_frames(V: GrassmannPoint, a: HeightSpectrum, ts) -> np.ndarray:
     """Orthonormal frames of e^{-tD} V for each t in ts, stacked (len(ts), n, k) by one QR.
 
     The exponent is recentered per time (an overall scalar does not change
-    the span) and clamped to avoid overflow; long-time limits should go
-    through limit_symbol instead of large t.
+    the span) and clamped to avoid overflow.  Row i is scaled by e^{-t a_i},
+    so for t > 0 the rows grow downwards; those slices are factored with
+    their rows reversed, because Householder QR is row-wise stable on rows
+    sorted by decreasing size (Powell and Reid 1969; Cox and Higham 1998),
+    and the rows of Q are reversed back.
     """
-    if a.n != V.n:
-        raise ValueError("spectrum length does not match ambient dimension")
-    ts = [float(t) for t in ts]
-    for t in ts:
-        if not math.isfinite(t):
-            raise ValueError(f"flow time must be finite, got {t}")
+    ts = _check_flow_input(V, a, ts)
     ta = np.multiply.outer(ts, a.a)
     exps = np.maximum(ta.min(axis=1, keepdims=True) - ta, -MAX_EXPONENT)
-    q, _ = np.linalg.qr(np.exp(exps)[:, :, None] * V.matrix)
+    m = np.exp(exps)[:, :, None] * V.matrix
+    late = np.array(ts) > 0
+    m[late] = m[late, ::-1]
+    q, _ = np.linalg.qr(m)
+    q[late] = q[late, ::-1]
     return q
 
 
@@ -195,10 +205,7 @@ def integrate_flow(V: GrassmannPoint, a: HeightSpectrum, t: float, steps: int = 
     """
     if steps < 1:
         raise ValueError("need steps >= 1")
-    if a.n != V.n:
-        raise ValueError("spectrum length does not match ambient dimension")
-    if not math.isfinite(t):
-        raise ValueError(f"flow time must be finite, got {t}")
+    (t,) = _check_flow_input(V, a, [t])
     d = np.array(a.a)[:, None]
     eye = np.eye(V.k)
 
@@ -245,13 +252,13 @@ def limit_symbol(
     if direction not in ("down", "up"):
         raise ValueError(f"direction must be 'down' or 'up', got {direction!r}")
     tol = tolerance(tol)
-    if a is not None and a.n != V.n:
-        raise ValueError("spectrum length does not match ambient dimension")
-    if a is not None and not a.is_strict:
-        raise ValueError(
-            "limit_symbol needs a strict (Morse) spectrum; tied values give "
-            "Morse-Bott limits on critical manifolds, classified blockwise"
-        )
+    if a is not None:
+        _check_flow_input(V, a)
+        if not a.is_strict:
+            raise ValueError(
+                "limit_symbol needs a strict (Morse) spectrum; tied values give "
+                "Morse-Bott limits on critical manifolds"
+            )
     m = V.orthonormal_frame().copy()
     n, k = m.shape
     rows = range(n - 1, -1, -1) if direction == "down" else range(n)

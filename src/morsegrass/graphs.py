@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ring import triple_product
-from .symbols import SchubertSymbol, critical_index
+from .symbols import SchubertSymbol, _check_same_ambient, critical_index
 
 INCOMING = "incoming"
 INTERNAL = "internal"
@@ -173,8 +173,7 @@ def cup_product_instance(u: SchubertSymbol, v: SchubertSymbol, w: SchubertSymbol
     moduli space must be zero-dimensional before delegating to the
     cohomology engine.
     """
-    if not (u.ambient == v.ambient == w.ambient):
-        raise ValueError("symbols from different Grassmannians")
+    _check_same_ambient(u.ambient, v.ambient, w.ambient)
     k, n = u.ambient
     dim_m = 2 * k * (n - k)
     labels = LabeledEnds(

@@ -13,7 +13,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .symbols import SchubertSymbol, cell_dimension, complement, enumerate_symbols
+from .symbols import (
+    SchubertSymbol,
+    _check_same_ambient,
+    cell_dimension,
+    check_ambient,
+    complement,
+    enumerate_symbols,
+)
 
 
 @dataclass(frozen=True)
@@ -25,8 +32,9 @@ class PartitionShape:
     n: int
 
     def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
+        parts = tuple(map(int, self.parts))
         object.__setattr__(self, "parts", parts)
+        check_ambient(self.k, self.n)
         if len(parts) != self.k:
             raise ValueError(f"expected {self.k} parts, got {parts}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
@@ -57,8 +65,7 @@ def partition_to_symbol(lam: PartitionShape) -> SchubertSymbol:
 
 def duality_pairing(u: SchubertSymbol, v: SchubertSymbol) -> int:
     """Poincare pairing of z_u and z_v in complementary degrees: 1 iff v = u^c."""
-    if u.ambient != v.ambient:
-        raise ValueError("symbols from different Grassmannians")
+    _check_same_ambient(u.ambient, v.ambient)
     if degree(u) + degree(v) != 2 * u.k * (u.n - u.k):
         raise ValueError(
             f"degrees {degree(u)} + {degree(v)} do not fill the top degree"
@@ -103,9 +110,6 @@ def lr_coefficient(lam: tuple[int, ...], mu: tuple[int, ...], nu: tuple[int, ...
         above = filling.get((r - 1, c))
         if above is not None and val <= above:
             return False
-        below = filling.get((r + 1, c))
-        if below is not None and val >= below:
-            return False
         # lattice word: after placing val, #val <= #(val-1)
         if val > 0 and placed[val] + 1 > placed[val - 1]:
             return False
@@ -139,13 +143,9 @@ class CohomologyClass:
     def __init__(self, k: int, n: int, coefficients=None):
         self.k = k
         self.n = n
-        coeffs = {}
-        for u, c in dict(coefficients or {}).items():
-            if u.ambient != (k, n):
-                raise ValueError(f"symbol {u} not in Gr_{k}(C^{n})")
-            if c:
-                coeffs[u] = int(c)
-        self.coefficients = coeffs
+        coefficients = dict(coefficients or {})
+        _check_same_ambient((k, n), *(u.ambient for u in coefficients))
+        self.coefficients = {u: int(c) for u, c in coefficients.items() if c}
 
     @classmethod
     def basis(cls, u: SchubertSymbol) -> "CohomologyClass":
@@ -196,8 +196,9 @@ class CohomologyClass:
         return CohomologyClass(self.k, self.n, {u: c * x for u, x in self.coefficients.items()})
 
     def _check(self, other):
-        if not isinstance(other, CohomologyClass) or (self.k, self.n) != (other.k, other.n):
-            raise ValueError("classes from different Grassmannians")
+        if not isinstance(other, CohomologyClass):
+            raise ValueError(f"expected a CohomologyClass, got {type(other).__name__}")
+        _check_same_ambient((self.k, self.n), (other.k, other.n))
 
     def __str__(self):
         if not self.coefficients:
@@ -284,8 +285,7 @@ def pieri_product(z: CohomologyClass, i: int) -> CohomologyClass:
 
 def triple_product(u: SchubertSymbol, v: SchubertSymbol, w: SchubertSymbol) -> int:
     """Intersection number <z_u z_v z_w> when degrees fill the top degree."""
-    if not (u.ambient == v.ambient == w.ambient):
-        raise ValueError("symbols from different Grassmannians")
+    _check_same_ambient(u.ambient, v.ambient, w.ambient)
     k, n = u.ambient
     if degree(u) + degree(v) + degree(w) != 2 * k * (n - k):
         raise ValueError("degrees do not sum to the top degree")
@@ -304,24 +304,13 @@ def chern_presentation_check(k: int, n: int) -> bool:
         raise ValueError("desk-scale check only: need k(n-k) <= 12")
     d = {i: CohomologyClass.basis(special_symbol(k, n, i)) for i in range(1, k + 1)}
     c: dict[int, CohomologyClass] = {}
-    for m in range(1, n - k + 1):
-        acc = CohomologyClass.zero(k, n)
-        if m in d:
-            acc = acc + d[m]
+    for m in range(1, n + 1):
+        acc = d.get(m, CohomologyClass.zero(k, n))
         for i in range(1, m):
-            if m - i in d:
+            if i in c and m - i in d:
                 acc = acc + cup_product(c[i], d[m - i])
-        c[m] = acc.scale(-1)
-    for m in range(n - k + 1, n + 1):
-        acc = CohomologyClass.zero(k, n)
-        if m in d:
-            acc = acc + d[m]
-        if m in c:
-            acc = acc + c[m]
-        for i in range(1, m):
-            if i in c and (m - i) in d:
-                acc = acc + cup_product(c[i], d[m - i])
-    # degrees beyond 2k(n-k) vanish automatically; only check within the ring
-        if not acc.is_zero():
+        if m <= n - k:
+            c[m] = acc.scale(-1)
+        elif not acc.is_zero():
             return False
     return True

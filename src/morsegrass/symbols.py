@@ -34,7 +34,7 @@ def tolerance(value) -> float:
 
 
 class AmbientMismatchError(ValueError):
-    """Two symbols from different Grassmannians were combined."""
+    """Symbols or classes from different Grassmannians were combined."""
 
 
 class CapacityError(ValueError):
@@ -53,11 +53,9 @@ class SchubertSymbol:
     n: int
 
     def __post_init__(self):
-        entries = tuple(int(e) for e in self.entries)
+        entries = tuple(map(int, self.entries))
         object.__setattr__(self, "entries", entries)
-        k = len(entries)
-        if k > self.n or self.n < 0:
-            raise ValueError(f"ambient (k={k}, n={self.n}) is invalid")
+        check_ambient(len(entries), self.n)
         if any(b <= a for a, b in zip(entries, entries[1:])):
             raise ValueError(f"entries {entries} not strictly increasing")
         if entries and (entries[0] < 1 or entries[-1] > self.n):
@@ -110,32 +108,6 @@ class GeneralizedSchubertSymbol:
 
     def to_json(self) -> dict:
         return {"blocks": list(self.blocks), "counts": list(self.counts)}
-
-
-@dataclass(frozen=True)
-class PartialFlagSpectrum:
-    """Distinct height values b_1 > ... > b_l >= 0 with eigenspace multiplicities."""
-
-    eigenvalues: tuple[float, ...]
-    multiplicities: tuple[int, ...]
-
-    def __post_init__(self):
-        evs = tuple(float(b) for b in self.eigenvalues)
-        mults = tuple(int(m) for m in self.multiplicities)
-        object.__setattr__(self, "eigenvalues", evs)
-        object.__setattr__(self, "multiplicities", mults)
-        if len(evs) != len(mults):
-            raise ValueError("eigenvalues and multiplicities must have equal length")
-        if any(evs[i] <= evs[i + 1] for i in range(len(evs) - 1)):
-            raise ValueError(f"eigenvalues {evs} not strictly decreasing")
-        if evs and evs[-1] < 0:
-            raise ValueError("eigenvalues must be nonnegative")
-        if any(m <= 0 for m in mults):
-            raise ValueError("multiplicities must be positive")
-
-    @property
-    def n(self) -> int:
-        return sum(self.multiplicities)
 
 
 def check_ambient(k: int, n: int) -> None:
@@ -206,11 +178,10 @@ def complement(u: SchubertSymbol) -> SchubertSymbol:
     return SchubertSymbol(tuple(u.n - e + 1 for e in reversed(u.entries)), u.n)
 
 
-def _check_same_ambient(u1: SchubertSymbol, u2: SchubertSymbol):
-    if u1.ambient != u2.ambient:
-        raise AmbientMismatchError(
-            f"symbols live in different Grassmannians: {u1.ambient} vs {u2.ambient}"
-        )
+def _check_same_ambient(*ambients: tuple[int, int]) -> None:
+    """AmbientMismatchError unless every (k, n) is the same, the one check that objects share a Gr_k(C^n)."""
+    if len(set(ambients)) > 1:
+        raise AmbientMismatchError(f"different Grassmannians: {' vs '.join(map(str, ambients))}")
 
 
 def bruhat_leq(u1: SchubertSymbol, u2: SchubertSymbol) -> bool:
@@ -218,13 +189,12 @@ def bruhat_leq(u1: SchubertSymbol, u2: SchubertSymbol) -> bool:
 
     Equivalently (componentwise form): (u2)_j <= (u1)_j for every j.
     """
-    _check_same_ambient(u1, u2)
+    _check_same_ambient(u1.ambient, u2.ambient)
     return all(b <= a for a, b in zip(u1.entries, u2.entries))
 
 
 def flow_line_exists(u_from: SchubertSymbol, u_to: SchubertSymbol) -> bool:
     """Whether a gradient flow line runs from the cell of u_from down to u_to."""
-    _check_same_ambient(u_from, u_to)
     return bruhat_leq(u_from, u_to) and u_from != u_to
 
 

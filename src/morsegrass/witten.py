@@ -476,6 +476,8 @@ def load_complex(text: str) -> WittenComplex:
         if words[0] == "gens":
             gens[deg] = rest.split()
             continue
+        if rest.strip():
+            fail(idx - 1, f"unexpected text {rest.strip()!r} after 'd {deg}:'; rows go on the lines below")
         rows: Matrix = []
         want = len(gens.get(deg - 1, []))
         for _ in range(want):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from morsegrass.flows import (
+    MAX_EXPONENT,
     AmbiguousCellError,
     DegenerateInputError,
     DivergenceError,
@@ -33,6 +34,35 @@ A4 = HeightSpectrum((3.0, 2.0, 1.0, 0.0))
 
 def coordinate(entries, n):
     return GrassmannPoint.coordinate_plane(SchubertSymbol(tuple(entries), n))
+
+
+def flow_unsorted(V, a, t):
+    """The closed form factored with the rows in their own order, as flow once did; exact for small |t|."""
+    ta = t * np.array(a.a)
+    exps = np.maximum(ta.min() - ta, -MAX_EXPONENT)
+    return GrassmannPoint(np.linalg.qr(np.exp(exps)[:, None] * V.matrix)[0])
+
+
+def morse_bott_limit(V, blocks):
+    """lim flow(V, a, t) as t -> +inf, for a tied on blocks E_1, ..., E_l (largest values first).
+
+    The limit is the sum over j of pi_j(V cap (E_1 + ... + E_j)), with the
+    intersection dimensions of a generic V.
+    """
+    m = V.matrix
+    n, k = m.shape
+    cols, start, below = [], 0, 0
+    for size in blocks:
+        end = start + size
+        dim = max(0, k - (n - end))
+        if dim > below:
+            # the combinations of V's columns that vanish on the rows past E_j
+            null = np.linalg.svd(m[end:])[2][k - dim:].conj().T
+            part = np.zeros((n, dim), dtype=complex)
+            part[start:end] = (m @ null)[start:end]
+            cols.append(np.linalg.svd(part, full_matrices=False)[0][:, :dim - below])
+        start, below = end, dim
+    return GrassmannPoint(np.hstack(cols))
 
 
 class TestTypes:
@@ -166,6 +196,15 @@ class TestFlow:
         V = random_point(2, 4, RNG)
         W = flow(V, A4, 1e6)
         assert np.isfinite(W.matrix).all()
+
+    def test_matches_unsorted_formula_at_short_times(self):
+        rng = np.random.default_rng(11)
+        for k, n in [(1, 3), (2, 4), (3, 7)]:
+            a = HeightSpectrum(tuple(float(x) for x in sorted(rng.uniform(0, 4, n), reverse=True)))
+            for _ in range(20):
+                V = random_point(k, n, rng)
+                for t in np.linspace(-2.0, 2.0, 9):
+                    assert span_distance(flow(V, a, t), flow_unsorted(V, a, t)) < 1e-12
 
 
 class TestIntegrateFlow:
@@ -314,12 +353,23 @@ class TestLimitSymbol:
         assert limit_symbol(V, "down").entries == (3, 4, 6)
 
     def test_limits_match_long_time_flow(self):
-        for _ in range(3):
-            V = random_point(2, 4, RNG)
-            u = limit_symbol(V, "down")
-            W = flow(V, A4, 25.0)
-            target = GrassmannPoint.coordinate_plane(u)
-            assert span_distance(W, target) < 1e-6
+        # rows of e^{-tD} V span e^{t * gap}; factored in their own order, most
+        # of these points landed more than 1e-6 from their limit
+        rng = np.random.default_rng(0)
+        strict = [(2, (3.0, 2.0, 1.0, 0.0), 25.0), (3, tuple(float(x) for x in range(6, -1, -1)), 25.0)]
+        for k, a, t in strict:
+            for _ in range(1000):
+                V = random_point(k, len(a), rng)
+                target = GrassmannPoint.coordinate_plane(limit_symbol(V, "down"))
+                assert span_distance(flow(V, HeightSpectrum(a), t), target) < 1e-6
+        tied = [((1, 3, 2), (2.0, 1.0, 1.0, 1.0, 0.0, 0.0), 40.0, (3, 4, 5)),
+                ((2, 2, 1), (2.0, 2.0, 1.0, 1.0, 0.0), 25.0, (2, 3, 4))]
+        for blocks, a, t, ks in tied:
+            for k in ks:
+                for _ in range(1000):
+                    V = random_point(k, len(a), rng)
+                    target = morse_bott_limit(V, blocks)
+                    assert span_distance(flow(V, HeightSpectrum(a), t), target) < 1e-6
 
     def test_tolerance_must_be_finite_and_positive(self):
         V = GrassmannPoint.coordinate_plane(SchubertSymbol((1, 2), 4))

@@ -13,7 +13,7 @@ from morsegrass.graphs import (
     y_graph,
 )
 from morsegrass.ring import degree, triple_product
-from morsegrass.symbols import SchubertSymbol, critical_index, enumerate_symbols
+from morsegrass.symbols import AmbientMismatchError, SchubertSymbol, critical_index, enumerate_symbols
 
 
 class TestFlowGraph:
@@ -132,7 +132,7 @@ class TestCupProductInstance:
             cup_product_instance(u, u, u)
 
     def test_ambient_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(AmbientMismatchError):
             cup_product_instance(
                 SchubertSymbol((2, 4), 4),
                 SchubertSymbol((2, 4), 5),

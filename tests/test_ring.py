@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import morsegrass.ring as ring_module
 from morsegrass.ring import (
     CohomologyClass,
     PartitionShape,
@@ -16,7 +17,7 @@ from morsegrass.ring import (
     symbol_to_partition,
     triple_product,
 )
-from morsegrass.symbols import SchubertSymbol, complement, enumerate_symbols
+from morsegrass.symbols import AmbientMismatchError, SchubertSymbol, complement, enumerate_symbols
 
 
 def sym(entries, n):
@@ -49,6 +50,8 @@ class TestDegreeAndPartitions:
             PartitionShape((1, 2), 2, 4)
         with pytest.raises(ValueError):
             PartitionShape((3, 0), 2, 4)
+        with pytest.raises(ValueError, match=r"need 0 <= k <= n, got k=0, n=-1"):
+            PartitionShape((), 0, -1)
 
 
 class TestDuality:
@@ -61,6 +64,10 @@ class TestDuality:
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
             duality_pairing(sym((2, 4), 4), sym((2, 4), 4))
+
+    def test_ambient_mismatch(self):
+        with pytest.raises(AmbientMismatchError):
+            duality_pairing(sym((2, 4), 4), sym((1, 3), 5))
 
 
 class TestLRCoefficients:
@@ -91,8 +98,12 @@ class TestCupProduct:
             assert cup_product(unit, basis(u.entries, 4)) == basis(u.entries, 4)
 
     def test_ambient_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(AmbientMismatchError):
             cup_product(basis((2, 4), 4), basis((2, 4), 5))
+        with pytest.raises(AmbientMismatchError):
+            basis((2, 4), 4) + basis((2, 4), 5)
+        with pytest.raises(AmbientMismatchError, match=r"different Grassmannians: \(2, 4\) vs \(2, 5\)"):
+            CohomologyClass(2, 4, {sym((2, 4), 5): 1})
 
     @pytest.mark.parametrize("k,n", [(2, 4), (2, 5), (3, 6)])
     def test_commutative(self, k, n):
@@ -151,6 +162,10 @@ class TestTripleProduct:
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
             triple_product(sym((2, 4), 4), sym((2, 4), 4), sym((2, 4), 4))
+
+    def test_ambient_mismatch(self):
+        with pytest.raises(AmbientMismatchError):
+            triple_product(sym((2, 4), 4), sym((2, 4), 4), sym((2, 4), 5))
 
     def test_fixture_intersection_point(self):
         # regression fixtures mirroring the explicit flag computation: the
@@ -249,6 +264,12 @@ class TestChernPresentation:
     def test_capacity(self):
         with pytest.raises(ValueError):
             chern_presentation_check(4, 8)
+
+    def test_detects_a_wrong_product(self, monkeypatch):
+        # with every product zero, degree n-k+1 <= k keeps d_{n-k+1} and cannot close
+        monkeypatch.setattr(ring_module, "cup_product", lambda z1, z2: CohomologyClass.zero(z1.k, z1.n))
+        assert not chern_presentation_check(2, 3)
+        assert not chern_presentation_check(3, 5)
 
 
 def test_class_serialization():

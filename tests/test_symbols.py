@@ -12,7 +12,6 @@ from morsegrass.symbols import (
     AmbientMismatchError,
     CapacityError,
     GeneralizedSchubertSymbol,
-    PartialFlagSpectrum,
     SchubertSymbol,
     bruhat_leq,
     cell_dimension,
@@ -122,8 +121,10 @@ class TestBruhatOrder:
         assert not bruhat_leq(sym((1, 4), 4), sym((2, 3), 4))
 
     def test_ambient_mismatch(self):
-        with pytest.raises(AmbientMismatchError):
+        with pytest.raises(AmbientMismatchError, match=r"different Grassmannians: \(2, 4\) vs \(2, 5\)"):
             bruhat_leq(sym((1, 2), 4), sym((1, 2), 5))
+        with pytest.raises(AmbientMismatchError):
+            flow_line_exists(sym((1, 2), 4), sym((1,), 4))
 
     def test_partial_order_axioms(self):
         syms = enumerate_symbols(2, 4)
@@ -213,20 +214,6 @@ class TestGeneralizedSymbols:
             assert ndcm_dimension(c3) == 0
 
 
-class TestPartialFlagSpectrum:
-    def test_valid(self):
-        s = PartialFlagSpectrum((2.0, 1.0, 0.0), (2, 3, 2))
-        assert s.n == 7
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            PartialFlagSpectrum((1.0, 1.0), (2, 2))
-        with pytest.raises(ValueError):
-            PartialFlagSpectrum((1.0, -0.5), (2, 2))
-        with pytest.raises(ValueError):
-            PartialFlagSpectrum((1.0,), (0,))
-
-
 def test_serialization_round_trip():
     u = sym((2, 4), 4)
     data = u.to_json()
@@ -249,6 +236,12 @@ class TestAmbientCheck:
     def test_generalized_symbols_use_it(self):
         with pytest.raises(ValueError, match="need 0 <= k <= n"):
             enumerate_generalized_symbols([1, 2], 4)
+
+    def test_symbols_use_it(self):
+        with pytest.raises(ValueError, match=r"need 0 <= k <= n, got k=3, n=2"):
+            sym((1, 2, 3), 2)
+        with pytest.raises(ValueError, match=r"need 0 <= k <= n, got k=0, n=-1"):
+            sym((), -1)
 
 
 class TestSymbolCapacity:
@@ -280,15 +273,27 @@ class TestSymbolCapacity:
         assert MAX_SYMBOLS == 100_000
 
 
-def _capacity_raises(node, where):
-    """The enclosing function of each ``raise CapacityError`` below node."""
+def _raises(node, where):
+    """(enclosing function, exception name, message source) of each ``raise`` below node."""
     for child in ast.iter_child_nodes(node):
         inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else where
         if isinstance(child, ast.Raise) and child.exc is not None:
-            exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
-            if getattr(exc, "id", getattr(exc, "attr", None)) == "CapacityError":
-                yield where
-        yield from _capacity_raises(child, inner)
+            call = child.exc if isinstance(child.exc, ast.Call) else None
+            exc = call.func if call else child.exc
+            message = ast.unparse(call.args[0]) if call and call.args else ""
+            yield where, getattr(exc, "id", getattr(exc, "attr", None)), message
+        yield from _raises(child, inner)
+
+
+def _raise_sites(exc_name=None, text=""):
+    """(file, enclosing function) of each raise in the package of exc_name with text in its message."""
+    package = Path(symbols_module.__file__).parent
+    return [
+        (path.name, where)
+        for path in sorted(package.glob("*.py"))
+        for where, exc, message in _raises(ast.parse(path.read_text()), None)
+        if exc_name in (None, exc) and text in message
+    ]
 
 
 class TestOneBudget:
@@ -303,10 +308,19 @@ class TestOneBudget:
 
     def test_the_only_raise_site(self):
         # every size refusal in the package goes through check_budget
-        package = Path(symbols_module.__file__).parent
-        sites = [
-            (path.name, where)
-            for path in sorted(package.glob("*.py"))
-            for where in _capacity_raises(ast.parse(path.read_text()), None)
-        ]
-        assert sites == [("symbols.py", "check_budget")]
+        assert _raise_sites("CapacityError") == [("symbols.py", "check_budget")]
+
+
+class TestOneRulePerInput:
+    def test_one_mixing_error(self):
+        # every "objects from different Grassmannians" refusal goes through _check_same_ambient
+        assert _raise_sites("AmbientMismatchError") == [("symbols.py", "_check_same_ambient")]
+        assert _raise_sites(text="different Grassmannians") == [("symbols.py", "_check_same_ambient")]
+
+    @pytest.mark.parametrize("text,site", [
+        ("need 0 <= k <= n", ("symbols.py", "check_ambient")),
+        ("spectrum length does not match ambient dimension", ("flows.py", "_check_flow_input")),
+        ("flow time must be finite", ("flows.py", "_check_flow_input")),
+    ])
+    def test_each_message_from_one_function(self, text, site):
+        assert _raise_sites(text=text) == [site]

@@ -434,6 +434,8 @@ class TestFileFormat:
         ("degrees: 0 1\ngensXYZ 0: a\n", "line 2: unrecognized line"),
         ("degrees: 0 1\ngens 0 1: a\n", "line 2: expected 'gens <degree>: names'"),
         ("degrees: 0 1 2\n", "line 1: expected 'degrees: lo hi'"),
+        # a row written on the "d <i>:" line would be dropped or shift the rows below it
+        ("degrees: 0 1\ngens 0: a\ngens 1: b\nd 1: 7\n1\n", "line 4: unexpected text '7' after 'd 1:'"),
     ])
     def test_header_and_keywords_are_exact(self, text, where):
         with pytest.raises(ComplexValidationError, match=where):
