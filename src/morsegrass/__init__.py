@@ -5,9 +5,10 @@ gradient flows and their limits, momentum polytopes, Witten-complex homology,
 and the Schubert-calculus cup product.
 
 Names are loaded on first use (PEP 562): ``import morsegrass`` imports no
-submodule, and numpy is imported only when a name from ``flows`` or
-``polytopes`` is first looked up.  The exact modules (symbols, polynomials,
-witten, ring, graphs) never import numpy.
+submodule, and numpy is imported only through ``flows``, when a name from it
+is first looked up or ``moment_map`` or ``flow_moment_trace`` first runs.  The
+exact modules (symbols, polynomials, witten, ring, graphs, polytopes) never
+import numpy at load.
 """
 
 from importlib import import_module

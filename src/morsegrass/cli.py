@@ -17,8 +17,8 @@ turns exceptions into exit codes; errors carry an error code, reported as
   4  ambiguous-cell: a point too close to a cell boundary to classify
 
 Each subcommand imports only the modules it uses.  cells, poincare, witten,
-cup and moduli-dim are exact and run without numpy, as do usage errors;
-flow, limit and polytope import numpy through flows.
+cup, moduli-dim and polytope (but not --plot-data) run without numpy, as do
+usage errors; flow and limit import it through flows after reading input.
 """
 
 from __future__ import annotations
@@ -71,11 +71,13 @@ def _parse_symbol(text: str, k: int, n: int) -> symbols.SchubertSymbol:
 
 
 def _frame_and_spectrum(args) -> tuple[flows.GrassmannPoint, flows.HeightSpectrum]:
+    # a missing or malformed file and a non-numeric spectrum are refused before numpy loads
+    with open(args.matrix) as fh:
+        data = json.load(fh)
+    spectrum = tuple(float(x) for x in args.spectrum.split(","))
     from . import flows
 
-    with open(args.matrix) as fh:
-        V = flows.GrassmannPoint.from_json(json.load(fh))
-    return V, flows.HeightSpectrum(tuple(float(x) for x in args.spectrum.split(",")))
+    return flows.GrassmannPoint.from_json(data), flows.HeightSpectrum(spectrum)
 
 
 def cmd_cells(args) -> int:
@@ -129,9 +131,9 @@ def cmd_poincare(args) -> int:
 
 
 def cmd_flow(args) -> int:
+    V, a = _frame_and_spectrum(args)
     from . import flows, polytopes
 
-    V, a = _frame_and_spectrum(args)
     W = flows.flow(V, a, args.t)
     mu = polytopes.moment_map(W)
     payload = {
@@ -147,9 +149,9 @@ def cmd_flow(args) -> int:
 
 
 def cmd_limit(args) -> int:
+    V, a = _frame_and_spectrum(args)
     from . import flows, polytopes
 
-    V, a = _frame_and_spectrum(args)
     u = flows.limit_symbol(V, args.direction, tol=args.tol, a=a)
     trace = polytopes.flow_moment_trace(V, a, [0.0, 1.0, 2.0, 4.0])
     payload = {

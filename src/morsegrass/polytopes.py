@@ -14,6 +14,8 @@ facets, the maximal proper faces (Ziegler, Lectures on Polytopes, ch. 2), are
 the proper tight vertex sets of those inequalities that no other contains.
 Faces are int bitmasks over the vertices, closed under intersection within
 the work budget MAX_SYMBOLS; the covers in their lattice give dimensions.
+All of this is exact: only moment_map and flow_moment_trace compute floats,
+and they import flows, and with it numpy, when first called.
 """
 
 from __future__ import annotations
@@ -22,13 +24,22 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .flows import GrassmannPoint, HeightSpectrum, _flow_frames, projector
-from .flows import flow  # noqa: F401 (re-exported)
 from .symbols import CapacityError  # noqa: F401 (re-exported)
 from .symbols import MAX_SYMBOLS, SchubertSymbol, cell_count, check_budget, tolerance
+
+if TYPE_CHECKING:
+    from .flows import GrassmannPoint, HeightSpectrum
+
+
+def __getattr__(name):
+    # flows.flow and flows.projector stay reachable here without importing flows at load
+    if name in ("flow", "projector"):
+        from . import flows
+
+        return getattr(flows, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -86,7 +97,9 @@ def _indicator(entries, n: int) -> tuple[int, ...]:
 
 def moment_map(V: GrassmannPoint) -> MomentPoint:
     """mu(V) = diagonal of the orthogonal projector onto V."""
-    return MomentPoint(tuple(float(x) for x in np.real(np.diag(projector(V)))))
+    from .flows import projector
+
+    return MomentPoint(tuple(float(x) for x in projector(V).diagonal().real))
 
 
 def grassmannian_polytope(k: int, n: int) -> VertexPolytope:
@@ -291,7 +304,9 @@ def flow_moment_trace(
     One stacked QR gives an orthonormal frame per time; mu is the squared
     row norms of each frame, the diagonal of its projector.
     """
-    mus = (np.abs(_flow_frames(V, a, ts)) ** 2).sum(axis=2)
+    from .flows import _flow_frames
+
+    mus = (abs(_flow_frames(V, a, ts)) ** 2).sum(axis=2)
     return [MomentPoint(tuple(float(x) for x in mu)) for mu in mus]
 
 

@@ -93,10 +93,7 @@ def lr_coefficient(lam: tuple[int, ...], mu: tuple[int, ...], nu: tuple[int, ...
     count = 0
 
     # fill cells row by row, right to left within a row (reverse reading order)
-    cells = []
-    for r in range(rows):
-        for c in range(lam[r] - 1, mu[r] - 1, -1):
-            cells.append((r, c))
+    cells = [(r, c) for r in range(rows) for c in range(lam[r] - 1, mu[r] - 1, -1)]
 
     filling = {}
     placed = [0] * len(nu)
@@ -141,6 +138,7 @@ class CohomologyClass:
     __slots__ = ("k", "n", "coefficients")
 
     def __init__(self, k: int, n: int, coefficients=None):
+        check_ambient(k, n)
         self.k = k
         self.n = n
         coefficients = dict(coefficients or {})
@@ -206,13 +204,7 @@ class CohomologyClass:
         terms = []
         for u in sorted(self.coefficients, key=lambda s: (degree(s), s.entries)):
             c = self.coefficients[u]
-            name = f"z{u}"
-            if c == 1:
-                terms.append(name)
-            elif c == -1:
-                terms.append(f"-{name}")
-            else:
-                terms.append(f"{c}{name}")
+            terms.append({1: "", -1: "-"}.get(c, str(c)) + f"z{u}")
         return " + ".join(terms).replace("+ -", "- ")
 
     __repr__ = __str__

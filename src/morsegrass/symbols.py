@@ -88,13 +88,11 @@ class GeneralizedSchubertSymbol:
 
     def __post_init__(self):
         counts = tuple(int(c) for c in self.counts)
-        blocks = tuple(int(m) for m in self.blocks)
+        blocks = _block_sizes(self.blocks)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "blocks", blocks)
         if len(counts) != len(blocks):
             raise ValueError("counts and blocks must have equal length")
-        if any(m <= 0 for m in blocks):
-            raise ValueError(f"block sizes {blocks} must be positive")
         if any(c < 0 or c > m for c, m in zip(counts, blocks)):
             raise ValueError(f"counts {counts} out of range for blocks {blocks}")
 
@@ -114,6 +112,14 @@ def check_ambient(k: int, n: int) -> None:
     """ValueError unless 0 <= k <= n, the one check on the (k, n) of Gr_k(C^n)."""
     if k < 0 or n < 0 or k > n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+
+
+def _block_sizes(blocks) -> tuple[int, ...]:
+    """The eigenspace block sizes as ints; ValueError unless each is positive."""
+    blocks = tuple(int(m) for m in blocks)
+    if any(m <= 0 for m in blocks):
+        raise ValueError(f"block sizes {blocks} must be positive")
+    return blocks
 
 
 def check_budget(cost: int, what: str) -> None:
@@ -202,9 +208,7 @@ def enumerate_generalized_symbols(
     blocks: tuple[int, ...] | list[int], k: int
 ) -> list[GeneralizedSchubertSymbol]:
     """All occupancy vectors (c_1, ..., c_l) with 0 <= c_j <= m_j and sum k."""
-    blocks = tuple(int(m) for m in blocks)
-    if any(m <= 0 for m in blocks):
-        raise ValueError(f"block sizes {blocks} must be positive")
+    blocks = _block_sizes(blocks)
     check_ambient(k, sum(blocks))
 
     out = []
@@ -230,11 +234,10 @@ def generalized_index(c: GeneralizedSchubertSymbol) -> int:
     Equals the minimum, over Morse refinements of c, of the Morse index for -f;
     in closed form 2 * sum_{i<j} c_j (m_i - c_i).
     """
-    counts, blocks = c.counts, c.blocks
-    total = 0
-    for j in range(len(blocks)):
-        above = sum(blocks[i] - counts[i] for i in range(j))
-        total += counts[j] * above
+    total = above = 0  # above: sum of m_i - c_i over the blocks before j
+    for cj, mj in zip(c.counts, c.blocks):
+        total += cj * above
+        above += mj - cj
     return 2 * total
 
 
@@ -250,15 +253,12 @@ def ndcm_dimension(c: GeneralizedSchubertSymbol) -> int:
 
 def morse_refinements(c: GeneralizedSchubertSymbol) -> list[SchubertSymbol]:
     """Schubert symbols compatible with c: pick c_j rows inside each block."""
-    n = c.n
-    offsets = [0]
-    for m in c.blocks:
-        offsets.append(offsets[-1] + m)
+    offsets = list(itertools.accumulate(c.blocks, initial=0))
     per_block = [
         list(itertools.combinations(range(offsets[j] + 1, offsets[j + 1] + 1), c.counts[j]))
         for j in range(len(c.blocks))
     ]
     return [
-        SchubertSymbol(tuple(itertools.chain.from_iterable(choice)), n)
+        SchubertSymbol(tuple(itertools.chain.from_iterable(choice)), c.n)
         for choice in itertools.product(*per_block)
     ]

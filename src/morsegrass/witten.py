@@ -230,19 +230,15 @@ def _pivot(rows: Matrix) -> tuple[int, int]:
 
 
 def _rank_mod2(m: Matrix) -> int:
-    rows = [sum((x & 1) << j for j, x in enumerate(row)) for row in m]
-    rank = 0
-    for col in range(len(m[0]) if m else 0):
-        bit = 1 << col
-        pivot = next((i for i in range(rank, len(rows)) if rows[i] & bit), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i] & bit:
-                rows[i] ^= rows[rank]
-        rank += 1
-    return rank
+    """Rank over GF(2): each row packed into an int (one byte per entry), reduced by an XOR basis."""
+    basis: dict[int, int] = {}  # leading bit -> the basis row that has it
+    for row in m:
+        r = int.from_bytes(bytes([x & 1 for x in row]), "big")
+        while (top := r.bit_length()) in basis:  # r = 0 has top 0, never a key
+            r ^= basis[top]
+        if r:
+            basis[top] = r
+    return len(basis)
 
 
 @dataclass(frozen=True)

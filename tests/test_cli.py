@@ -487,7 +487,7 @@ class TestMalformedInput:
 
 
 # Runs main(argv) in a fresh interpreter; the last stderr line reports whether
-# numpy was imported and the exit code.
+# numpy was imported, the exit code and the morsegrass modules that were loaded.
 PROBE = """
 import sys
 from morsegrass.cli import main
@@ -496,15 +496,20 @@ try:
 except SystemExit as exc:
     code = exc.code
 sys.stdout.flush()
-print("numpy" in sys.modules, code, file=sys.stderr)
+modules = sorted(m for m in sys.modules if m.split(".")[0] == "morsegrass")
+print("numpy" in sys.modules, code, *modules, file=sys.stderr)
 """
 
 
 def probe(tmp_path, *argv):
+    """(numpy loaded, exit code, sorted loaded morsegrass modules) of ``main(argv)`` in a fresh process."""
     proc = subprocess.run([sys.executable, "-c", PROBE, *argv], cwd=tmp_path, env=child_env(),
                           capture_output=True, text=True, timeout=60)
-    numpy_loaded, code = proc.stderr.splitlines()[-1].split()
-    return numpy_loaded == "True", int(code)
+    numpy_loaded, code, *modules = proc.stderr.splitlines()[-1].split()
+    return numpy_loaded == "True", int(code), modules
+
+
+POLYTOPE_MODULES = ["morsegrass", "morsegrass.cli", "morsegrass.polytopes", "morsegrass.symbols"]
 
 
 class TestLazyLoading:
@@ -522,6 +527,8 @@ class TestLazyLoading:
         ["witten", "builtin:grassmannian", "2", "4"],
         ["witten", "circle.txt", "mod2"],
         ["moduli-dim", "graph.json"],
+        ["polytope", "3", "6", "(2,4,6)"],
+        ["polytope", "2", "4"],
     ])
     def test_exact_subcommands_run_without_numpy(self, tmp_path, argv):
         from morsegrass.witten import circle_complex, dump_complex
@@ -529,17 +536,49 @@ class TestLazyLoading:
         (tmp_path / "circle.txt").write_text(dump_complex(circle_complex(3)))
         (tmp_path / "graph.json").write_text(json.dumps(
             {"vertices": ["v"], "edges": [["v", None, "incoming"]], "incoming_indices": [2], "dim_m": 4}))
-        assert probe(tmp_path, *argv) == (False, 0)
+        assert probe(tmp_path, *argv)[:2] == (False, 0)
+
+    @pytest.mark.parametrize("argv", [
+        ["polytope", "3", "9"],
+        ["polytope", "2", "4", "(1,2,3)"],
+        ["flow", "missing.json", "4,3,2,1", "1.0"],
+    ])
+    def test_refusals_run_without_numpy(self, tmp_path, argv):
+        assert probe(tmp_path, *argv)[:2] == (False, 2)
+
+    @pytest.mark.parametrize("argv", [["polytope", "3", "6", "(2,4,6)"], ["polytope", "3", "9"]])
+    def test_polytope_loads_only_its_modules(self, tmp_path, argv):
+        # a module-level import added to polytopes or cli shows up here by name
+        assert probe(tmp_path, *argv)[2] == POLYTOPE_MODULES
 
     def test_usage_error_runs_without_numpy(self, tmp_path):
-        assert probe(tmp_path, "cells", "two", "4") == (False, 2)
+        assert probe(tmp_path, "cells", "two", "4")[:2] == (False, 2)
 
     def test_tol_nan_is_a_usage_error_before_flows_loads(self, tmp_path):
-        assert probe(tmp_path, "--tol", "nan", "limit", "p.json", "4,3,2,1", "down") == (False, 2)
+        assert probe(tmp_path, "--tol", "nan", "limit", "p.json", "4,3,2,1", "down")[:2] == (False, 2)
 
     def test_ambiguous_cell_exit_code_in_a_fresh_process(self, tmp_path):
         write_point(tmp_path, [[1, 0], [5e-7, 0], [0, 1], [0, 5e-7]], "p.json")
-        assert probe(tmp_path, "--tol", "1e-6", "limit", "p.json", "4,3,2,1", "down") == (True, 4)
+        assert probe(tmp_path, "--tol", "1e-6", "limit", "p.json", "4,3,2,1", "down")[:2] == (True, 4)
+
+    def test_polytopes_loads_numpy_only_for_floats(self):
+        code = ("import sys\n"
+                "from morsegrass import polytopes\n"
+                "P = polytopes.grassmannian_polytope(2, 4)\n"
+                "assert polytopes.face_counts(P) == (6, 12, 8, 1) and polytopes.membership((1, 1, 0, 0), P)\n"
+                "assert 'numpy' not in sys.modules and 'morsegrass.flows' not in sys.modules\n"
+                "from morsegrass import flows\n"
+                "mu = polytopes.moment_map(flows.GrassmannPoint([[1, 0], [0, 0], [0, 1], [0, 0]]))\n"
+                "assert mu.coords == (1.0, 0.0, 1.0, 0.0) and polytopes.membership(mu, P)\n"
+                "assert polytopes.flow is flows.flow and polytopes.projector is flows.projector\n"
+                "assert 'flow' not in vars(polytopes) and 'projector' not in vars(polytopes)\n"
+                "try:\n"
+                "    polytopes.nope\n"
+                "except AttributeError as exc:\n"
+                "    assert 'nope' in str(exc)\n"
+                "else:\n"
+                "    raise AssertionError('polytopes.nope resolved')\n")
+        subprocess.run([sys.executable, "-c", code], env=child_env(), check=True, timeout=60)
 
     def test_submodule_resolves_after_bare_import(self):
         code = ("import sys, morsegrass\n"

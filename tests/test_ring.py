@@ -105,6 +105,12 @@ class TestCupProduct:
         with pytest.raises(AmbientMismatchError, match=r"different Grassmannians: \(2, 4\) vs \(2, 5\)"):
             CohomologyClass(2, 4, {sym((2, 4), 5): 1})
 
+    def test_impossible_grassmannian_refused(self):
+        with pytest.raises(ValueError, match=r"need 0 <= k <= n, got k=5, n=3"):
+            CohomologyClass.zero(5, 3)
+        with pytest.raises(ValueError, match=r"need 0 <= k <= n, got k=-1, n=2"):
+            CohomologyClass(-1, 2)
+
     @pytest.mark.parametrize("k,n", [(2, 4), (2, 5), (3, 6)])
     def test_commutative(self, k, n):
         syms = enumerate_symbols(k, n)

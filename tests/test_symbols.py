@@ -321,6 +321,7 @@ class TestOneRulePerInput:
         ("need 0 <= k <= n", ("symbols.py", "check_ambient")),
         ("spectrum length does not match ambient dimension", ("flows.py", "_check_flow_input")),
         ("flow time must be finite", ("flows.py", "_check_flow_input")),
+        ("must be positive", ("symbols.py", "_block_sizes")),
     ])
     def test_each_message_from_one_function(self, text, site):
         assert _raise_sites(text=text) == [site]

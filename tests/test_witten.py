@@ -134,6 +134,38 @@ class TestElementaryDivisors:
         assert elementary_divisors(m) == snf_divisors(m)
 
 
+def rank_mod2_by_elimination(m):
+    """GF(2) rank by column-by-column Gauss-Jordan elimination on rows packed as ints."""
+    rows = [sum((x & 1) << j for j, x in enumerate(row)) for row in m]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        bit = 1 << col
+        pivot = next((i for i in range(rank, len(rows)) if rows[i] & bit), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i] & bit:
+                rows[i] ^= rows[rank]
+        rank += 1
+    return rank
+
+
+class TestRankMod2:
+    @settings(max_examples=300, deadline=None)
+    @given(int_matrices())
+    @example([])
+    @example([[], []])
+    @example([[0, 0, 0], [0, 0, 0]])
+    @example([[-1, 2, -3], [3, -4, 1], [2, 2, 2]])
+    @example([[1] * 12, [1] * 11 + [0], [0] * 11 + [-1]])  # rows wider than 8 bytes
+    @example([[np.int64(3), np.int64(-1)], [np.int64(1), np.int64(1)]])  # numpy integer entries
+    def test_matches_elimination(self, m):
+        before = [r[:] for r in m]
+        assert witten._rank_mod2(m) == rank_mod2_by_elimination(m)
+        assert m == before
+
+
 def _homology_inputs():
     dense = WittenComplex(
         generators={0: [f"a{j}" for j in range(6)], 1: [f"b{j}" for j in range(6)]},
