@@ -14,6 +14,7 @@ product, delegated to the Schubert calculus engine.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 from .ring import triple_product
@@ -91,8 +92,9 @@ class FlowGraph:
     def from_json(cls, data: dict) -> "FlowGraph":
         """Graph from {"vertices": [...], "edges": [[a, b, kind], ...]}; ValueError on any other shape."""
         try:
-            return cls(frozenset(data["vertices"]),
-                       tuple((a, b, kind) for a, b, kind in data["edges"]))
+            if not isinstance(data["vertices"], list):  # a string would be read as its characters
+                raise ValueError(f"graph JSON 'vertices' must be a list, got {data['vertices']!r}")
+            return cls(frozenset(data["vertices"]), tuple((a, b, kind) for a, b, kind in data["edges"]))
         except TypeError as exc:
             raise ValueError(f"graph JSON needs 'vertices' and 'edges' lists ({exc})") from None
 
@@ -106,8 +108,9 @@ class LabeledEnds:
     dim_m: int
 
     def __post_init__(self):
-        object.__setattr__(self, "incoming", tuple(int(x) for x in self.incoming))
-        object.__setattr__(self, "outgoing", tuple(int(x) for x in self.outgoing))
+        object.__setattr__(self, "incoming", tuple(map(_integer, self.incoming)))
+        object.__setattr__(self, "outgoing", tuple(map(_integer, self.outgoing)))
+        object.__setattr__(self, "dim_m", _integer(self.dim_m))
         for idx in self.incoming + self.outgoing:
             if not 0 <= idx <= self.dim_m:
                 raise ValueError(f"index {idx} outside 0..dim M = {self.dim_m}")
@@ -117,9 +120,16 @@ class LabeledEnds:
         """Labels from the "incoming_indices", "outgoing_indices" and "dim_m" keys of a graph file."""
         try:
             return cls(tuple(data.get("incoming_indices", [])),
-                       tuple(data.get("outgoing_indices", [])), int(data["dim_m"]))
-        except (AttributeError, TypeError, OverflowError) as exc:
+                       tuple(data.get("outgoing_indices", [])), data["dim_m"])
+        except (AttributeError, TypeError) as exc:
             raise ValueError(f"end labels need integer lists and an integer 'dim_m' ({exc})") from None
+
+
+def _integer(x) -> int:
+    """x as an int if it is an integer; ValueError naming it otherwise (a float or a bool is not)."""
+    if isinstance(x, numbers.Integral) and not isinstance(x, bool):
+        return int(x)
+    raise ValueError(f"expected an integer, got {x!r}")
 
 
 def graph_first_betti(g: FlowGraph) -> int:

@@ -11,7 +11,6 @@ dimensions are doubled by the callers in the symbol layer, never here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .symbols import (
     GeneralizedSchubertSymbol,
@@ -191,42 +190,50 @@ def morse_polynomial_by_cells(k: int, n: int) -> IntPolynomial:
 
 
 def partition_count(d: int, k: int, cap: int) -> int:
-    """Partitions of d into at most k parts, each part at most cap."""
+    """Partitions of d into at most k parts, each part at most cap.
+
+    The t^d coefficient of [k + cap choose k]_t, k and cap clamped to d, by passes cut at degree d.
+    CapacityError first if 2 min(k, cap)(d + 1) coefficient updates, in thousands of words, are over budget.
+    """
     if d < 0:
         raise ValueError("d must be nonnegative")
     if k < 0 or cap < 0:
         raise ValueError("k and cap must be nonnegative")
-
-    @lru_cache(maxsize=None)
-    def count(rem, parts, largest):
-        if rem == 0:
-            return 1
-        if parts == 0 or largest == 0:
-            return 0
-        return sum(count(rem - p, parts - 1, p) for p in range(1, min(largest, rem) + 1))
-
-    return count(d, k, cap)
+    k, cap = min(k, d), min(cap, d)  # no part exceeds d and at most d parts are nonzero
+    if d > k * cap:
+        return 0
+    n, k = k + cap, min(k, cap)  # [n choose k]_t = [n choose n - k]_t
+    check_budget(2 * k * (d + 1) * (1 + n // 64) // 1000, f"thousands of word updates for the partitions of {d}")
+    return _gaussian_passes(k, n, d)[d]
 
 
 def gaussian_generating(k: int, n: int) -> IntPolynomial:
     """Gaussian binomial [n choose k]_t by k = min(k, n - k) passes over one coefficient list.
 
-    Pass i turns [n-k+i-1 choose i-1]_t into [n-k+i choose i]_t: multiply by 1 - t^(n-k+i), then
-    divide exactly by 1 - t^i.  CapacityError first if the passes' 2k(k(n - k) + 1) coefficient
-    updates, counted in 64-bit words (every coefficient is below 2^n), exceed the budget.
+    CapacityError first if the passes' 2k(k(n - k) + 1) coefficient updates, counted in 64-bit
+    words (every coefficient is below 2^n), exceed the budget.
     """
     check_ambient(k, n)
     what = f"thousands of word updates for the closed form of Gr({k},{n})"
     k = min(k, n - k)  # [n choose k]_t = [n choose n - k]_t
     check_budget(2 * k * (k * (n - k) + 1) * (1 + n // 64) // 1000, what)
-    c = [1] + [0] * (k * (n - k) + k)
+    return IntPolynomial(_gaussian_passes(k, n, k * (n - k)))
+
+
+def _gaussian_passes(k: int, n: int, cut: int) -> list[int]:
+    """Coefficients of t^0, ..., t^cut in [n choose k]_t, for k <= n - k, by k passes over one list.
+
+    Pass i turns [n-k+i-1 choose i-1]_t into [n-k+i choose i]_t: multiply by 1 - t^(n-k+i), then
+    divide exactly by 1 - t^i.  Neither step moves a term down, so cutting each at degree cut is exact.
+    """
+    c = [1] + [0] * cut
     for i in range(1, k + 1):
-        a, top = n - k + i, i * (n - k) + i  # top: degree after the multiply
+        a, top = n - k + i, min(cut, i * (n - k) + i)  # top: degree after the multiply
         for d in range(top, a - 1, -1):
             c[d] -= c[d - a]
         for d in range(i, top + 1):
             c[d] += c[d - i]
-    return IntPolynomial(c)
+    return c
 
 
 def poincare_recurrence(k: int, n: int) -> IntPolynomial:

@@ -3,19 +3,12 @@
 The moment map sends a plane to the diagonal of its orthogonal projector; its
 image is the hypersimplex Delta(k, n), the convex hull of the 0/1 indicator
 vectors e_u of Schubert symbols.  Schubert varieties map to the sub-polytopes
-spanned by the vertices below u in the closure order.
-
-These polytopes are Schubert matroid polytopes, cut out by
-0 <= x <= 1, sum x = k and prefix bounds x_1 + ... + x_i >= c_i read off the
-vertices, and their vertices are listed from the Bruhat interval below u.
-Membership checks those O(n) inequalities, exactly for rational input and
-with a scaled slack for floats.  They describe the polytope exactly, so its
-facets, the maximal proper faces (Ziegler, Lectures on Polytopes, ch. 2), are
-the proper tight vertex sets of those inequalities that no other contains.
-Faces are int bitmasks over the vertices, closed under intersection within
-the work budget MAX_SYMBOLS; the covers in their lattice give dimensions.
-All of this is exact: only moment_map and flow_moment_trace compute floats,
-and they import flows, and with it numpy, when first called.
+spanned by the vertices below u in the closure order, listed from that
+Bruhat interval.  These are Schubert matroid polytopes, and their inequality
+system 0 <= x <= 1, x_1 + ... + x_i >= c_i, sum x = c_n alone decides
+membership, the dimension (n minus the pinned prefix sums) and the facets;
+see face_counts.  All of this is exact: only moment_map and flow_moment_trace
+compute floats, and they import flows, and with it numpy, when first called.
 """
 
 from __future__ import annotations
@@ -135,21 +128,37 @@ def schubert_polytope(u: SchubertSymbol) -> VertexPolytope:
 
 
 def _prefix_bounds(verts) -> list | None:
-    """Prefix bounds c_i = min over the vertices of v_1 + ... + v_i (i = 1..n).
+    """The one support rule: prefix bounds c_1, ..., c_n, or None for a point or a segment.
 
-    Returns them when the vertices are exactly the 0/1 points of
-    {0 <= x <= 1, x_1 + ... + x_i >= c_i, x_1 + ... + x_n = c_n}, as they are
-    for every Schubert matroid polytope (Gelfand-Goresky-MacPherson-Serganova);
-    otherwise None.  The rows are intervals of coordinates, so the system is
-    totally unimodular and its polytope is the hull of those 0/1 points.
+    c_i = min over the vertices of v_1 + ... + v_i is returned when the
+    vertices are exactly the 0/1 points of {0 <= x <= 1, x_1 + ... + x_i >= c_i,
+    x_1 + ... + x_n = c_n}, as they are for every Schubert matroid polytope
+    (Gelfand-Goresky-MacPherson-Serganova).  The rows are intervals of
+    coordinates, so the system is totally unimodular and its polytope is the
+    hull of those 0/1 points.  Otherwise None if every vertex lies on the
+    segment from the least to the greatest vertex, and ValueError if not.
     """
-    if not verts[0] or any(c not in (0, 1) for v in verts for c in v):
+    if verts[0] and all(c in (0, 1) for v in verts for c in v):
+        sums = [tuple(accumulate(v)) for v in verts]
+        bounds = [int(min(col)) for col in zip(*sums)]  # Fraction(1) is a 0/1 coordinate too
+        if all(s[-1] == bounds[-1] for s in sums) and _lattice_paths(bounds, bounds[-1]) == len(verts):
+            return bounds
+    a, b = min(verts), max(verts)  # along a line the lexicographic order is the line's order
+    if all(_segment_defect(v, a, b) == 0 for v in verts):
         return None
-    sums = [tuple(accumulate(v)) for v in verts]
-    bounds = [min(col) for col in zip(*sums)]
-    if any(s[-1] != bounds[-1] for s in sums):
-        return None
-    return bounds if _lattice_paths(bounds, bounds[-1]) == len(verts) else None
+    raise ValueError(
+        f"the {len(verts)} vertices of dimension >= 2 are not the 0/1 points "
+        "of a Schubert matroid polytope's inequality system"
+    )
+
+
+def _segment_defect(x, a, b):
+    """l1 distance from x to its orthogonal projection onto the segment [a, b]."""
+    step = [q - p for p, q in zip(a, b)]
+    length2 = sum(s * s for s in step)
+    t = Fraction(sum((c - p) * s for c, p, s in zip(x, a, step))) / length2 if length2 else 0
+    t = min(max(t, 0), 1)
+    return sum(abs(c - p - t * s) for c, p, s in zip(x, a, step))
 
 
 def _lattice_paths(bounds, total: int) -> int:
@@ -165,13 +174,6 @@ def _lattice_paths(bounds, total: int) -> int:
             ways[j + 1] += ways[j]
         ways[low] = 0  # sum low - 1, the only one below low that is read again
     return ways[total + 1]
-
-
-def _not_supported(P: VertexPolytope) -> ValueError:
-    return ValueError(
-        f"the {len(P.vertices)} vertices of dimension >= 2 are not the 0/1 points "
-        "of a Schubert matroid polytope's inequality system"
-    )
 
 
 def membership(x, P: VertexPolytope, tol: float = 1e-9) -> bool:
@@ -192,67 +194,41 @@ def membership(x, P: VertexPolytope, tol: float = 1e-9) -> bool:
         raise ValueError(f"point coordinates {coords} must be finite")
     slack = 0 if exact else tol * (2.0 + sum(abs(c) for c in coords))
     bounds = _prefix_bounds(P.vertices)
-    if bounds is not None:
-        return (
-            abs(sum(coords) - bounds[-1]) <= slack
-            and all(-slack <= c <= 1 + slack for c in coords)
-            and all(p >= c - slack for p, c in zip(accumulate(coords), bounds))
-        )
-    if _affine_rank(P.vertices) > 1:
-        raise _not_supported(P)
-    # a point or a segment; along a line the lexicographic order is the line's order
-    a, b = min(P.vertices), max(P.vertices)
-    step = [q - p for p, q in zip(a, b)]
-    length2 = sum(s * s for s in step)
-    t = Fraction(sum((c - p) * s for c, p, s in zip(coords, a, step))) / length2 if length2 else 0
-    t = min(max(t, 0), 1)
-    return sum(abs(c - p - t * s) for c, p, s in zip(coords, a, step)) <= slack
-
-
-def _affine_rank(points) -> int:
-    """Dimension of the affine hull of rational points, by fraction-free elimination."""
-    base = points[0]
-    rows: list[tuple[int, list]] = []  # (pivot column, row), reduced against earlier pivots
-    for p in points[1:]:
-        r = [a - b for a, b in zip(p, base)]
-        for col, row in rows:
-            if r[col]:
-                f, g = r[col], row[col]
-                r = [g * a - f * b for a, b in zip(r, row)]
-        col = next((i for i, a in enumerate(r) if a), None)
-        if col is not None:
-            rows.append((col, r))
-    return len(rows)
+    if bounds is None:  # a point or a segment
+        return _segment_defect(coords, min(P.vertices), max(P.vertices)) <= slack
+    return (
+        abs(sum(coords) - bounds[-1]) <= slack
+        and all(-slack <= c <= 1 + slack for c in coords)
+        and all(p >= c - slack for p, c in zip(accumulate(coords), bounds))
+    )
 
 
 def face_counts(P: VertexPolytope) -> tuple[int, ...]:
     """f-vector (faces per dimension, including the polytope itself).
 
-    A face is an int whose bit j stands for vertex j.  The system 0 <= x <= 1,
-    x_1 + ... + x_i >= c_i (equal at i = n) describes P, so its facets, the
-    maximal proper faces (Ziegler, Lectures on Polytopes, ch. 2), are the
-    proper tight sets of its at most 3n inequalities that no other contains;
-    only the vertex set is ranked, for d.  Closing the facets under
-    intersection gives all proper faces.  Every face G covering a face h
-    meets some facet exactly in h: h is the intersection of the facets
-    containing it, and one of them does not contain G.  So the smallest face
+    The system 0 <= x <= 1, x_1 + ... + x_i >= c_i (equal at i = n) describes P.
+    Prefix sum i is at most min(i, k), at the vertex (1, ..., 1, 0, ..., 0), so
+    it is pinned where c_i = min(i, k).  There the two bounding lattice paths
+    meet, P splits into one connected lattice path matroid polytope per interval
+    between pins, and d = n - #pins (Bonin and de Mier, Eur. J. Combin. 2006).
+    The facets, the maximal proper faces (Ziegler, Lectures on Polytopes, ch. 2),
+    are the proper tight sets of the at most 3n inequalities that no other
+    contains.  Faces are int bitmasks over the vertices (bit j for vertex j),
+    and closing the facets under intersection gives them all.  Every face G
+    covering a face h meets some facet exactly in h (h is the intersection of
+    the facets containing it, and one of them misses G), so the smallest face
     f != h with f & g == h for a facet g covers h, and dim h = dim f - 1,
-    assigned in order of decreasing size from the facets at d - 1.  Supports
-    the polytopes ``membership`` does and raises ValueError otherwise.
-    CapacityError if the vertex rank's coordinate updates exceed MAX_SYMBOLS,
-    and before each closure round if the facet intersections so far,
-    len(frontier) * len(facets) each, do.
+    assigned in order of decreasing size from the facets at d - 1.  ValueError
+    for the vertex sets ``membership`` refuses; CapacityError before each
+    closure round if the facet intersections so far, len(frontier) * len(facets)
+    each, exceed MAX_SYMBOLS.
     """
     verts = P.vertices
     nv = len(verts)
-    # the rank reduces every vertex against at most n rows of n coordinates
-    check_budget(nv * P.n**2, f"coordinate updates to rank {nv} vertices")
-    d = _affine_rank(verts)
-    if d <= 1:
-        return (1,) if d == 0 else (2, 1)
     bounds = _prefix_bounds(verts)
-    if bounds is None:
-        raise _not_supported(P)
+    if bounds is None or nv <= 2:  # a point or a segment; 0/1 points on a line are at most 2
+        return (1,) if nv == 1 else (2, 1)
+    d = sum(c < min(i, bounds[-1]) for i, c in enumerate(bounds, 1))  # c_n = k
 
     sums = [tuple(accumulate(v)) for v in verts]
     every = (1 << nv) - 1

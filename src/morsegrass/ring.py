@@ -16,8 +16,10 @@ from dataclasses import dataclass
 from .symbols import (
     SchubertSymbol,
     _check_same_ambient,
+    cell_count,
     cell_dimension,
     check_ambient,
+    check_budget,
     complement,
     enumerate_symbols,
 )
@@ -290,11 +292,13 @@ def chern_presentation_check(k: int, n: int) -> bool:
 
     The d_i are the special classes; the c_i are solved degree by degree from
     the relation, and the remaining degrees n-k+1..n must then close to zero
-    in the Schubert basis.
+    in the Schubert basis (on Gr(n, n), a point, every d_i vanishes).  Each
+    c_i is one Schubert class up to sign, so there are k(n-k) basis products,
+    each over C(n, k) candidate shapes; CapacityError first if they exceed the budget.
     """
-    if k * (n - k) > 12:
-        raise ValueError("desk-scale check only: need k(n-k) <= 12")
-    d = {i: CohomologyClass.basis(special_symbol(k, n, i)) for i in range(1, k + 1)}
+    cells = cell_count(k, n)
+    check_budget(k * (n - k) * cells, f"candidate shapes for the Chern check of Gr({k},{n}), {k * (n - k)}*{cells}")
+    d = {i: CohomologyClass.basis(special_symbol(k, n, i)) for i in range(1, k + 1) if k < n}
     c: dict[int, CohomologyClass] = {}
     for m in range(1, n + 1):
         acc = d.get(m, CohomologyClass.zero(k, n))

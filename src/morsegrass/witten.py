@@ -431,7 +431,7 @@ def load_complex(text: str) -> WittenComplex:
 
     Format: a "degrees: lo hi" header with lo <= hi, then one "gens <i>: name ..."
     line per degree, then blocks "d <i>:" followed by the rows of the boundary
-    matrix (targets x sources), every i in lo..hi.
+    matrix (targets x sources), every i in lo..hi and none repeated.
     """
     lines = text.splitlines()
     gens: dict[int, list[str]] = {}
@@ -468,6 +468,8 @@ def load_complex(text: str) -> WittenComplex:
             fail(idx, "missing 'degrees:' header")
         if not lo <= deg <= hi:
             fail(idx, f"degree {deg} outside the header's degrees {lo}..{hi}")
+        if deg in (gens if words[0] == "gens" else bnds):
+            fail(idx, f"repeated '{words[0]} {deg}:' line")
         idx += 1
         if words[0] == "gens":
             gens[deg] = rest.split()

@@ -446,6 +446,29 @@ class TestMalformedInput:
         assert code == 2
         assert data["code"] == "usage"
 
+    @pytest.mark.parametrize("doc,value", [
+        ({"vertices": ["v"], "edges": [["v", None, "incoming"]] * 3,
+          "incoming_indices": [2.5, 2.9, 0.7], "dim_m": 4.9}, "2.5"),
+        ({"vertices": "vw", "edges": [["v", "w", "internal"]], "dim_m": 4}, "'vw'"),
+    ])
+    def test_graph_numbers_and_vertices_are_kept(self, capsys, tmp_path, doc, value):
+        # these printed "moduli dimension: -4" and read "vw" as {'v', 'w'}, with exit 0
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))
+        code, data, _ = run_json(capsys, "moduli-dim", str(path))
+        assert code == 2
+        assert data["code"] == "usage"
+        assert value in data["diagnostics"]
+
+    def test_repeated_complex_lines(self, capsys, tmp_path):
+        # the second block replaced d_1 = [1] and gave H_1 = Z with exit 0
+        path = tmp_path / "twice.txt"
+        path.write_text("degrees: 0 1\ngens 0: a\ngens 1: x\nd 1:\n1\nd 1:\n0\n")
+        code, data, _ = run_json(capsys, "witten", str(path))
+        assert code == 2
+        assert data["code"] == "usage"
+        assert "line 6: repeated 'd 1:' line" in data["diagnostics"]
+
     def test_end_labels_of_the_wrong_shape(self, capsys, tmp_path):
         path = tmp_path / "g.json"
         path.write_text(json.dumps({"vertices": ["v"], "edges": [], "dim_m": None}))

@@ -157,6 +157,22 @@ class TestJsonShapes:
         with pytest.raises(ValueError):
             LabeledEnds.from_json(data)
 
+    @pytest.mark.parametrize("data,value", [
+        ({"incoming_indices": [2.5, 2.9, 0.7], "dim_m": 4}, "2.5"),
+        ({"incoming_indices": [2], "dim_m": 4.9}, "4.9"),
+        ({"outgoing_indices": [True], "dim_m": 4}, "True"),
+        ({"incoming_indices": ["3"], "dim_m": 4}, "'3'"),
+    ])
+    def test_labels_keep_their_numbers(self, data, value):
+        # int() used to truncate them: 2.5, 2.9, 0.7 with dim_m 4.9 gave dimension -4
+        with pytest.raises(ValueError, match=f"expected an integer, got {value}"):
+            LabeledEnds.from_json(data)
+
+    def test_vertices_must_be_a_list(self):
+        # a string used to be read as the set of its characters
+        with pytest.raises(ValueError, match="'vertices' must be a list, got 'vw'"):
+            FlowGraph.from_json({"vertices": "vw", "edges": [["v", "w", "internal"]]})
+
     def test_labels_from_json(self):
         ends = LabeledEnds.from_json({"incoming_indices": [5], "outgoing_indices": [2], "dim_m": 8})
         assert ends == LabeledEnds((5,), (2,), 8)

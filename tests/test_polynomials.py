@@ -16,7 +16,7 @@ from morsegrass.polynomials import (
     poincare_closed,
     poincare_recurrence,
 )
-from morsegrass.symbols import enumerate_generalized_symbols
+from morsegrass.symbols import CapacityError, enumerate_generalized_symbols
 
 
 def poly(*coeffs):
@@ -160,6 +160,21 @@ class TestPartitionCount:
         for k, cap in [(2, 2), (3, 3), (2, 4)]:
             for d in range(k * cap + 2):
                 assert partition_count(d, k, cap) == brute(d, k, cap)
+
+    def test_no_recursion_limit(self):
+        # the former recursion raised RecursionError at d = 350; with k, cap >= d
+        # the count is p(d), here from the coin-change recurrence over parts 1..d
+        d = 350
+        ways = [1] + [0] * d
+        for part in range(1, d + 1):
+            for total in range(part, d + 1):
+                ways[total] += ways[total - part]
+        assert partition_count(d, d, d) == ways[d] == partition_count(d, 10**9, 10**9)
+        assert partition_count(10**8, 1, 1) == 0  # more than k * cap boxes, nothing to compute
+
+    def test_priced_by_the_budget(self):
+        with pytest.raises(CapacityError, match="word updates for the partitions of 1000000"):
+            partition_count(10**6, 10**6, 10**6)
 
     def test_matches_gaussian_coefficients(self):
         for k, cap in [(2, 2), (3, 2), (2, 3)]:

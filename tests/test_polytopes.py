@@ -208,12 +208,12 @@ class TestExactStructure:
             cases = [grassmannian_polytope(k, n)] + [schubert_polytope(u) for u in enumerate_symbols(k, n)]
             for P in cases:
                 verts = P.vertices
-                d = polytopes._affine_rank(verts)
+                d = _affine_rank(verts)
                 if d < 2:
                     continue
                 candidates = facet_candidates(verts)
                 maximal = {f for f in candidates if not any(f < g for g in candidates)}
-                ranked = {f for f in candidates if polytopes._affine_rank([verts[j] for j in f]) == d - 1}
+                ranked = {f for f in candidates if _affine_rank([verts[j] for j in f]) == d - 1}
                 assert maximal == ranked, verts
                 assert face_counts(P)[d - 1] == len(ranked), verts
 
@@ -234,7 +234,7 @@ class TestExactStructure:
         with pytest.raises(CapacityError, match="candidate ranks"):
             closed_faces(P)
         f = face_counts(P)
-        d = polytopes._affine_rank(P.vertices)
+        d = _affine_rank(P.vertices)
         assert f[0] == len(P.vertices)
         assert len(f) == d + 1
         assert sum((-1) ** i * fi for i, fi in enumerate(f)) == 1  # Euler's relation, with f_d = 1
@@ -246,15 +246,23 @@ class TestExactStructure:
         monkeypatch.setattr(symbols, "MAX_SYMBOLS", 10**6)
         assert answers == [binned_face_counts(P) for P in cases]
 
-    def test_rank_runs_once_on_the_vertices(self, monkeypatch):
-        calls = []
-        rank = polytopes._affine_rank
-        monkeypatch.setattr(polytopes, "_affine_rank", lambda points: calls.append(1) or rank(points))
-        for P in [grassmannian_polytope(4, 8), grassmannian_polytope(2, 6),
-                  schubert_polytope(sym((2, 4, 7), 7)), schubert_polytope(sym((3, 5, 6, 8), 8))]:
-            calls.clear()
-            face_counts(P)
-            assert len(calls) == 1
+    def test_face_counts_makes_no_rank_call(self):
+        # d comes from the pinned prefix sums, so no rank routine and no rank
+        # budget stage are left: Delta(5, 12), whose 792 * 12^2 rank updates the
+        # former first stage refused, is now refused by the closure
+        assert not hasattr(polytopes, "_affine_rank")
+        with pytest.raises(CapacityError, match="facet intersections to close the face lattice"):
+            face_counts(grassmannian_polytope(5, 12))
+
+    def test_dimension_is_n_minus_the_pinned_prefix_sums(self):
+        # Bonin-de Mier: the bounding lattice paths meet where c_i = min(i, k)
+        # (n = 0 leaves no prefix sums: Gr(0, 0) is the point route's)
+        cases = [schubert_polytope(u) for n in range(1, 10) for k in range(n + 1) for u in enumerate_symbols(k, n)]
+        cases += [grassmannian_polytope(k, n) for n in range(1, 12) for k in range(n + 1)]
+        for P in cases:
+            bounds = polytopes._prefix_bounds(P.vertices)
+            pins = sum(c == min(i, P.k) for i, c in enumerate(bounds, 1))
+            assert P.n - pins == _affine_rank(P.vertices), P.vertices
 
     def test_vertices_skip_bruhat_filter(self, monkeypatch):
         def forbidden(*args):
@@ -354,6 +362,16 @@ class TestMembership:
         assert membership([1, Fraction(1, 2), Fraction(1, 2), 0], Q)
         assert not membership([Fraction(9, 10), Fraction(11, 20), Fraction(11, 20), 0], Q)
 
+    def test_fraction_coordinates_count_as_0_1(self):
+        # Fraction(1) bounds once reached the lattice-path count and raised TypeError
+        P = grassmannian_polytope(2, 4)
+        Q = VertexPolytope(tuple(tuple(map(Fraction, v)) for v in P.vertices), 2, 4)
+        assert face_counts(Q) == face_counts(P)
+        assert membership([Fraction(1, 2)] * 4, Q) and not membership([1, 1, 1, 0], Q)
+        pt = VertexPolytope(((Fraction(0), Fraction(1)),), 1, 2)
+        assert face_counts(pt) == (1,)
+        assert membership([0, 1], pt) and not membership([1, 0], pt)
+
     def test_segment_and_point(self):
         seg = VertexPolytope(((0, 0), (1, 1)), 1, 2)
         assert membership([Fraction(1, 3), Fraction(1, 3)], seg)
@@ -412,8 +430,25 @@ def test_moment_point_json():
 
 # ----------------------------------------------------------------- oracles
 # The exact phase-1 simplex, the slack LP and the brute-force facet search
-# that decided membership and faces before the inequality description; kept
+# that decided membership and faces before the inequality description, and
+# the affine rank that gave the dimension before the pinned prefix sums; kept
 # here as independent checks.
+
+
+def _affine_rank(points) -> int:
+    """Dimension of the affine hull of rational points, by fraction-free elimination."""
+    base = points[0]
+    rows: list[tuple[int, list]] = []  # (pivot column, row), reduced against earlier pivots
+    for p in points[1:]:
+        r = [a - b for a, b in zip(p, base)]
+        for col, row in rows:
+            if r[col]:
+                f, g = r[col], row[col]
+                r = [g * a - f * b for a, b in zip(r, row)]
+        col = next((i for i, a in enumerate(r) if a), None)
+        if col is not None:
+            rows.append((col, r))
+    return len(rows)
 
 
 def _affine_basis(verts):
@@ -521,12 +556,12 @@ def closed_faces(P):
     priced stages of face_counts."""
     verts, nv, n = P.vertices, len(P.vertices), P.n
     check_budget(nv * n**2, "vertex rank")
-    d = polytopes._affine_rank(verts)
+    d = _affine_rank(verts)
     if d <= 1:
         return d, set()
     candidates = facet_candidates(verts)
     check_budget(sum(map(len, candidates)) * n**2, "candidate ranks")
-    facets = [f for f in candidates if polytopes._affine_rank([verts[j] for j in f]) == d - 1]
+    facets = [f for f in candidates if _affine_rank([verts[j] for j in f]) == d - 1]
     faces, frontier, intersections = set(facets), set(facets), 0
     while frontier:
         intersections += len(frontier) * len(facets)
@@ -544,7 +579,7 @@ def binned_face_counts(P):
     counts = [0] * (d + 1)
     counts[d] = 1
     for f in faces:
-        counts[polytopes._affine_rank([P.vertices[i] for i in sorted(f)])] += 1
+        counts[_affine_rank([P.vertices[i] for i in sorted(f)])] += 1
     return tuple(counts)
 
 

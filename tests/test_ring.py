@@ -17,7 +17,13 @@ from morsegrass.ring import (
     symbol_to_partition,
     triple_product,
 )
-from morsegrass.symbols import AmbientMismatchError, SchubertSymbol, complement, enumerate_symbols
+from morsegrass.symbols import (
+    AmbientMismatchError,
+    CapacityError,
+    SchubertSymbol,
+    complement,
+    enumerate_symbols,
+)
 
 
 def sym(entries, n):
@@ -267,9 +273,23 @@ class TestChernPresentation:
         assert chern_presentation_check(1, 5)
         assert chern_presentation_check(3, 6)
 
-    def test_capacity(self):
-        with pytest.raises(ValueError):
-            chern_presentation_check(4, 8)
+    def test_capacity(self, monkeypatch):
+        # priced by the one budget: Gr(4, 8) answers, Gr(7, 14) is refused before any product
+        assert chern_presentation_check(4, 8)
+        monkeypatch.setattr(ring_module, "_basis_product", lambda u1, u2: pytest.fail("product made"))
+        with pytest.raises(CapacityError, match=r"candidate shapes for the Chern check of Gr\(7,14\), 49\*3432"):
+            chern_presentation_check(7, 14)
+
+    def test_one_basis_product_per_pair(self, monkeypatch):
+        # each c_i is one Schubert class up to sign, so c_i d_j is one basis product
+        calls = []
+        product = ring_module._basis_product
+        monkeypatch.setattr(ring_module, "_basis_product", lambda u1, u2: calls.append(1) or product(u1, u2))
+        for n in range(1, 9):
+            for k in range(n + 1):
+                calls.clear()
+                assert chern_presentation_check(k, n)
+                assert len(calls) == k * (n - k), (k, n)
 
     def test_detects_a_wrong_product(self, monkeypatch):
         # with every product zero, degree n-k+1 <= k keeps d_{n-k+1} and cannot close

@@ -473,6 +473,15 @@ class TestFileFormat:
         with pytest.raises(ComplexValidationError, match=where):
             load_complex(text)
 
+    @pytest.mark.parametrize("text,where", [
+        ("degrees: 0 1\ngens 0: a\ngens 0: b c\ngens 1: x\n", "line 3: repeated 'gens 0:' line"),
+        # the second block would replace d_1 = [1], leaving H_1 = Z
+        ("degrees: 0 1\ngens 0: a\ngens 1: x\nd 1:\n1\nd 1:\n0\n", "line 6: repeated 'd 1:' line"),
+    ])
+    def test_repeated_lines_refused(self, text, where):
+        with pytest.raises(ComplexValidationError, match=where):
+            load_complex(text)
+
     @pytest.mark.parametrize("c", _homology_inputs(), ids=["circle", "rp", "torus", "gr24", "dense"])
     def test_dump_round_trips(self, c):
         c2 = load_complex(dump_complex(c))
