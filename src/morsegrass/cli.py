@@ -12,7 +12,7 @@ turns exceptions into exit codes; errors carry an error code, reported as
      before the work in each engine's unit: Schubert cells, cells-table
      condition entries, Witten degrees, builtin circle/rp entries,
      thousands of poincare coefficient updates, or polytope vertex
-     coordinates, rank updates and facet intersections
+     coordinates and facet intersections
   3  consistency: the three Poincare polynomial routes disagree
   4  ambiguous-cell: a point too close to a cell boundary to classify
 

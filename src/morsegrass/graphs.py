@@ -15,6 +15,7 @@ product, delegated to the Schubert calculus engine.
 from __future__ import annotations
 
 import numbers
+from collections import Counter
 from dataclasses import dataclass
 
 from .ring import triple_product
@@ -90,10 +91,16 @@ class FlowGraph:
 
     @classmethod
     def from_json(cls, data: dict) -> "FlowGraph":
-        """Graph from {"vertices": [...], "edges": [[a, b, kind], ...]}; ValueError on any other shape."""
+        """Graph from {"vertices": [...], "edges": [[a, b, kind], ...]}; ValueError on any other shape.
+
+        A vertex named twice is refused, since the vertex set would merge the two.
+        """
         try:
             if not isinstance(data["vertices"], list):  # a string would be read as its characters
                 raise ValueError(f"graph JSON 'vertices' must be a list, got {data['vertices']!r}")
+            repeated = [v for v, n in Counter(data["vertices"]).items() if n > 1]
+            if repeated:
+                raise ValueError(f"graph JSON names vertex {repeated[0]!r} more than once")
             return cls(frozenset(data["vertices"]), tuple((a, b, kind) for a, b, kind in data["edges"]))
         except TypeError as exc:
             raise ValueError(f"graph JSON needs 'vertices' and 'edges' lists ({exc})") from None

@@ -207,25 +207,29 @@ def flow_line_exists(u_from: SchubertSymbol, u_to: SchubertSymbol) -> bool:
 def enumerate_generalized_symbols(
     blocks: tuple[int, ...] | list[int], k: int
 ) -> list[GeneralizedSchubertSymbol]:
-    """All occupancy vectors (c_1, ..., c_l) with 0 <= c_j <= m_j and sum k."""
+    """All occupancy vectors (c_1, ..., c_l) with 0 <= c_j <= m_j and sum k, in lexicographic order.
+
+    Raises CapacityError, before building any, if their count times (1 + l // 16)
+    exceeds MAX_SYMBOLS.  They are counted block by block over the window of
+    partial sums that can still reach k; each sum in it, and each prefix
+    counted, extends to a distinct vector, so both are priced before each step.
+    """
     blocks = _block_sizes(blocks)
     check_ambient(k, sum(blocks))
-
-    out = []
-
-    def rec(j, remaining, prefix):
-        if j == len(blocks):
-            if remaining == 0:
-                out.append(GeneralizedSchubertSymbol(tuple(prefix), blocks))
-            return
-        tail = sum(blocks[j + 1:])
-        lo = max(0, remaining - tail)
-        hi = min(blocks[j], remaining)
-        for c in range(lo, hi + 1):
-            rec(j + 1, remaining - c, prefix + [c])
-
-    rec(0, k, [])
-    return out
+    tails = list(itertools.accumulate(reversed(blocks), initial=0))[::-1]  # tails[j] = sum(blocks[j:])
+    what = f"occupancy vectors of {k} in {len(blocks)} blocks"
+    ways, lo = [1], 0  # ways[s - lo]: prefixes over the blocks so far that sum to s
+    for m, tail in zip(blocks, tails[1:]):
+        new_lo, hi = max(0, k - tail), min(k, lo + len(ways) - 1 + m)
+        check_budget(max(sum(ways), hi - new_lo + 1), f"{what}, at least")
+        cum = [0, *itertools.accumulate(ways)]  # the new ways at s sum the old ones at s - m .. s
+        ways = [cum[min(s - lo + 1, len(ways))] - cum[max(s - m - lo, 0)] for s in range(new_lo, hi + 1)]
+        lo = new_lo
+    check_budget(ways[0] * (1 + len(blocks) // 16), f"{what} with their entries, count*(1+{len(blocks)}//16)")
+    vectors = [()]
+    for m, tail in zip(blocks, tails[1:]):
+        vectors = [v + (c,) for v in vectors for r in [k - sum(v)] for c in range(max(0, r - tail), min(m, r) + 1)]
+    return [GeneralizedSchubertSymbol(v, blocks) for v in vectors]
 
 
 def generalized_index(c: GeneralizedSchubertSymbol) -> int:
@@ -252,7 +256,14 @@ def ndcm_dimension(c: GeneralizedSchubertSymbol) -> int:
 
 
 def morse_refinements(c: GeneralizedSchubertSymbol) -> list[SchubertSymbol]:
-    """Schubert symbols compatible with c: pick c_j rows inside each block."""
+    """Schubert symbols compatible with c: pick c_j rows inside each block.
+
+    Raises CapacityError, before building any, if their number, the product of
+    the C(m_j, c_j), times (1 + k // 16) exceeds MAX_SYMBOLS, as in enumerate_symbols.
+    """
+    count = math.prod(cell_count(cj, mj) for cj, mj in zip(c.counts, c.blocks))
+    check_budget(count * (1 + c.k // 16), f"Morse refinements of {c.counts} in blocks {c.blocks} "
+                                          f"with their entries, prod C(m_j,c_j)*(1+{c.k}//16)")
     offsets = list(itertools.accumulate(c.blocks, initial=0))
     per_block = [
         list(itertools.combinations(range(offsets[j] + 1, offsets[j + 1] + 1), c.counts[j]))

@@ -5,11 +5,12 @@ points, graded by Morse index) and the integer boundary matrices between
 adjacent degrees.  Homology is computed exactly: over the integers from the
 invariant factors of each boundary (elementary_divisors, a unit-pivot-first
 reduction that builds no transforms), over GF(2) by Gaussian elimination.
-smith_normal_form, with its unimodular transforms, stays public and is the
-independent reference the tests check elementary_divisors against.
+smith_normal_form (least-entry reduction by integer division, with unimodular
+transforms) stays public as the tests' independent check of elementary_divisors.
 
-A complex is checked once, when it is built or loaded: boundary shapes and
-dd = 0, else ComplexValidationError.  Changing its maps afterwards is unsupported.
+A complex is checked once, when it is built or loaded: distinct generator
+names, boundary shapes and dd = 0, else ComplexValidationError.  Changing its
+maps afterwards is unsupported.
 
 Built-in complexes cover the standard small instances: circle height
 functions with m maxima/minima, real projective spaces, the torus, and the
@@ -19,7 +20,9 @@ functions with m maxima/minima, real projective spaces, the torus, and the
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .symbols import MAX_SYMBOLS, cell_dimension, check_budget, enumerate_symbols  # noqa: F401 (re-exported)
 
@@ -46,128 +49,54 @@ def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def _identity(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     """Smith normal form with transforms: returns (D, U, V) with U m V = D.
 
-    D is diagonal with d_1 | d_2 | ...; U and V are unimodular.  Pivots are
-    chosen by minimal absolute value to limit entry growth; everything is
-    exact Python-int arithmetic.
+    D is diagonal with d_1 | d_2 | ... and d_i >= 0; U and V are unimodular.
+    Least-entry reduction by integer division alone (Kaczynski-Mischaikow-
+    Mrozek, Computational Homology, section 3.4): each round moves an entry of
+    least |value| in the remaining block to (t, t) and reduces column t, then
+    row t, to floor-division remainders.  A nonzero remainder is a smaller pivot
+    for the next round; a block entry the pivot does not divide has its row
+    added to row t, which leaves one.  Otherwise d_t = |pivot| and t advances.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
     d = [row[:] for row in m]
-    u = _identity(rows)
-    v = _identity(cols)
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, factor):
-        d[dst] = [x + factor * y for x, y in zip(d[dst], d[src])]
-        u[dst] = [x + factor * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, factor):
-        for row in d:
-            row[dst] += factor * row[src]
-        for row in v:
-            row[dst] += factor * row[src]
-
-    def kill_row_entry(t, i):
-        # unimodular 2x2 transform on rows t, i zeroing d[i][t] via extended gcd
-        a, b = d[t][t], d[i][t]
-        if b % a == 0:
-            add_row(t, i, -(b // a))
-            return
-        g, x, y = _extgcd(a, b)
-        p, q = a // g, b // g
-        rt, ri = d[t], d[i]
-        d[t] = [x * s + y * w for s, w in zip(rt, ri)]
-        d[i] = [-q * s + p * w for s, w in zip(rt, ri)]
-        st, si = u[t], u[i]
-        u[t] = [x * s + y * w for s, w in zip(st, si)]
-        u[i] = [-q * s + p * w for s, w in zip(st, si)]
-
-    def kill_col_entry(t, j):
-        a, b = d[t][t], d[t][j]
-        if b % a == 0:
-            add_col(t, j, -(b // a))
-            return
-        g, x, y = _extgcd(a, b)
-        p, q = a // g, b // g
-        for row in d:
-            ct, cj = row[t], row[j]
-            row[t] = x * ct + y * cj
-            row[j] = -q * ct + p * cj
-        for row in v:
-            ct, cj = row[t], row[j]
-            row[t] = x * ct + y * cj
-            row[j] = -q * ct + p * cj
-
+    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
+    vt = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]  # V transposed: column operations act on rows
     t = 0
     while t < min(rows, cols):
-        # pivot: minimal nonzero absolute value in the remaining block
-        pivot = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if d[i][j] != 0 and (pivot is None or abs(d[i][j]) < abs(d[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
+        block = [(abs(d[i][j]), i, j) for i in range(t, rows) for j in range(t, cols) if d[i][j]]
+        if not block:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        while True:
-            for i in range(t + 1, rows):
-                if d[i][t] != 0:
-                    kill_row_entry(t, i)
-            for j in range(t + 1, cols):
-                if d[t][j] != 0:
-                    kill_col_entry(t, j)
-            if all(d[i][t] == 0 for i in range(t + 1, rows)) and \
-                    all(d[t][j] == 0 for j in range(t + 1, cols)):
-                break
-        # enforce divisibility d_t | entries of the remaining block
-        bad = None
+        _, i, j = min(block)
+        d[t], d[i], u[t], u[i], vt[t], vt[j] = d[i], d[t], u[i], u[t], vt[j], vt[t]
+        for row in d:
+            row[t], row[j] = row[j], row[t]
+        p = d[t][t]
         for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if d[i][j] % d[t][t] != 0:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            add_row(bad, t, 1)
+            if q := d[i][t] // p:
+                d[i] = [x - q * y for x, y in zip(d[i], d[t])]
+                u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+        if any(d[i][t] for i in range(t + 1, rows)):
             continue
-        if d[t][t] < 0:
+        for j in range(t + 1, cols):  # column t is clear below p, so in D only row t changes
+            if q := d[t][j] // p:
+                d[t][j] -= q * p
+                vt[j] = [x - q * y for x, y in zip(vt[j], vt[t])]
+        if any(d[t][t + 1:]):
+            continue
+        bad = next((i for i in range(t + 1, rows) if any(x % p for x in d[i][t + 1:])), None)
+        if bad is not None:
+            d[t] = [x + y for x, y in zip(d[t], d[bad])]
+            u[t] = [x + y for x, y in zip(u[t], u[bad])]
+            continue
+        if p < 0:
             d[t] = [-x for x in d[t]]
             u[t] = [-x for x in u[t]]
         t += 1
-    return d, u, v
-
-
-def _extgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with x a + y b = g = gcd(a, b), g > 0 for nonzero input."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
+    return d, u, [list(col) for col in zip(*vt)]
 
 
 def elementary_divisors(m: Matrix) -> list[int]:
@@ -248,13 +177,16 @@ class WittenComplex:
     generators[i] lists the degree-i generator names; boundaries[i] is the
     matrix of d_i : C_i -> C_{i-1}, rows indexed by degree-(i-1) generators,
     columns by degree-i generators.  Degrees with no generators are simply
-    absent from both maps.  Construction checks the shapes and dd = 0.
+    absent from both maps.  Construction checks distinct names, shapes and dd = 0.
     """
 
     generators: dict[int, list[str]] = field(default_factory=dict)
     boundaries: dict[int, Matrix] = field(default_factory=dict)
 
     def __post_init__(self):
+        repeated = [g for g, n in Counter(chain(*self.generators.values())).items() if n > 1]
+        if repeated:
+            raise ComplexValidationError(f"generator name {repeated[0]!r} is used more than once")
         i = _dd_failure(self)
         if i is not None:
             raise ComplexValidationError(f"dd != 0 between degrees {i + 1} and {i - 1}")

@@ -450,9 +450,12 @@ class TestMalformedInput:
         ({"vertices": ["v"], "edges": [["v", None, "incoming"]] * 3,
           "incoming_indices": [2.5, 2.9, 0.7], "dim_m": 4.9}, "2.5"),
         ({"vertices": "vw", "edges": [["v", "w", "internal"]], "dim_m": 4}, "'vw'"),
+        ({"vertices": ["v", "v"], "edges": [["v", None, "incoming"]],
+          "incoming_indices": [2], "dim_m": 4}, "names vertex 'v' more than once"),
     ])
     def test_graph_numbers_and_vertices_are_kept(self, capsys, tmp_path, doc, value):
-        # these printed "moduli dimension: -4" and read "vw" as {'v', 'w'}, with exit 0
+        # these printed "moduli dimension: -4", read "vw" as {'v', 'w'} and ["v", "v"] as one
+        # vertex ("moduli dimension: 2"), with exit 0
         path = tmp_path / "g.json"
         path.write_text(json.dumps(doc))
         code, data, _ = run_json(capsys, "moduli-dim", str(path))
@@ -468,6 +471,15 @@ class TestMalformedInput:
         assert code == 2
         assert data["code"] == "usage"
         assert "line 6: repeated 'd 1:' line" in data["diagnostics"]
+
+    def test_repeated_generator_name(self, capsys, tmp_path):
+        # this printed H_0 = Z, H_1 = 0 with exit 0
+        path = tmp_path / "twice.txt"
+        path.write_text("degrees: 0 1\ngens 0: a a\ngens 1: x\nd 1:\n1\n1\n")
+        code, data, _ = run_json(capsys, "witten", str(path))
+        assert code == 2
+        assert data["code"] == "usage"
+        assert "generator name 'a' is used more than once" in data["diagnostics"]
 
     def test_end_labels_of_the_wrong_shape(self, capsys, tmp_path):
         path = tmp_path / "g.json"

@@ -12,7 +12,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from morsegrass.cli import main
 from morsegrass.flows import GrassmannPoint
@@ -53,11 +53,14 @@ complex_lines = st.one_of(
 
 @FUZZ
 @given(st.lists(complex_lines, max_size=10).map("\n".join))
+@example("degrees: 0 1\ngens 0: a\ngens 1: b a")
 def test_complex_text_is_a_complex_or_a_value_error(text):
     try:
         c = load_complex(text)
     except ValueError:
         return
+    names = [g for gens in c.generators.values() for g in gens]
+    assert len(set(names)) == len(names)
     homology(c)
     homology(c, "mod2")
 
@@ -71,9 +74,12 @@ FILES = {
                    "incoming_indices": [2], "dim_m": 4},
     "empty.json": [],
     "bad-graph.json": {"vertices": 5, "edges": [], "dim_m": 3},
+    "twice-graph.json": {"vertices": ["v", "v"], "edges": [["v", None, "incoming"]],
+                         "incoming_indices": [2], "dim_m": 4},
     "circle.txt": dump_complex(circle_complex(2)),
     "bad-dd.txt": "degrees: 0 2\ngens 0: a\ngens 1: b\ngens 2: c\nd 1:\n1\nd 2:\n1\n",
     "junk.txt": "gens x\n",
+    "twice.txt": "degrees: 0 1\ngens 0: a a\ngens 1: x\nd 1:\n1\n1\n",
 }
 
 k_or_n = st.integers(-1, 8).map(str)
@@ -94,12 +100,13 @@ argvs = st.one_of(
     st.builds(lambda src, params, mode: ["witten", src, *params, *mode],
               st.sampled_from(["builtin:circle", "builtin:rp", "builtin:torus",
                                "builtin:grassmannian", "builtin:sphere", "circle.txt",
-                               "bad-dd.txt", "junk.txt", "missing.txt"]),
+                               "bad-dd.txt", "junk.txt", "twice.txt", "missing.txt"]),
               st.lists(k_or_n, max_size=2), st.lists(st.sampled_from(["integers", "mod2"]), max_size=1)),
     st.tuples(st.just("flow"), frame_file, spectrum, st.sampled_from(["1.0", "-2", "inf", "nan", "1e308"])),
     st.tuples(st.just("limit"), frame_file, spectrum, st.sampled_from(["down", "up"])),
     st.tuples(st.just("moduli-dim"),
-              st.sampled_from(["graph.json", "empty.json", "bad-graph.json", "frame.json", "circle.txt"])),
+              st.sampled_from(["graph.json", "empty.json", "bad-graph.json", "twice-graph.json",
+                               "frame.json", "circle.txt"])),
 ).map(list)
 
 

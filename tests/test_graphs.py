@@ -144,6 +144,7 @@ class TestJsonShapes:
     @pytest.mark.parametrize("data", [
         [], "abc", {"vertices": 5, "edges": []}, {"vertices": [[1]], "edges": []},
         {"vertices": ["v"], "edges": [5]}, {"vertices": ["v"], "edges": [[["v"], None, "incoming"]]},
+        {"vertices": ["v", "w", "v"], "edges": []},
     ])
     def test_graph_wrong_shape_is_value_error(self, data):
         with pytest.raises(ValueError):

@@ -273,6 +273,48 @@ class TestSymbolCapacity:
         assert MAX_SYMBOLS == 100_000
 
 
+class TestMorseBottPrices:
+    @pytest.fixture
+    def no_building(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a symbol was built before the price was checked")
+
+        monkeypatch.setattr(symbols_module, "GeneralizedSchubertSymbol", refuse)
+        monkeypatch.setattr(symbols_module, "SchubertSymbol", refuse)
+
+    @pytest.mark.parametrize("blocks,k", [((1,) * 22, 11), ((10 ** 9, 10 ** 9), 10 ** 9), ((1,) * 300, 2)])
+    def test_occupancy_vectors_priced_before_building(self, no_building, blocks, k):
+        # (1,)*22 with k = 11 built 705 432 symbols in 17 s
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="occupancy vectors"):
+            enumerate_generalized_symbols(blocks, k)
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("blocks,k", [((2, 3, 2, 4), 5), ((10, 10), 10), ((1,) * 17, 3), ((3,), 2), ((), 0)])
+    def test_occupancy_count_is_exact(self, monkeypatch, blocks, k):
+        # (10, 10) with k = 10 has 11 vectors: a price of its 11 partial sums alone must not refuse it
+        vectors = [c for c in itertools.product(*(range(m + 1) for m in blocks)) if sum(c) == k]
+        price = len(vectors) * (1 + len(blocks) // 16)
+        monkeypatch.setattr(symbols_module, "MAX_SYMBOLS", price)
+        assert [c.counts for c in enumerate_generalized_symbols(blocks, k)] == vectors
+        monkeypatch.setattr(symbols_module, "MAX_SYMBOLS", price - 1)
+        with pytest.raises(CapacityError, match=f": {price} exceeds"):
+            enumerate_generalized_symbols(blocks, k)
+
+    def test_refinements_priced_before_building(self, no_building):
+        # C(10, 5)^3, about 1.6e7 symbols, ran for more than a minute
+        with pytest.raises(CapacityError, match="Morse refinements"):
+            morse_refinements(GeneralizedSchubertSymbol((5, 5, 5), (10, 10, 10)))
+
+    def test_refinement_count_is_exact(self, monkeypatch):
+        c = GeneralizedSchubertSymbol((2, 1, 0), (4, 3, 2))
+        monkeypatch.setattr(symbols_module, "MAX_SYMBOLS", 18)  # C(4, 2) * C(3, 1) * C(2, 0)
+        assert len(morse_refinements(c)) == 18
+        monkeypatch.setattr(symbols_module, "MAX_SYMBOLS", 17)
+        with pytest.raises(CapacityError, match=": 18 exceeds"):
+            morse_refinements(c)
+
+
 def _raises(node, where):
     """(enclosing function, exception name, message source) of each ``raise`` below node."""
     for child in ast.iter_child_nodes(node):

@@ -54,6 +54,18 @@ def exact_det(m):
     return det
 
 
+@st.composite
+def int_matrices(draw):
+    """Integer matrices up to 8x8, entries in [-6, 6], some rows and columns zeroed."""
+    rows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    m = draw(st.lists(st.lists(st.integers(-6, 6), min_size=cols, max_size=cols),
+                      min_size=rows, max_size=rows))
+    zero_rows = draw(st.sets(st.integers(0, 7), max_size=3))
+    zero_cols = draw(st.sets(st.integers(0, 7), max_size=3))
+    return [[0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(r)]
+            for i, r in enumerate(m)]
+
+
 class TestSmithNormalForm:
     def test_scalar(self):
         d, u, v = smith_normal_form([[2]])
@@ -94,17 +106,33 @@ class TestSmithNormalForm:
             assert abs(exact_det(u)) == 1
             assert abs(exact_det(v)) == 1
 
+    @settings(max_examples=300, deadline=None)
+    @given(int_matrices())
+    @example([])
+    @example([[], []])
+    @example([[0, 0, 0], [0, 0, 0]])
+    @example([[4, 6], [6, 9], [0, 0]])
+    def test_certificate(self, m):
+        rows, cols = len(m), len(m[0]) if m else 0
+        d, u, v = smith_normal_form(m)
+        assert [len(r) for r in u] == [rows] * rows and [len(r) for r in v] == [cols] * cols
+        um = [[sum(u[i][s] * m[s][j] for s in range(rows)) for j in range(cols)] for i in range(rows)]
+        assert [[sum(um[i][s] * v[s][j] for s in range(cols)) for j in range(cols)]
+                for i in range(rows)] == d
+        assert abs(exact_det(u)) == 1 and abs(exact_det(v)) == 1
+        assert all(d[i][j] == 0 for i in range(rows) for j in range(cols) if i != j)
+        diag = [d[t][t] for t in range(min(rows, cols))]
+        assert all(x >= 0 for x in diag)
+        assert all(b % a == 0 if a else b == 0 for a, b in zip(diag, diag[1:]))
 
-@st.composite
-def int_matrices(draw):
-    """Integer matrices up to 8x8, entries in [-6, 6], some rows and columns zeroed."""
-    rows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
-    m = draw(st.lists(st.lists(st.integers(-6, 6), min_size=cols, max_size=cols),
-                      min_size=rows, max_size=rows))
-    zero_rows = draw(st.sets(st.integers(0, 7), max_size=3))
-    zero_cols = draw(st.sets(st.integers(0, 7), max_size=3))
-    return [[0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(r)]
-            for i, r in enumerate(m)]
+    def test_independent_of_the_engine_it_checks(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("smith_normal_form called the homology engine")
+
+        monkeypatch.setattr(witten, "elementary_divisors", refuse)
+        monkeypatch.setattr(witten, "_pivot", refuse)
+        d, _, _ = smith_normal_form([[4, 6], [6, 9], [2, 0]])
+        assert d == [[1, 0], [0, 6], [0, 0]]
 
 
 def snf_divisors(m):
@@ -269,6 +297,12 @@ class TestValidation:
             WittenComplex(generators={0: ["a"], 1: ["b"]}, boundaries={1: [[1, 2]]})
         with pytest.raises(ComplexValidationError, match="ragged boundary matrix in degree 1"):
             WittenComplex(generators={0: ["a", "b"], 1: ["c", "d"]}, boundaries={1: [[1, 0], [0]]})
+
+    @pytest.mark.parametrize("gens", [{0: ["a", "b", "a"], 1: ["x"]}, {0: ["a"], 1: ["x", "a"]}])
+    def test_repeated_generator_name_refused(self, gens):
+        # within one degree or across two, a name would no longer pick out one generator
+        with pytest.raises(ComplexValidationError, match="generator name 'a' is used more than once"):
+            WittenComplex(generators=gens)
 
     def test_fields_are_frozen_and_validate_complex_rechecks(self):
         c = WittenComplex(generators={0: ["a"], 1: ["b"], 2: ["c"]}, boundaries={1: [[0]], 2: [[1]]})
