@@ -17,8 +17,9 @@ turns exceptions into exit codes; errors carry an error code, reported as
   4  ambiguous-cell: a point too close to a cell boundary to classify
 
 Each subcommand imports only the modules it uses.  cells, poincare, witten,
-cup, moduli-dim and polytope (but not --plot-data) run without numpy, as do
-usage errors; flow and limit import it through flows after reading input.
+cup, moduli-dim and polytope (but not --plot-data) run without numpy,
+dataclasses or inspect, as do usage errors; flow and limit import numpy
+(which loads inspect) through flows after reading input.
 """
 
 from __future__ import annotations

@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 # tolerance, DEFAULT_TOL and AmbiguousCellError live in symbols so that the CLI
 # can parse --tol and map exit codes without importing numpy
-from .symbols import DEFAULT_TOL, AmbiguousCellError, SchubertSymbol, check_ambient, tolerance
+from .symbols import DEFAULT_TOL, AmbiguousCellError, Frozen, SchubertSymbol, check_ambient, tolerance
 
 # exp() overflows past ~709; flows clamp the largest exponent magnitude here
 MAX_EXPONENT = 700.0
@@ -41,21 +40,20 @@ class DivergenceError(RuntimeError):
     """An RK4 step moved the Gram matrix Y^H Y more than 0.1 from I: the step size is too large."""
 
 
-@dataclass(frozen=True)
-class HeightSpectrum:
+class HeightSpectrum(Frozen):
     """Diagonal entries a_1 >= ... >= a_n >= 0 of the height function."""
 
-    a: tuple[float, ...]
+    __slots__ = ("a",)
 
-    def __post_init__(self):
-        a = tuple(float(x) for x in self.a)
-        object.__setattr__(self, "a", a)
+    def __init__(self, a: tuple[float, ...]):
+        a = tuple(float(x) for x in a)
         if not all(map(math.isfinite, a)):
             raise ValueError(f"spectrum entries must be finite, got {a}")
         if any(a[i] < a[i + 1] for i in range(len(a) - 1)):
             raise ValueError(f"spectrum {a} must be nonincreasing")
         if a and a[-1] < 0:
             raise ValueError("spectrum entries must be nonnegative")
+        self._init(a)
 
     @property
     def n(self) -> int:
@@ -121,11 +119,13 @@ class GrassmannPoint:
         return cls(m)
 
 
-@dataclass(frozen=True)
-class TangentVector:
+class TangentVector(Frozen):
     """Tangent vector at a point, as a skew-Hermitian n x n matrix."""
 
-    skew: np.ndarray
+    __slots__ = ("skew",)
+
+    def __init__(self, skew: np.ndarray):
+        self._init(skew)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.skew))

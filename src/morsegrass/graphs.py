@@ -16,18 +16,16 @@ from __future__ import annotations
 
 import numbers
 from collections import Counter
-from dataclasses import dataclass
 
 from .ring import triple_product
-from .symbols import SchubertSymbol, _check_same_ambient, critical_index
+from .symbols import Frozen, SchubertSymbol, _check_same_ambient, critical_index
 
 INCOMING = "incoming"
 INTERNAL = "internal"
 OUTGOING = "outgoing"
 
 
-@dataclass(frozen=True)
-class FlowGraph:
+class FlowGraph(Frozen):
     """Vertices plus edges tagged incoming / internal / outgoing.
 
     Incoming and outgoing edges have a single attached vertex (their other
@@ -35,14 +33,11 @@ class FlowGraph:
     (vertex, vertex_or_None, kind).
     """
 
-    vertices: frozenset
-    edges: tuple
+    __slots__ = ("vertices", "edges")
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", frozenset(self.vertices))
-        edges = tuple(tuple(e) for e in self.edges)
-        object.__setattr__(self, "edges", edges)
-        for a, b, kind in edges:
+    def __init__(self, vertices: frozenset, edges: tuple):
+        self._init(frozenset(vertices), tuple(tuple(e) for e in edges))
+        for a, b, kind in self.edges:
             if kind not in (INCOMING, INTERNAL, OUTGOING):
                 raise ValueError(f"unknown edge kind {kind!r}")
             if a not in self.vertices:
@@ -106,18 +101,13 @@ class FlowGraph:
             raise ValueError(f"graph JSON needs 'vertices' and 'edges' lists ({exc})") from None
 
 
-@dataclass(frozen=True)
-class LabeledEnds:
+class LabeledEnds(Frozen):
     """Morse indices attached to the free ends, plus the ambient dimension."""
 
-    incoming: tuple[int, ...]
-    outgoing: tuple[int, ...]
-    dim_m: int
+    __slots__ = ("incoming", "outgoing", "dim_m")
 
-    def __post_init__(self):
-        object.__setattr__(self, "incoming", tuple(map(_integer, self.incoming)))
-        object.__setattr__(self, "outgoing", tuple(map(_integer, self.outgoing)))
-        object.__setattr__(self, "dim_m", _integer(self.dim_m))
+    def __init__(self, incoming: tuple[int, ...], outgoing: tuple[int, ...], dim_m: int):
+        self._init(tuple(map(_integer, incoming)), tuple(map(_integer, outgoing)), _integer(dim_m))
         for idx in self.incoming + self.outgoing:
             if not 0 <= idx <= self.dim_m:
                 raise ValueError(f"index {idx} outside 0..dim M = {self.dim_m}")

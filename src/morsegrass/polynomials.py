@@ -10,9 +10,8 @@ dimensions are doubled by the callers in the symbol layer, never here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .symbols import (
+    Frozen,
     GeneralizedSchubertSymbol,
     cell_dimension,
     check_ambient,
@@ -162,16 +161,17 @@ IntPolynomial.zero = IntPolynomial([])
 IntPolynomial.one = IntPolynomial([1])
 
 
-@dataclass(frozen=True)
-class MorseViolation:
+class MorseViolation(Frozen):
     """Witness that a (M, P) pair cannot come from a Morse function.
 
     Either the division of M - P by 1 + t left a remainder, or some
     coefficient of the quotient Q is negative.
     """
 
-    reason: str
-    degree: int
+    __slots__ = ("reason", "degree")
+
+    def __init__(self, reason: str, degree: int):
+        self._init(reason, degree)
 
     def __bool__(self):
         return False

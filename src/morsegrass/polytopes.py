@@ -14,13 +14,12 @@ compute floats, and they import flows, and with it numpy, when first called.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import TYPE_CHECKING
 
 from .symbols import CapacityError  # noqa: F401 (re-exported)
-from .symbols import MAX_SYMBOLS, SchubertSymbol, cell_count, check_budget, tolerance
+from .symbols import MAX_SYMBOLS, Frozen, SchubertSymbol, cell_count, check_budget, tolerance
 
 if TYPE_CHECKING:
     from .flows import GrassmannPoint, HeightSpectrum
@@ -35,14 +34,13 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@dataclass(frozen=True)
-class MomentPoint:
+class MomentPoint(Frozen):
     """A point of R^n, typically diag(pi_V) with entries in [0,1] summing to k."""
 
-    coords: tuple
+    __slots__ = ("coords",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(self.coords))
+    def __init__(self, coords: tuple):
+        self._init(tuple(coords))
 
     @property
     def n(self) -> int:
@@ -52,21 +50,17 @@ class MomentPoint:
         return [float(x) for x in self.coords]
 
 
-@dataclass(frozen=True)
-class VertexPolytope:
+class VertexPolytope(Frozen):
     """Convex hull of a finite set of distinct rational points in R^n."""
 
-    vertices: tuple[tuple, ...]
-    k: int
-    n: int
+    __slots__ = ("vertices", "k", "n")
 
-    def __post_init__(self):
-        verts = tuple(tuple(v) for v in self.vertices)
-        if not verts:
+    def __init__(self, vertices: tuple[tuple, ...], k: int, n: int):
+        self._init(tuple(tuple(v) for v in vertices), k, n)
+        if not self.vertices:
             raise ValueError("a polytope needs at least one vertex")
-        if len(set(verts)) != len(verts):
+        if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("vertices must be pairwise distinct")
-        object.__setattr__(self, "vertices", verts)
 
     def to_json(self) -> dict:
         return {

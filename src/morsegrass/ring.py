@@ -11,9 +11,9 @@ implemented separately and serves as an independent oracle.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .symbols import (
+    Frozen,
     SchubertSymbol,
     _check_same_ambient,
     cell_count,
@@ -25,24 +25,31 @@ from .symbols import (
 )
 
 
-@dataclass(frozen=True)
-class PartitionShape:
+class PartitionShape(Frozen):
     """Weakly decreasing partition fitting in the k x (n-k) box."""
 
-    parts: tuple[int, ...]
-    k: int
-    n: int
+    __slots__ = ("parts", "k", "n")
 
-    def __post_init__(self):
-        parts = tuple(map(int, self.parts))
-        object.__setattr__(self, "parts", parts)
-        check_ambient(self.k, self.n)
-        if len(parts) != self.k:
-            raise ValueError(f"expected {self.k} parts, got {parts}")
+    def __init__(self, parts: tuple[int, ...], k: int, n: int):
+        parts = tuple(map(int, parts))
+        check_ambient(k, n)
+        if len(parts) != k:
+            raise ValueError(f"expected {k} parts, got {parts}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"parts {parts} not weakly decreasing")
-        if parts and (parts[0] > self.n - self.k or parts[-1] < 0):
-            raise ValueError(f"parts {parts} leave the {self.k}x{self.n - self.k} box")
+        if parts and (parts[0] > n - k or parts[-1] < 0):
+            raise ValueError(f"parts {parts} leave the {k}x{n - k} box")
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n", n)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.parts == other.parts and self.k == other.k and self.n == other.n
+
+    def __hash__(self):
+        return hash((self.parts, self.k, self.n))
 
     @property
     def weight(self) -> int:

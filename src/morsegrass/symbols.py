@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 # the one work budget: check_budget refuses any engine whose stated cost exceeds it
 MAX_SYMBOLS = 100_000
@@ -45,21 +44,60 @@ class AmbiguousCellError(ValueError):
     """Echelon pivots too small to classify the cell of a point reliably."""
 
 
-@dataclass(frozen=True)
-class SchubertSymbol:
+class Frozen:
+    """Immutable base of the value classes: each names its fields in __slots__ and sets them once, in __init__.
+
+    ==, hash and repr are a frozen dataclass's, over the field tuple.  The classes built and hashed in loops
+    set their fields with object.__setattr__ and spell out __eq__ and __hash__, which is faster.
+    """
+
+    __slots__ = ()
+
+    def _init(self, *values):  # sets the fields in __slots__ order; returns self
+        for f, v in zip(self.__slots__, values):
+            object.__setattr__(self, f, v)
+        return self
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r} of a frozen {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # (class, field tuple): copy and pickle rebuild through __init__; == and hash use it
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        return self.__reduce__() == other.__reduce__() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self.__reduce__()[1])
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self.__slots__)})"
+
+
+class SchubertSymbol(Frozen):
     """Strictly increasing k-tuple indexing a cell of Gr_k(C^n)."""
 
-    entries: tuple[int, ...]
-    n: int
+    __slots__ = ("entries", "n")
 
-    def __post_init__(self):
-        entries = tuple(map(int, self.entries))
-        object.__setattr__(self, "entries", entries)
-        check_ambient(len(entries), self.n)
+    def __init__(self, entries: tuple[int, ...], n: int):
+        entries = tuple(map(int, entries))
+        check_ambient(len(entries), n)
         if any(b <= a for a, b in zip(entries, entries[1:])):
             raise ValueError(f"entries {entries} not strictly increasing")
-        if entries and (entries[0] < 1 or entries[-1] > self.n):
-            raise ValueError(f"entries {entries} out of range 1..{self.n}")
+        if entries and (entries[0] < 1 or entries[-1] > n):
+            raise ValueError(f"entries {entries} out of range 1..{n}")
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "n", n)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries and self.n == other.n
+
+    def __hash__(self):
+        return hash((self.entries, self.n))
 
     @property
     def k(self) -> int:
@@ -79,22 +117,19 @@ class SchubertSymbol:
         return {"entries": list(self.entries), "k": self.k, "n": self.n}
 
 
-@dataclass(frozen=True)
-class GeneralizedSchubertSymbol:
+class GeneralizedSchubertSymbol(Frozen):
     """Occupancy counts c_j of a k-plane against eigenspace blocks of sizes m_j."""
 
-    counts: tuple[int, ...]
-    blocks: tuple[int, ...]
+    __slots__ = ("counts", "blocks")
 
-    def __post_init__(self):
-        counts = tuple(int(c) for c in self.counts)
-        blocks = _block_sizes(self.blocks)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "blocks", blocks)
+    def __init__(self, counts: tuple[int, ...], blocks: tuple[int, ...]):
+        counts = tuple(int(c) for c in counts)
+        blocks = _block_sizes(blocks)
         if len(counts) != len(blocks):
             raise ValueError("counts and blocks must have equal length")
         if any(c < 0 or c > m for c, m in zip(counts, blocks)):
             raise ValueError(f"counts {counts} out of range for blocks {blocks}")
+        self._init(counts, blocks)
 
     @property
     def k(self) -> int:
@@ -229,7 +264,8 @@ def enumerate_generalized_symbols(
     vectors = [()]
     for m, tail in zip(blocks, tails[1:]):
         vectors = [v + (c,) for v in vectors for r in [k - sum(v)] for c in range(max(0, r - tail), min(m, r) + 1)]
-    return [GeneralizedSchubertSymbol(v, blocks) for v in vectors]
+    # blocks were checked once above and each v is in range: set the fields without re-checking them
+    return [object.__new__(GeneralizedSchubertSymbol)._init(v, blocks) for v in vectors]
 
 
 def generalized_index(c: GeneralizedSchubertSymbol) -> int:

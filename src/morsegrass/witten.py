@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import chain
 
-from .symbols import MAX_SYMBOLS, cell_dimension, check_budget, enumerate_symbols  # noqa: F401 (re-exported)
+from .symbols import MAX_SYMBOLS, Frozen, cell_dimension, check_budget, enumerate_symbols  # noqa: F401 (re-exported)
 
 
 class ComplexValidationError(ValueError):
@@ -170,20 +169,23 @@ def _rank_mod2(m: Matrix) -> int:
     return len(basis)
 
 
-@dataclass(frozen=True)
-class WittenComplex:
+class WittenComplex(Frozen):
     """Graded free abelian groups on named generators with integer boundaries.
 
     generators[i] lists the degree-i generator names; boundaries[i] is the
     matrix of d_i : C_i -> C_{i-1}, rows indexed by degree-(i-1) generators,
     columns by degree-i generators.  Degrees with no generators are simply
-    absent from both maps.  Construction checks distinct names, shapes and dd = 0.
+    absent from both maps.  Construction checks shapes, dd = 0 and the names:
+    distinct, nonempty and without whitespace, as the text format needs.
     """
 
-    generators: dict[int, list[str]] = field(default_factory=dict)
-    boundaries: dict[int, Matrix] = field(default_factory=dict)
+    __slots__ = ("generators", "boundaries")
 
-    def __post_init__(self):
+    def __init__(self, generators: dict[int, list[str]] | None = None, boundaries: dict[int, Matrix] | None = None):
+        self._init({} if generators is None else generators, {} if boundaries is None else boundaries)
+        bad = [g for g in chain(*self.generators.values()) if not (isinstance(g, str) and g.split() == [g])]
+        if bad:
+            raise ComplexValidationError(f"generator name {bad[0]!r} is not a nonempty string without whitespace")
         repeated = [g for g, n in Counter(chain(*self.generators.values())).items() if n > 1]
         if repeated:
             raise ComplexValidationError(f"generator name {repeated[0]!r} is used more than once")
@@ -208,13 +210,13 @@ class WittenComplex:
         return _polynomial({i: len(g) for i, g in self.generators.items()})
 
 
-@dataclass
-class HomologyResult:
+class HomologyResult(Frozen):
     """Per-degree free ranks and torsion coefficients (divisibility order)."""
 
-    ranks: dict[int, int]
-    torsion: dict[int, list[int]]
-    mode: str = "integers"
+    __slots__ = ("ranks", "torsion", "mode")
+
+    def __init__(self, ranks: dict[int, int], torsion: dict[int, list[int]], mode: str = "integers"):
+        self._init(ranks, torsion, mode)
 
     def group_str(self, i: int) -> str:
         parts = ["Z/2" if self.mode == "mod2" else "Z"] * self.ranks.get(i, 0)

@@ -532,16 +532,20 @@ except SystemExit as exc:
     code = exc.code
 sys.stdout.flush()
 modules = sorted(m for m in sys.modules if m.split(".")[0] == "morsegrass")
-print("numpy" in sys.modules, code, *modules, file=sys.stderr)
+introspection = ",".join(m for m in ("dataclasses", "inspect") if m in sys.modules) or "none"
+print("numpy" in sys.modules, code, introspection, *modules, file=sys.stderr)
 """
 
 
 def probe(tmp_path, *argv):
-    """(numpy loaded, exit code, sorted loaded morsegrass modules) of ``main(argv)`` in a fresh process."""
+    """(numpy loaded, exit code, sorted loaded morsegrass modules, loaded of dataclasses and inspect) of ``main(argv)``.
+
+    Runs in a fresh process; the last is "none" when neither module loaded, else their names joined by commas.
+    """
     proc = subprocess.run([sys.executable, "-c", PROBE, *argv], cwd=tmp_path, env=child_env(),
                           capture_output=True, text=True, timeout=60)
-    numpy_loaded, code, *modules = proc.stderr.splitlines()[-1].split()
-    return numpy_loaded == "True", int(code), modules
+    numpy_loaded, code, introspection, *modules = proc.stderr.splitlines()[-1].split()
+    return numpy_loaded == "True", int(code), modules, introspection
 
 
 POLYTOPE_MODULES = ["morsegrass", "morsegrass.cli", "morsegrass.polytopes", "morsegrass.symbols"]
@@ -571,7 +575,8 @@ class TestLazyLoading:
         (tmp_path / "circle.txt").write_text(dump_complex(circle_complex(3)))
         (tmp_path / "graph.json").write_text(json.dumps(
             {"vertices": ["v"], "edges": [["v", None, "incoming"]], "incoming_indices": [2], "dim_m": 4}))
-        assert probe(tmp_path, *argv)[:2] == (False, 0)
+        numpy_loaded, code, _, introspection = probe(tmp_path, *argv)
+        assert (numpy_loaded, code, introspection) == (False, 0, "none")
 
     @pytest.mark.parametrize("argv", [
         ["polytope", "3", "9"],
@@ -579,7 +584,8 @@ class TestLazyLoading:
         ["flow", "missing.json", "4,3,2,1", "1.0"],
     ])
     def test_refusals_run_without_numpy(self, tmp_path, argv):
-        assert probe(tmp_path, *argv)[:2] == (False, 2)
+        numpy_loaded, code, _, introspection = probe(tmp_path, *argv)
+        assert (numpy_loaded, code, introspection) == (False, 2, "none")
 
     @pytest.mark.parametrize("argv", [["polytope", "3", "6", "(2,4,6)"], ["polytope", "3", "9"]])
     def test_polytope_loads_only_its_modules(self, tmp_path, argv):
@@ -587,7 +593,8 @@ class TestLazyLoading:
         assert probe(tmp_path, *argv)[2] == POLYTOPE_MODULES
 
     def test_usage_error_runs_without_numpy(self, tmp_path):
-        assert probe(tmp_path, "cells", "two", "4")[:2] == (False, 2)
+        numpy_loaded, code, _, introspection = probe(tmp_path, "cells", "two", "4")
+        assert (numpy_loaded, code, introspection) == (False, 2, "none")
 
     def test_tol_nan_is_a_usage_error_before_flows_loads(self, tmp_path):
         assert probe(tmp_path, "--tol", "nan", "limit", "p.json", "4,3,2,1", "down")[:2] == (False, 2)

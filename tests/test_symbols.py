@@ -301,6 +301,17 @@ class TestMorseBottPrices:
         with pytest.raises(CapacityError, match=f": {price} exceeds"):
             enumerate_generalized_symbols(blocks, k)
 
+    @pytest.mark.parametrize("blocks,k", [((1,) * 100, 2), ((2, 3, 2, 4), 5), ((3,), 2), ((), 0)])
+    def test_blocks_checked_once_per_enumeration(self, monkeypatch, blocks, k):
+        # a check per vector cost more than the rest of the enumeration on (1,)*100 with k = 2
+        calls = []
+        check = symbols_module._block_sizes
+        monkeypatch.setattr(symbols_module, "_block_sizes", lambda b: calls.append(b) or check(b))
+        out = enumerate_generalized_symbols(blocks, k)
+        assert len(calls) == 1
+        assert out == [GeneralizedSchubertSymbol(c.counts, list(blocks)) for c in out]
+        assert all(type(c.counts) is tuple and c.blocks == blocks for c in out)
+
     def test_refinements_priced_before_building(self, no_building):
         # C(10, 5)^3, about 1.6e7 symbols, ran for more than a minute
         with pytest.raises(CapacityError, match="Morse refinements"):

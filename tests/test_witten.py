@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import math
 import time
 from pathlib import Path
@@ -304,9 +303,18 @@ class TestValidation:
         with pytest.raises(ComplexValidationError, match="generator name 'a' is used more than once"):
             WittenComplex(generators=gens)
 
+    @pytest.mark.parametrize("gens,bad", [
+        ({0: ["a b"], 1: ["x"]}, "'a b'"),  # the text format would read two names
+        ({0: [""], 1: ["x"]}, "''"),  # the text format would read no name
+        ({0: [1], 1: [2]}, "1"),  # dump_complex joins strings only
+    ])
+    def test_names_the_text_format_cannot_hold_refused(self, gens, bad):
+        with pytest.raises(ComplexValidationError, match=f"generator name {bad} is not a nonempty string"):
+            WittenComplex(generators=gens, boundaries={1: [[1]]})
+
     def test_fields_are_frozen_and_validate_complex_rechecks(self):
         c = WittenComplex(generators={0: ["a"], 1: ["b"], 2: ["c"]}, boundaries={1: [[0]], 2: [[1]]})
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError, match="cannot assign to or delete field 'boundaries' of a frozen WittenComplex"):
             c.boundaries = {}
         c.boundaries[1][0][0] = 1  # unsupported, but validate_complex re-runs the check
         assert not validate_complex(c)
@@ -458,6 +466,14 @@ class TestMorseInequalitiesOnBuiltins:
             assert all(x >= 0 for x in q.coeffs)
 
 
+BUILTIN_COMPLEXES = {
+    **{f"circle{m}": circle_complex(m) for m in range(1, 7)},
+    **{f"rp{n}": rp_complex(n) for n in range(1, 9)},
+    "torus": torus_complex(),
+    **{f"gr{k}_{n}": grassmannian_complex(k, n) for n in range(5) for k in range(n + 1)},
+}
+
+
 class TestFileFormat:
     def test_round_trip(self):
         c = circle_complex(3)
@@ -515,6 +531,11 @@ class TestFileFormat:
     def test_repeated_lines_refused(self, text, where):
         with pytest.raises(ComplexValidationError, match=where):
             load_complex(text)
+
+    @pytest.mark.parametrize("name", BUILTIN_COMPLEXES)
+    def test_every_builtin_round_trips(self, name):
+        c = BUILTIN_COMPLEXES[name]
+        assert load_complex(dump_complex(c)) == c
 
     @pytest.mark.parametrize("c", _homology_inputs(), ids=["circle", "rp", "torus", "gr24", "dense"])
     def test_dump_round_trips(self, c):
