@@ -67,10 +67,12 @@ class HeightSpectrum(Frozen):
         return np.diag(self.a).astype(complex)
 
 
-class GrassmannPoint:
+class GrassmannPoint(Frozen):
     """Immutable full-rank n x k complex frame representing its column span."""
 
     __slots__ = ("matrix",)
+    # identity ==: a frame is not a canonical form of its plane, and span_distance compares planes
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, matrix):
         m = np.array(matrix, dtype=complex)
@@ -85,7 +87,7 @@ class GrassmannPoint:
             if smin <= RANK_FLOOR * max(1.0, scale):
                 raise DegenerateInputError(f"columns are rank deficient (sigma_min={smin:.3e})")
         m.setflags(write=False)
-        self.matrix = m
+        self._init(m)
 
     @property
     def n(self) -> int:

@@ -21,7 +21,7 @@ from .symbols import (
 )
 
 
-class IntPolynomial:
+class IntPolynomial(Frozen):
     """Polynomial in t with integer coefficients, indexed by degree."""
 
     __slots__ = ("coeffs",)
@@ -30,7 +30,7 @@ class IntPolynomial:
         coeffs = [int(c) for c in coeffs]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        self.coeffs = tuple(coeffs)
+        object.__setattr__(self, "coeffs", tuple(coeffs))
 
     @classmethod
     def monomial(cls, degree: int, coefficient: int = 1) -> "IntPolynomial":

@@ -50,8 +50,18 @@ class MomentPoint(Frozen):
         return [float(x) for x in self.coords]
 
 
-class VertexPolytope(Frozen):
-    """Convex hull of a finite set of distinct rational points in R^n."""
+class _PrefixBounds(Frozen):
+    __slots__ = ("_bounds",)  # a slot outside VertexPolytope's fields, so ==, hash, repr and pickle skip it
+
+
+class VertexPolytope(_PrefixBounds):
+    """A Schubert matroid polytope of Gr_k(C^n), held by its vertices: the 0/1 points of its inequality system.
+
+    The system is 0 <= x <= 1, x_1 + ... + x_i >= c_i, x_1 + ... + x_n = c_n = k
+    (Gelfand-Goresky-MacPherson-Serganova); every schubert_polytope and
+    grassmannian_polytope is one.  The constructor finds c_1, ..., c_n once,
+    for membership and face_counts, and raises ValueError for any other vertex set.
+    """
 
     __slots__ = ("vertices", "k", "n")
 
@@ -61,6 +71,7 @@ class VertexPolytope(Frozen):
             raise ValueError("a polytope needs at least one vertex")
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("vertices must be pairwise distinct")
+        object.__setattr__(self, "_bounds", _prefix_bounds(self.vertices, k, n))
 
     def to_json(self) -> dict:
         return {
@@ -121,38 +132,23 @@ def schubert_polytope(u: SchubertSymbol) -> VertexPolytope:
         v[j:] = range(v[j] + 1, v[j] + 1 + k - j)
 
 
-def _prefix_bounds(verts) -> list | None:
-    """The one support rule: prefix bounds c_1, ..., c_n, or None for a point or a segment.
+def _prefix_bounds(verts, k: int, n: int) -> list[int]:
+    """The one support rule: the prefix bounds c_1, ..., c_n of a Schubert matroid polytope of Gr_k(C^n).
 
-    c_i = min over the vertices of v_1 + ... + v_i is returned when the
-    vertices are exactly the 0/1 points of {0 <= x <= 1, x_1 + ... + x_i >= c_i,
-    x_1 + ... + x_n = c_n}, as they are for every Schubert matroid polytope
-    (Gelfand-Goresky-MacPherson-Serganova).  The rows are intervals of
+    c_i = min over the vertices of v_1 + ... + v_i, returned when the distinct
+    vertices are exactly the 0/1 points of length n of {0 <= x <= 1,
+    x_1 + ... + x_i >= c_i, x_1 + ... + x_n = k}.  The rows are intervals of
     coordinates, so the system is totally unimodular and its polytope is the
-    hull of those 0/1 points.  Otherwise None if every vertex lies on the
-    segment from the least to the greatest vertex, and ValueError if not.
+    hull of those 0/1 points.  ValueError for any other vertex set.
     """
-    if verts[0] and all(c in (0, 1) for v in verts for c in v):
-        sums = [tuple(accumulate(v)) for v in verts]
-        bounds = [int(min(col)) for col in zip(*sums)]  # Fraction(1) is a 0/1 coordinate too
-        if all(s[-1] == bounds[-1] for s in sums) and _lattice_paths(bounds, bounds[-1]) == len(verts):
-            return bounds
-    a, b = min(verts), max(verts)  # along a line the lexicographic order is the line's order
-    if all(_segment_defect(v, a, b) == 0 for v in verts):
-        return None
-    raise ValueError(
-        f"the {len(verts)} vertices of dimension >= 2 are not the 0/1 points "
-        "of a Schubert matroid polytope's inequality system"
-    )
-
-
-def _segment_defect(x, a, b):
-    """l1 distance from x to its orthogonal projection onto the segment [a, b]."""
-    step = [q - p for p, q in zip(a, b)]
-    length2 = sum(s * s for s in step)
-    t = Fraction(sum((c - p) * s for c, p, s in zip(x, a, step))) / length2 if length2 else 0
-    t = min(max(t, 0), 1)
-    return sum(abs(c - p - t * s) for c, p, s in zip(x, a, step))
+    sums = [tuple(accumulate(v)) for v in verts]
+    bounds = [int(min(col)) for col in zip(*sums)]  # Fraction(1) is a 0/1 coordinate too
+    if not (all(len(v) == n and {*v} <= {0, 1} and sum(v) == k for v in verts)
+            and _lattice_paths(bounds, k) == len(verts)):
+        raise ValueError(
+            f"the {len(verts)} vertices are not the 0/1 points of a Schubert matroid polytope of Gr({k},{n})"
+        )
+    return bounds
 
 
 def _lattice_paths(bounds, total: int) -> int:
@@ -171,13 +167,11 @@ def _lattice_paths(bounds, total: int) -> int:
 
 
 def membership(x, P: VertexPolytope, tol: float = 1e-9) -> bool:
-    """Whether x lies in the convex hull of the vertices of P.
+    """Whether x lies in the Schubert matroid polytope P, decided by its stored prefix bounds.
 
-    P must be a Schubert matroid polytope (every ``schubert_polytope`` and
-    ``grassmannian_polytope`` is) or have dimension at most 1; any other
-    vertex set raises ValueError.  Rational coordinates (int/Fraction) are
-    decided exactly.  Float coordinates must be finite; each inequality may
-    be violated by at most tol * (1 + |(x, 1)|_1).
+    Rational coordinates (int/Fraction) are decided exactly.  Float
+    coordinates must be finite; each inequality may be violated by at most
+    tol * (1 + |(x, 1)|_1).
     """
     coords = x.coords if isinstance(x, MomentPoint) else tuple(x)
     if len(coords) != P.n:
@@ -187,20 +181,17 @@ def membership(x, P: VertexPolytope, tol: float = 1e-9) -> bool:
     if not exact and not all(math.isfinite(c) for c in coords):
         raise ValueError(f"point coordinates {coords} must be finite")
     slack = 0 if exact else tol * (2.0 + sum(abs(c) for c in coords))
-    bounds = _prefix_bounds(P.vertices)
-    if bounds is None:  # a point or a segment
-        return _segment_defect(coords, min(P.vertices), max(P.vertices)) <= slack
     return (
-        abs(sum(coords) - bounds[-1]) <= slack
+        abs(sum(coords) - P.k) <= slack
         and all(-slack <= c <= 1 + slack for c in coords)
-        and all(p >= c - slack for p, c in zip(accumulate(coords), bounds))
+        and all(p >= c - slack for p, c in zip(accumulate(coords), P._bounds))
     )
 
 
 def face_counts(P: VertexPolytope) -> tuple[int, ...]:
     """f-vector (faces per dimension, including the polytope itself).
 
-    The system 0 <= x <= 1, x_1 + ... + x_i >= c_i (equal at i = n) describes P.
+    The system 0 <= x <= 1, x_1 + ... + x_i >= c_i (equal at i = n), stored in P, describes it.
     Prefix sum i is at most min(i, k), at the vertex (1, ..., 1, 0, ..., 0), so
     it is pinned where c_i = min(i, k).  There the two bounding lattice paths
     meet, P splits into one connected lattice path matroid polytope per interval
@@ -212,17 +203,14 @@ def face_counts(P: VertexPolytope) -> tuple[int, ...]:
     covering a face h meets some facet exactly in h (h is the intersection of
     the facets containing it, and one of them misses G), so the smallest face
     f != h with f & g == h for a facet g covers h, and dim h = dim f - 1,
-    assigned in order of decreasing size from the facets at d - 1.  ValueError
-    for the vertex sets ``membership`` refuses; CapacityError before each
+    assigned in order of decreasing size from the facets at d - 1 (a point
+    has no facet, a segment two disjoint ones).  CapacityError before each
     closure round if the facet intersections so far, len(frontier) * len(facets)
     each, exceed MAX_SYMBOLS.
     """
-    verts = P.vertices
+    verts, bounds = P.vertices, P._bounds
     nv = len(verts)
-    bounds = _prefix_bounds(verts)
-    if bounds is None or nv <= 2:  # a point or a segment; 0/1 points on a line are at most 2
-        return (1,) if nv == 1 else (2, 1)
-    d = sum(c < min(i, bounds[-1]) for i, c in enumerate(bounds, 1))  # c_n = k
+    d = sum(c < min(i, P.k) for i, c in enumerate(bounds, 1))
 
     sums = [tuple(accumulate(v)) for v in verts]
     every = (1 << nv) - 1
@@ -231,7 +219,7 @@ def face_counts(P: VertexPolytope) -> tuple[int, ...]:
         ones = sum(1 << j for j, v in enumerate(verts) if v[i])
         prefix = sum(1 << j for j, s in enumerate(sums) if s[i] == bounds[i])
         candidates.update(t for t in (every ^ ones, ones, prefix) if 0 < t < every)
-    # the maximal candidates: at most 9n^2 ands, under 3 * MAX_SYMBOLS as nv >= 3
+    # the maximal candidates: at most 3n distinct masks, so at most 9n^2 ands
     facets = [f for f in candidates if not any(f & g == f != g for g in candidates)]
 
     # cover[h]: the smallest face f != h with f & g == h for a facet g.  It covers h;

@@ -141,18 +141,16 @@ def lr_coefficient(lam: tuple[int, ...], mu: tuple[int, ...], nu: tuple[int, ...
     return count
 
 
-class CohomologyClass:
+class CohomologyClass(Frozen):
     """Integer combination of Schubert basis classes of a fixed Gr_k(C^n)."""
 
     __slots__ = ("k", "n", "coefficients")
 
     def __init__(self, k: int, n: int, coefficients=None):
         check_ambient(k, n)
-        self.k = k
-        self.n = n
         coefficients = dict(coefficients or {})
         _check_same_ambient((k, n), *(u.ambient for u in coefficients))
-        self.coefficients = {u: int(c) for u, c in coefficients.items() if c}
+        self._init(k, n, {u: int(c) for u, c in coefficients.items() if c})
 
     @classmethod
     def basis(cls, u: SchubertSymbol) -> "CohomologyClass":
@@ -177,13 +175,6 @@ class CohomologyClass:
 
     def coefficient(self, u: SchubertSymbol) -> int:
         return self.coefficients.get(u, 0)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CohomologyClass)
-            and (self.k, self.n) == (other.k, other.n)
-            and self.coefficients == other.coefficients
-        )
 
     def __hash__(self):
         return hash(((self.k, self.n), frozenset(self.coefficients.items())))
@@ -225,16 +216,16 @@ class CohomologyClass:
 def cup_product(z1: CohomologyClass, z2: CohomologyClass) -> CohomologyClass:
     """Cup product via Littlewood-Richardson numbers on partition shapes."""
     z1._check(z2)
-    k, n = z1.k, z1.n
-    out = CohomologyClass.zero(k, n)
+    out: dict[SchubertSymbol, int] = {}
     for u1, c1 in z1.coefficients.items():
         for u2, c2 in z2.coefficients.items():
-            prod = _basis_product(u1, u2)
-            out = out + prod.scale(c1 * c2)
-    return out
+            for u, c in _basis_product(u1, u2).items():
+                out[u] = out.get(u, 0) + c1 * c2 * c
+    return CohomologyClass(z1.k, z1.n, out)
 
 
-def _basis_product(u1: SchubertSymbol, u2: SchubertSymbol) -> CohomologyClass:
+def _basis_product(u1: SchubertSymbol, u2: SchubertSymbol) -> dict[SchubertSymbol, int]:
+    """The nonzero coefficients of z_u1 z_u2 in the Schubert basis."""
     k, n = u1.ambient
     mu = symbol_to_partition(u1).parts
     nu = symbol_to_partition(u2).parts
@@ -247,7 +238,7 @@ def _basis_product(u1: SchubertSymbol, u2: SchubertSymbol) -> CohomologyClass:
         c = lr_coefficient(lam.parts, mu, nu)
         if c:
             out[lam_sym] = c
-    return CohomologyClass(k, n, out)
+    return out
 
 
 def special_symbol(k: int, n: int, i: int) -> SchubertSymbol:
@@ -268,7 +259,7 @@ def pieri_product(z: CohomologyClass, i: int) -> CohomologyClass:
     k, n = z.k, z.n
     if not 1 <= i <= k:
         raise ValueError(f"need 1 <= i <= k = {k}, got i={i}")
-    out = CohomologyClass.zero(k, n)
+    out: dict[SchubertSymbol, int] = {}
     for u, c in z.coefficients.items():
         mu = symbol_to_partition(u).parts
         for rows in itertools.combinations(range(k), i):
@@ -279,9 +270,9 @@ def pieri_product(z: CohomologyClass, i: int) -> CohomologyClass:
                 continue
             if any(new[r] < new[r + 1] for r in range(k - 1)):
                 continue
-            lam = PartitionShape(tuple(new), k, n)
-            out = out + CohomologyClass(k, n, {partition_to_symbol(lam): c})
-    return out
+            w = partition_to_symbol(PartitionShape(tuple(new), k, n))
+            out[w] = out.get(w, 0) + c
+    return CohomologyClass(k, n, out)
 
 
 def triple_product(u: SchubertSymbol, v: SchubertSymbol, w: SchubertSymbol) -> int:

@@ -248,6 +248,7 @@ def enumerate_generalized_symbols(
     exceeds MAX_SYMBOLS.  They are counted block by block over the window of
     partial sums that can still reach k; each sum in it, and each prefix
     counted, extends to a distinct vector, so both are priced before each step.
+    Each vector is stepped to from the one before, in O(l) steps.
     """
     blocks = _block_sizes(blocks)
     check_ambient(k, sum(blocks))
@@ -261,11 +262,22 @@ def enumerate_generalized_symbols(
         ways = [cum[min(s - lo + 1, len(ways))] - cum[max(s - m - lo, 0)] for s in range(new_lo, hi + 1)]
         lo = new_lo
     check_budget(ways[0] * (1 + len(blocks) // 16), f"{what} with their entries, count*(1+{len(blocks)}//16)")
-    vectors = [()]
-    for m, tail in zip(blocks, tails[1:]):
-        vectors = [v + (c,) for v in vectors for r in [k - sum(v)] for c in range(max(0, r - tail), min(m, r) + 1)]
-    # blocks were checked once above and each v is in range: set the fields without re-checking them
-    return [object.__new__(GeneralizedSchubertSymbol)._init(v, blocks) for v in vectors]
+    # step from each vector to the next, carrying the sum left for the entries after j
+    out, v, rest, j = [], [0] * len(blocks), k, -1
+    while True:
+        for i in range(j + 1, len(blocks)):  # the least tail: each entry the least the blocks after it allow
+            v[i] = c = max(0, rest - tails[i + 1])
+            rest -= c
+        # blocks were checked once above and v is in range: set the fields without re-checking them
+        out.append(object.__new__(GeneralizedSchubertSymbol)._init(tuple(v), blocks))
+        j = len(blocks) - 1  # the last entry that can take one from the entries after it
+        while j >= 0 and (v[j] == blocks[j] or rest == 0):
+            rest += v[j]
+            j -= 1
+        if j < 0:
+            return out
+        v[j] += 1
+        rest -= 1
 
 
 def generalized_index(c: GeneralizedSchubertSymbol) -> int:

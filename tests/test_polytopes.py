@@ -79,10 +79,22 @@ class TestPolytopes:
         assert face_counts(grassmannian_polytope(1, 4)) == (4, 6, 4, 1)
 
     def test_segment_and_point(self):
-        seg = VertexPolytope(((0, 0), (1, 1)), 1, 2)
+        # X_(1,3) of Gr(2,4) is a segment and X_(1) of Gr(1,2) a point; the
+        # facet closure answers both, with no shortcut for two vertices or fewer
+        seg = VertexPolytope(((1, 1, 0, 0), (1, 0, 1, 0)), 2, 4)
+        assert seg == schubert_polytope(sym((1, 3), 4))
         assert face_counts(seg) == (2, 1)
         pt = VertexPolytope(((1, 0),), 1, 2)
         assert face_counts(pt) == (1,)
+        # the diagonal segment of the unit square is no Schubert matroid polytope
+        with pytest.raises(ValueError, match="Schubert matroid"):
+            VertexPolytope(((0, 0), (1, 1)), 1, 2)
+
+    def test_at_most_two_vertices_by_the_closure_alone(self):
+        cases = [schubert_polytope(u) for n in range(9) for k in range(n + 1) for u in enumerate_symbols(k, n)]
+        small = [P for P in cases if len(P.vertices) <= 2]
+        assert len(small) == 73  # Gr(0, 0) and Gr(n, n) included
+        assert all(face_counts(P) == ((1,) if len(P.vertices) == 1 else (2, 1)) for P in small)
 
     def test_point_with_no_coordinates(self):
         # Gr(0, 0) is a point whose vertex is the empty tuple
@@ -110,22 +122,31 @@ class TestPolytopes:
             face_counts(grassmannian_polytope(3, 9))
 
     def test_collinear_points(self):
-        # (1, 1) is not a vertex of the hull; it lies between the other two
-        line = VertexPolytope(((0, 0), (1, 1), (2, 2)), 1, 2)
-        assert face_counts(line) == (2, 1)
+        # a segment through (1, 1): once answered as a polytope of Gr(1,2), and
+        # membership([3/2, 3/2], .) was True; no 0/1 point set, so refused where it is built
+        with pytest.raises(ValueError, match=r"Schubert matroid polytope of Gr\(1,2\)"):
+            VertexPolytope(((0, 0), (1, 1), (2, 2)), 1, 2)
 
     def test_non_matroid_vertex_set_rejected(self):
         # 0/1 points with constant sum, but not all the 0/1 points of their
         # prefix-bound system (which holds all six points of Delta(2, 4))
-        P = VertexPolytope(((1, 1, 0, 0), (0, 0, 1, 1), (1, 0, 1, 0)), 2, 4)
         with pytest.raises(ValueError, match="Schubert matroid"):
-            face_counts(P)
-        with pytest.raises(ValueError, match="Schubert matroid"):
-            membership([Fraction(1, 2)] * 4, P)
+            VertexPolytope(((1, 1, 0, 0), (0, 0, 1, 1), (1, 0, 1, 0)), 2, 4)
         # vertex sums differ: a triangle in R^3
-        T = VertexPolytope(((0, 0, 0), (1, 0, 0), (0, 1, 0)), 1, 3)
         with pytest.raises(ValueError, match="Schubert matroid"):
-            face_counts(T)
+            VertexPolytope(((0, 0, 0), (1, 0, 0), (0, 1, 0)), 1, 3)
+        # e_2 alone: its system 0 <= x <= 1, x_1 >= 0, x_1 + x_2 = 1 also holds e_1
+        with pytest.raises(ValueError, match="Schubert matroid"):
+            VertexPolytope(((0, 1),), 1, 2)
+
+    def test_wrong_k_or_n_rejected(self):
+        # the zero vector of R^3 was once accepted as a polytope of Gr(2,3)
+        with pytest.raises(ValueError, match=r"Schubert matroid polytope of Gr\(2,3\)"):
+            VertexPolytope(((0, 0, 0),), 2, 3)
+        for k, n in [(2, 2), (0, 2), (1, 3), (1, 1)]:  # Delta(1, 2) under another (k, n)
+            with pytest.raises(ValueError, match="Schubert matroid"):
+                VertexPolytope(((1, 0), (0, 1)), k, n)
+        assert VertexPolytope(((1, 0), (0, 1)), 1, 2) == grassmannian_polytope(1, 2)
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_matches_brute_force_on_schubert_polytopes(self, n):
@@ -211,7 +232,7 @@ class TestExactStructure:
                 d = _affine_rank(verts)
                 if d < 2:
                     continue
-                candidates = facet_candidates(verts)
+                candidates = facet_candidates(P)
                 maximal = {f for f in candidates if not any(f < g for g in candidates)}
                 ranked = {f for f in candidates if _affine_rank([verts[j] for j in f]) == d - 1}
                 assert maximal == ranked, verts
@@ -256,12 +277,11 @@ class TestExactStructure:
 
     def test_dimension_is_n_minus_the_pinned_prefix_sums(self):
         # Bonin-de Mier: the bounding lattice paths meet where c_i = min(i, k)
-        # (n = 0 leaves no prefix sums: Gr(0, 0) is the point route's)
+        # (n = 0 leaves no prefix sums)
         cases = [schubert_polytope(u) for n in range(1, 10) for k in range(n + 1) for u in enumerate_symbols(k, n)]
         cases += [grassmannian_polytope(k, n) for n in range(1, 12) for k in range(n + 1)]
         for P in cases:
-            bounds = polytopes._prefix_bounds(P.vertices)
-            pins = sum(c == min(i, P.k) for i, c in enumerate(bounds, 1))
+            pins = sum(c == min(i, P.k) for i, c in enumerate(P._bounds, 1))
             assert P.n - pins == _affine_rank(P.vertices), P.vertices
 
     def test_vertices_skip_bruhat_filter(self, monkeypatch):
@@ -368,17 +388,19 @@ class TestMembership:
         Q = VertexPolytope(tuple(tuple(map(Fraction, v)) for v in P.vertices), 2, 4)
         assert face_counts(Q) == face_counts(P)
         assert membership([Fraction(1, 2)] * 4, Q) and not membership([1, 1, 1, 0], Q)
-        pt = VertexPolytope(((Fraction(0), Fraction(1)),), 1, 2)
+        pt = VertexPolytope(((Fraction(1), Fraction(0)),), 1, 2)
         assert face_counts(pt) == (1,)
-        assert membership([0, 1], pt) and not membership([1, 0], pt)
+        assert membership([1, 0], pt) and not membership([0, 1], pt)
 
     def test_segment_and_point(self):
-        seg = VertexPolytope(((0, 0), (1, 1)), 1, 2)
-        assert membership([Fraction(1, 3), Fraction(1, 3)], seg)
-        assert not membership([Fraction(1, 3), Fraction(1, 2)], seg)
-        assert not membership([2, 2], seg)
-        assert membership([0.25, 0.25 + 1e-12], seg)
-        assert not membership([1.5, 1.5], seg)
+        # X_(1,3) of Gr(2,4): the segment from (1,1,0,0) to (1,0,1,0)
+        seg = VertexPolytope(((1, 1, 0, 0), (1, 0, 1, 0)), 2, 4)
+        assert membership([1, Fraction(1, 3), Fraction(2, 3), 0], seg)
+        assert not membership([1, Fraction(1, 3), Fraction(1, 2), 0], seg)
+        assert not membership([1, Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)], seg)
+        assert not membership([1, -1, 2, 0], seg)  # on the line, past (1,0,1,0)
+        assert membership([1.0, 0.25, 0.75 + 1e-12, 0.0], seg)
+        assert not membership([1.0, 1.5, -0.5, 0.0], seg)  # on the line, past (1,1,0,0)
         pt = VertexPolytope(((1, 0),), 1, 2)
         assert membership([1, 0], pt) and not membership([0, 1], pt)
 
@@ -538,9 +560,9 @@ def filtered_vertices(u):
     return tuple(old_symbol_vertex(v) for v in enumerate_symbols(u.k, u.n) if bruhat_leq(u, v))
 
 
-def facet_candidates(verts):
+def facet_candidates(P):
     """Tight vertex sets of x_i >= 0, x_i <= 1 and the prefix bounds, neither empty nor all."""
-    bounds = polytopes._prefix_bounds(verts)
+    verts, bounds = P.vertices, P._bounds
     sums = [list(accumulate(v)) for v in verts]
     tight = []
     for i, c in enumerate(bounds):
@@ -559,7 +581,7 @@ def closed_faces(P):
     d = _affine_rank(verts)
     if d <= 1:
         return d, set()
-    candidates = facet_candidates(verts)
+    candidates = facet_candidates(P)
     check_budget(sum(map(len, candidates)) * n**2, "candidate ranks")
     facets = [f for f in candidates if _affine_rank([verts[j] for j in f]) == d - 1]
     faces, frontier, intersections = set(facets), set(facets), 0

@@ -160,6 +160,26 @@ class TestCupProduct:
                 top = SchubertSymbol((1, 2), 4)
                 assert prod.coefficient(top) == duality_pairing(u, v)
 
+    def test_products_build_one_class(self, monkeypatch):
+        # sums of mixed signs, whose terms cancel, against the per-term sum the products once
+        # made (out = out + ..., a class per term); each product now builds one class
+        syms = enumerate_symbols(2, 5)
+        a = CohomologyClass(2, 5, {u: (-1) ** j * (j % 3 + 1) for j, u in enumerate(syms[::2])})
+        b = CohomologyClass(2, 5, {u: 2 - j for j, u in enumerate(syms[1::3])})
+        want = CohomologyClass.zero(2, 5)
+        for u, c in a.coefficients.items():
+            for v, d in b.coefficients.items():
+                want = want + cup_product(basis(u.entries, 5), basis(v.entries, 5)).scale(c * d)
+        pieri_want = [sum((pieri_product(basis(u.entries, 5), i).scale(c) for u, c in a.coefficients.items()),
+                          CohomologyClass.zero(2, 5)) for i in (1, 2)]
+        built = []
+        init = CohomologyClass.__init__
+        monkeypatch.setattr(CohomologyClass, "__init__", lambda self, *args: built.append(1) or init(self, *args))
+        assert cup_product(a, b) == want and len(built) == 1
+        assert cup_product(a, a - a).is_zero()
+        built.clear()
+        assert [pieri_product(a, i) for i in (1, 2)] == pieri_want and len(built) == 2
+
 
 class TestTripleProduct:
     def test_paper_values(self):

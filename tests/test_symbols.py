@@ -312,6 +312,15 @@ class TestMorseBottPrices:
         assert out == [GeneralizedSchubertSymbol(c.counts, list(blocks)) for c in out]
         assert all(type(c.counts) is tuple and c.blocks == blocks for c in out)
 
+    def test_stepping_lists_the_prefix_builder_order(self):
+        # every pattern of up to 5 blocks of sizes 1..3 and every k, plus long runs
+        # of 1s, where the builder's O(l) prefix copies per vector dominated
+        cases = [(blocks, k) for l in range(6) for blocks in itertools.product((1, 2, 3), repeat=l)
+                 for k in range(sum(blocks) + 1)]
+        cases += [((1,) * 40, 2), ((1,) * 12, 6), ((4, 1, 3, 1, 2), 6), ((1,) * 300, 1)]
+        for blocks, k in cases:
+            assert [c.counts for c in enumerate_generalized_symbols(blocks, k)] == prefix_built(blocks, k), blocks
+
     def test_refinements_priced_before_building(self, no_building):
         # C(10, 5)^3, about 1.6e7 symbols, ran for more than a minute
         with pytest.raises(CapacityError, match="Morse refinements"):
@@ -324,6 +333,15 @@ class TestMorseBottPrices:
         monkeypatch.setattr(symbols_module, "MAX_SYMBOLS", 17)
         with pytest.raises(CapacityError, match=": 18 exceeds"):
             morse_refinements(c)
+
+
+def prefix_built(blocks, k):
+    """The occupancy vectors as first listed: every prefix extended block by block, k - sum(v) left at each level."""
+    tails = list(itertools.accumulate(reversed(blocks), initial=0))[::-1]
+    vectors = [()]
+    for m, tail in zip(blocks, tails[1:]):
+        vectors = [v + (c,) for v in vectors for r in [k - sum(v)] for c in range(max(0, r - tail), min(m, r) + 1)]
+    return vectors
 
 
 def _raises(node, where):

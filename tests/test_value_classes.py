@@ -1,4 +1,4 @@
-"""The value classes: immutable, with the equality, hash and repr of frozen dataclasses.
+"""The value classes: immutable, most with the equality, hash and repr of frozen dataclasses.
 
 Set and dict orders, and so the CLI's output, follow hash(field tuple); these
 tests pin the field order of every class.  The package itself imports neither
@@ -6,18 +6,20 @@ dataclasses nor inspect, whose import is a large share of a fresh CLI process.
 """
 
 import ast
+import importlib
 import pickle
+import pkgutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import morsegrass
-from morsegrass.flows import HeightSpectrum, TangentVector
+from morsegrass.flows import GrassmannPoint, HeightSpectrum, TangentVector
 from morsegrass.graphs import FlowGraph, LabeledEnds
-from morsegrass.polynomials import MorseViolation
+from morsegrass.polynomials import IntPolynomial, MorseViolation
 from morsegrass.polytopes import MomentPoint, VertexPolytope
-from morsegrass.ring import PartitionShape
+from morsegrass.ring import CohomologyClass, PartitionShape
 from morsegrass.symbols import Frozen, GeneralizedSchubertSymbol, SchubertSymbol
 from morsegrass.witten import HomologyResult, WittenComplex
 
@@ -35,7 +37,12 @@ VALUES = [
     (LabeledEnds, ((2,), (), 4), ("incoming", "outgoing", "dim_m")),
     (WittenComplex, ({0: ["a"], 1: ["b"]}, {1: [[0]]}), ("generators", "boundaries")),
     (HomologyResult, ({0: 1, 1: 1}, {0: [], 1: []}, "integers"), ("ranks", "torsion", "mode")),
+    (IntPolynomial, ((1, 0, 2),), ("coeffs",)),
+    (CohomologyClass, (2, 4, {SchubertSymbol((1, 3), 4): 2}), ("k", "n", "coefficients")),
+    (GrassmannPoint, (np.eye(3, 2),), ("matrix",)),
 ]
+# immutable like the others, with ==, hash and repr of their own: test_own_equality
+OWN_EQUALITY = (IntPolynomial, CohomologyClass, GrassmannPoint)
 
 
 @pytest.mark.parametrize("cls,args,fields", VALUES, ids=[v[0].__name__ for v in VALUES])
@@ -48,7 +55,9 @@ def test_value_class_contract(cls, args, fields):
             setattr(x, name, None)
         with pytest.raises(AttributeError, match=f"field '{name}' of a frozen {cls.__name__}"):
             delattr(x, name)
-    assert tuple(getattr(x, f) for f in fields) == values
+    assert all(getattr(x, f) is v for f, v in zip(fields, values))
+    if cls in OWN_EQUALITY:
+        return
     assert repr(x) == f"{cls.__name__}({', '.join(f'{f}={v!r}' for f, v in zip(fields, values))})"
     try:
         expected = hash(values)
@@ -60,6 +69,53 @@ def test_value_class_contract(cls, args, fields):
         y = cls(*args)
         assert x == y and not x != y and x != values
         assert pickle.loads(pickle.dumps(x)) == x
+
+
+def test_own_equality():
+    # IntPolynomial: equal to ints, and a constant hashes like one
+    p = IntPolynomial([1, 0, 2])
+    assert repr(p) == "IntPolynomial([1, 0, 2])" and hash(p) == hash((1, 0, 2))
+    assert IntPolynomial([3, 0]) == 3 and hash(IntPolynomial([3])) == hash(3) and IntPolynomial.zero == 0
+    assert pickle.loads(pickle.dumps(p)) == p
+    # CohomologyClass: == on (k, n, coefficients), hashed through a frozenset
+    u = SchubertSymbol((1, 3), 4)
+    z = CohomologyClass(2, 4, {u: 2})
+    assert z == CohomologyClass(2, 4, {u: 2, SchubertSymbol((3, 4), 4): 0}) and z != CohomologyClass(2, 5, {})
+    assert z != CohomologyClass(2, 4, {u: 1}) and z != {u: 2}
+    assert hash(z) == hash(((2, 4), frozenset({(u, 2)})))
+    assert pickle.loads(pickle.dumps(z)) == z
+    # GrassmannPoint: identity, as two frames of one plane may differ
+    V = GrassmannPoint(np.eye(3, 2))
+    assert V == V and V != GrassmannPoint(np.eye(3, 2)) and hash(V) == object.__hash__(V)
+    assert np.array_equal(pickle.loads(pickle.dumps(V)).matrix, V.matrix)
+
+
+def test_shared_and_hashed_values_cannot_change():
+    # the package-wide zero once printed t^2 after this assignment, and a class changed its hash
+    with pytest.raises(AttributeError, match="frozen IntPolynomial"):
+        IntPolynomial.zero.coeffs = (0, 0, 1)
+    assert str(IntPolynomial.zero) == "0" and IntPolynomial.zero == 0
+    z = CohomologyClass.unit(2, 4)
+    with pytest.raises(AttributeError, match="frozen CohomologyClass"):
+        z.k = 7
+    V = GrassmannPoint(np.eye(3, 2))
+    with pytest.raises(AttributeError, match="frozen GrassmannPoint"):
+        V.matrix = "x"
+
+
+def test_every_slots_class_is_frozen():
+    # a class with __slots__ in the package is a value class, and those all derive from Frozen
+    frozen, loose = set(), []
+    for info in pkgutil.iter_modules(morsegrass.__path__):
+        module = importlib.import_module(f"morsegrass.{info.name}")
+        for obj in vars(module).values():
+            if isinstance(obj, type) and obj.__module__ == module.__name__ and "__slots__" in vars(obj):
+                if issubclass(obj, Frozen):
+                    frozen.add(obj)
+                else:
+                    loose.append(obj.__qualname__)
+    assert loose == []
+    assert frozen >= {cls for cls, _, _ in VALUES}
 
 
 def test_repr_is_the_dataclass_repr():
