@@ -19,8 +19,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 
 import numpy as np
+# np.linalg.solve's LAPACK gufunc: on k x k systems its Python checks and errstate
+# cost more than the solve, and integrate_flow's arguments already pass them
+from numpy.linalg._umath_linalg import solve as _gesv
 
 # tolerance, DEFAULT_TOL and AmbiguousCellError live in symbols so that the CLI
 # can parse --tol and map exit codes without importing numpy
@@ -38,6 +42,10 @@ class DegenerateInputError(ValueError):
 
 class DivergenceError(RuntimeError):
     """An RK4 step moved the Gram matrix Y^H Y more than 0.1 from I: the step size is too large."""
+
+
+def _singular_stage(err, flag):  # np.errstate call: zgesv met a zero pivot in an RK4 stage
+    raise DivergenceError("a stage's Gram matrix is singular; reduce the step size")
 
 
 class HeightSpectrum(Frozen):
@@ -204,9 +212,14 @@ def integrate_flow(V: GrassmannPoint, a: HeightSpectrum, t: float, steps: int = 
     frame needs no per-step QR: one QR at the end gives the same span.  A
     step whose Y^H Y drifts more than 0.1 from I (Frobenius) or whose stage
     Gram matrix is singular raises DivergenceError; exact flow keeps Y^H Y = I.
+    steps is an integer >= 1, not a bool.  Each k x k solve calls zgesv, the
+    LAPACK gufunc behind np.linalg.solve, on the same arguments: k1 bare, as
+    the Gram matrix that passed the drift check (or Q^H Q) is nonsingular;
+    k2-k4 under np.linalg.solve's errstate, entered after their products so
+    that overflow still reads as drift and only a zero pivot as singular.
     """
-    if steps < 1:
-        raise ValueError("need steps >= 1")
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
+        raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
     (t,) = _check_flow_input(V, a, [t])
     d = np.array(a.a)[:, None]
     eye = np.eye(V.k)
@@ -214,19 +227,22 @@ def integrate_flow(V: GrassmannPoint, a: HeightSpectrum, t: float, steps: int = 
     def vel(y, gram=None):
         yh = y.conj().T
         dy = d * y
-        return y @ np.linalg.solve(yh @ y if gram is None else gram, yh @ dy) - dy
+        r = yh @ dy
+        if gram is not None:
+            return y @ _gesv(gram, r, signature="DD->D") - dy
+        g = yh @ y
+        with np.errstate(call=_singular_stage, invalid="call", over="ignore", divide="ignore", under="ignore"):
+            x = _gesv(g, r, signature="DD->D")
+        return y @ x - dy
 
     h = t / steps
     y = V.orthonormal_frame()
     gram = y.conj().T @ y
     for _ in range(steps):
         k1 = vel(y, gram)  # the Gram matrix the drift check computed
-        try:
-            k2 = vel(y + (h / 2) * k1)
-            k3 = vel(y + (h / 2) * k2)
-            k4 = vel(y + h * k3)
-        except np.linalg.LinAlgError:  # a stage's frame lost rank
-            raise DivergenceError("a stage's Gram matrix is singular; reduce the step size") from None
+        k2 = vel(y + (h / 2) * k1)
+        k3 = vel(y + (h / 2) * k2)
+        k4 = vel(y + h * k3)
         y = y + (h / 6) * (k1 + k4) + (h / 3) * (k2 + k3)
         gram = y.conj().T @ y
         err = gram - eye
@@ -311,16 +327,18 @@ def plucker_weights(a: HeightSpectrum, k: int) -> list[float]:
 
 def projective_distance(x: np.ndarray, y: np.ndarray) -> float:
     """Distance between lines through x and y: norm of the difference after
-    normalizing and aligning phases via the largest coordinate of x."""
+    normalizing and aligning phases via the largest coordinate of x; ValueError if either is zero."""
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
-    xn = x / np.linalg.norm(x)
-    yn = y / np.linalg.norm(y)
+    nx, ny = np.linalg.norm(x), np.linalg.norm(y)
+    if nx == 0 or ny == 0:
+        raise ValueError("projective_distance needs nonzero vectors: a zero vector spans no line")
+    xn = x / nx
+    yn = y / ny
     pivot = int(np.argmax(np.abs(xn)))
     xn = xn * (np.abs(xn[pivot]) / xn[pivot])
-    if abs(yn[pivot]) == 0:
-        return float(np.linalg.norm(xn - yn))
-    yn = yn * (np.abs(yn[pivot]) / yn[pivot])
+    if yn[pivot] != 0:
+        yn = yn * (np.abs(yn[pivot]) / yn[pivot])
     return float(np.linalg.norm(xn - yn))
 
 

@@ -11,6 +11,7 @@ implemented separately and serves as an independent oracle.
 from __future__ import annotations
 
 import itertools
+from types import MappingProxyType
 
 from .symbols import (
     Frozen,
@@ -142,7 +143,7 @@ def lr_coefficient(lam: tuple[int, ...], mu: tuple[int, ...], nu: tuple[int, ...
 
 
 class CohomologyClass(Frozen):
-    """Integer combination of Schubert basis classes of a fixed Gr_k(C^n)."""
+    """Integer combination of Schubert basis classes of a fixed Gr_k(C^n); coefficients is a read-only mapping."""
 
     __slots__ = ("k", "n", "coefficients")
 
@@ -150,7 +151,10 @@ class CohomologyClass(Frozen):
         check_ambient(k, n)
         coefficients = dict(coefficients or {})
         _check_same_ambient((k, n), *(u.ambient for u in coefficients))
-        self._init(k, n, {u: int(c) for u, c in coefficients.items() if c})
+        self._init(k, n, MappingProxyType({u: int(c) for u, c in coefficients.items() if c}))
+
+    def __reduce__(self):  # a mappingproxy cannot be pickled: copy, pickle and == go through a plain dict
+        return CohomologyClass, (self.k, self.n, dict(self.coefficients))
 
     @classmethod
     def basis(cls, u: SchubertSymbol) -> "CohomologyClass":

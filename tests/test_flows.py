@@ -256,6 +256,18 @@ class TestIntegrateFlow:
                 integrate_flow(coordinate((1, 2), 4), A4, t)
 
 
+    @pytest.mark.parametrize("steps", [True, False, 2.5, 2.0, "3", None, 0, -1, np.int64(0)])
+    def test_steps_must_be_an_integer_of_at_least_one(self, steps):
+        # True used to run one step and 2.5 escaped as a TypeError from range; refused before the time is read
+        with pytest.raises(ValueError, match="steps must be an integer >= 1"):
+            integrate_flow(coordinate((1, 2), 4), A4, np.nan, steps=steps)
+
+    def test_numpy_integer_steps(self):
+        V = random_point(2, 4, RNG)
+        for steps in (np.int64(8), np.uint8(8)):
+            assert np.array_equal(integrate_flow(V, A4, 1.0, steps=steps).matrix, integrate_flow(V, A4, 1.0, steps=8).matrix)
+
+
 def integrate_by_per_step_qr(V, a, t, steps):
     """The former integrator, n x n projectors and a QR after every step, kept as the oracle."""
     d = a.diagonal()
@@ -274,6 +286,79 @@ def integrate_by_per_step_qr(V, a, t, steps):
         k4 = vel(y + h * k3)
         y, _ = np.linalg.qr(y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
     return GrassmannPoint(y)
+
+
+def integrate_by_linalg_solve(V, a, t, steps):
+    """integrate_flow as it was with np.linalg.solve in every stage, kept as the oracle of the direct LAPACK call."""
+    d = np.array(a.a)[:, None]
+    eye = np.eye(V.k)
+
+    def vel(y, gram=None):
+        yh = y.conj().T
+        dy = d * y
+        return y @ np.linalg.solve(yh @ y if gram is None else gram, yh @ dy) - dy
+
+    h = float(t) / steps
+    y = V.orthonormal_frame()
+    gram = y.conj().T @ y
+    for _ in range(steps):
+        k1 = vel(y, gram)
+        try:
+            k2 = vel(y + (h / 2) * k1)
+            k3 = vel(y + (h / 2) * k2)
+            k4 = vel(y + h * k3)
+        except np.linalg.LinAlgError:
+            raise DivergenceError("a stage's Gram matrix is singular; reduce the step size") from None
+        y = y + (h / 6) * (k1 + k4) + (h / 3) * (k2 + k3)
+        gram = y.conj().T @ y
+        err = gram - eye
+        drift = math.sqrt(np.vdot(err, err).real)
+        if not drift <= 0.1:
+            raise DivergenceError(f"Gram matrix drifted {drift:.3g} from the identity; reduce the step size")
+    q, _ = np.linalg.qr(y)
+    return GrassmannPoint(q)
+
+
+def rk4_outcome(integrate, *args):
+    """The frame an integrator returns, or the class and message of the DivergenceError it raises."""
+    try:
+        return integrate(*args).matrix
+    except DivergenceError as exc:
+        return type(exc), str(exc)
+
+
+class TestLinalgSolveOracle:
+    # integrate_flow calls zgesv, the gufunc behind np.linalg.solve, itself; frames must match bit for bit
+
+    @pytest.mark.parametrize("k,n", [(0, 0), (0, 3), (3, 3), (1, 3), (2, 4), (2, 5), (3, 6), (3, 7), (4, 8), (5, 10)])
+    def test_bitwise_equal(self, k, n):
+        rng = np.random.default_rng(2000 + 10 * k + n)
+        raised = 0
+        for steps in (1, 2, 40, 400):
+            a = HeightSpectrum(tuple(sorted(rng.uniform(0.0, 4.0, n), reverse=True)))
+            args = (random_point(k, n, rng), a, float(rng.uniform(-3.0, 3.0)), steps)
+            old, new = rk4_outcome(integrate_by_linalg_solve, *args), rk4_outcome(integrate_flow, *args)
+            if isinstance(old, tuple):
+                raised += 1
+                assert new == old
+            else:
+                assert isinstance(new, np.ndarray) and new.dtype == old.dtype and np.array_equal(new, old)
+        assert raised < 4
+
+    def test_divergence_inputs_raise_alike(self):
+        # the inputs of TestDivergence: same class and message, singular stages and NaN drift included
+        rng = np.random.default_rng(30)
+        cases = [(random_point(2, 4, rng), HeightSpectrum((30.0, 20.0, 10.0, 0.0)), 3.0, 1) for _ in range(5)]
+        cases += [(GrassmannPoint(frame), A4, 1.0, 1) for frame in TestDivergence.FRAMES]
+        cases.append((random_point(2, 4, np.random.default_rng(3)), HeightSpectrum((1e100, 0, 0, 0)), 1.0, 1))
+        cases.append((random_point(2, 4, np.random.default_rng(32)), HeightSpectrum((1e200, 0.0, 0.0, 0.0)), 1.0, 1))
+        messages = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for args in cases:
+                old = rk4_outcome(integrate_by_linalg_solve, *args)
+                assert isinstance(old, tuple) and rk4_outcome(integrate_flow, *args) == old
+                messages.append(old[1])
+        assert any("singular" in m for m in messages) and any("drifted nan" in m for m in messages)
 
 
 class TestDivergence:
@@ -456,6 +541,21 @@ class TestPlucker:
                 lhs = plucker_embed(flow(V, a, t))
                 rhs = np.exp(-t * (w - w.min())) * plucker_embed(V)
                 assert projective_distance(lhs, rhs) < 1e-9
+
+
+class TestProjectiveDistance:
+    def test_lines_not_vectors(self):
+        x = np.array([1 + 2j, 3.0, -1j])
+        assert projective_distance(x, (2 - 1j) * x) < 1e-15
+        assert projective_distance([1, 0], [0, 1]) == pytest.approx(math.sqrt(2))
+
+    @pytest.mark.parametrize("x,y", [([0, 0], [1, 0]), ([1, 0], [0, 0]), ([0, 0], [0, 0])])
+    def test_zero_vector_refused(self, x, y):
+        # used to divide by a zero norm and return NaN with a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="spans no line"):
+                projective_distance(np.array(x), np.array(y))
 
 
 class TestIndexConsistency:

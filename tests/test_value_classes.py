@@ -6,6 +6,7 @@ dataclasses nor inspect, whose import is a large share of a fresh CLI process.
 """
 
 import ast
+import copy
 import importlib
 import pickle
 import pkgutil
@@ -101,6 +102,20 @@ def test_shared_and_hashed_values_cannot_change():
     V = GrassmannPoint(np.eye(3, 2))
     with pytest.raises(AttributeError, match="frozen GrassmannPoint"):
         V.matrix = "x"
+
+
+def test_cohomology_coefficients_are_read_only():
+    # an in-place write once changed hash(z), so a set holding z no longer found it;
+    # WittenComplex and HomologyResult hold dicts too but refuse hash (test_value_class_contract)
+    z = CohomologyClass.unit(2, 4)
+    s, h = {z}, hash(z)
+    with pytest.raises(TypeError):
+        z.coefficients[SchubertSymbol((1, 2), 4)] = 0
+    with pytest.raises(TypeError):
+        del z.coefficients[SchubertSymbol((3, 4), 4)]
+    assert hash(z) == h and z in s and str(z) == "z(3,4)" and z.to_json() == {"(3,4)": 1}
+    for twin in (copy.copy(z), copy.deepcopy(z), pickle.loads(pickle.dumps(z))):
+        assert twin == z and hash(twin) == h and twin.coefficients == {SchubertSymbol((3, 4), 4): 1}
 
 
 def test_every_slots_class_is_frozen():
