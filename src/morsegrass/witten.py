@@ -3,14 +3,15 @@
 A WittenComplex stores, per degree, a list of generator names (critical
 points, graded by Morse index) and the integer boundary matrices between
 adjacent degrees.  Homology is computed exactly: over the integers from the
-invariant factors of each boundary (elementary_divisors, a unit-pivot-first
-reduction that builds no transforms), over GF(2) by Gaussian elimination.
-smith_normal_form (least-entry reduction by integer division, with unimodular
-transforms) stays public as the tests' independent check of elementary_divisors.
+invariant factors of each boundary (elementary_divisors: one pivot search per
+factor, Euclid inside its column, nearest remainders, no transforms), over
+GF(2) by Gaussian elimination.  smith_normal_form (least-entry reduction by
+integer division, with unimodular transforms) stays public as the tests'
+independent check of elementary_divisors.
 
-A complex is checked once, when it is built or loaded: distinct generator
-names, boundary shapes and dd = 0, else ComplexValidationError.  Changing its
-maps afterwards is unsupported.
+A complex is checked once, when it is built or loaded: integer degrees and
+entries, distinct generator names, boundary shapes and dd = 0, else
+ComplexValidationError.  Changing its maps afterwards is unsupported.
 
 Built-in complexes cover the standard small instances: circle height
 functions with m maxima/minima, real projective spaces, the torus, and the
@@ -20,6 +21,7 @@ functions with m maxima/minima, real projective spaces, the torus, and the
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from itertools import chain
 
@@ -102,43 +104,51 @@ def elementary_divisors(m: Matrix) -> list[int]:
     """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix, no transforms.
 
     The same numbers as the nonzero diagonal of smith_normal_form(m)[0], by
-    elementary reduction (Kaczynski-Mischaikow-Mrozek, Computational Homology):
-    a +-1 pivot is taken whenever one exists, and clears its column by row
-    operations alone, after which its row and column are dropped.  Otherwise
-    the pivot is an entry of least absolute value; its column and then its row
-    are reduced to remainders, and a nonzero remainder is a smaller pivot for
-    the next round.  Zero rows are dropped as they appear.  The non-unit
-    pivots so found are a diagonal equivalent to the core, which a gcd/lcm
-    pass puts into divisibility order.
+    nearest remainders (Kaczynski-Mischaikow-Mrozek, Computational Homology,
+    section 3.4) with one _pivot search per factor: the first +-1 entry, else
+    one of least |value|.  Euclid runs inside the pivot's column, where the
+    least nonzero remainder swaps rows with the pivot; then column operations
+    reduce the pivot row alone, and its least nonzero remainder is the next
+    pivot.  A clear row drops its column, zero rows go as they appear, and a
+    gcd/lcm pass puts the non-unit pivots in divisibility order.  Extended-gcd
+    row steps grew entries to thousands of bits.  Ragged rows: ValueError.
     """
-    rows = [r[:] for r in m if any(r)]
+    rows = [list(r) for r in m]
+    if len({len(r) for r in rows}) > 1:
+        raise ValueError("ragged rows: every row of the matrix needs the same length")
+    if {*map(type, chain.from_iterable(rows))} - {int}:  # numpy integers would wrap around in int64
+        rows = [[*map(operator.index, r)] for r in rows]
     ones = 0
     others: list[int] = []
-    while rows:
+    while rows := [r for r in rows if any(r)]:
         i, j = _pivot(rows)
-        prow = rows[i]
+        prow = rows.pop(i)
         p = prow[j]
-        unit = p in (1, -1)
-        done = True
-        for r in rows:
-            if r[j] and r is not prow:
-                q = r[j] * p if unit else (2 * r[j] + p) // (2 * p)  # nearest to r[j] / p
-                r[:] = [a - q * b for a, b in zip(r, prow)]
-                done = done and not r[j]
-        if done and not unit:
-            # column j is clear, so column operations only change the pivot row
-            prow[:] = [x - (2 * x + p) // (2 * p) * p for x in prow]
-            prow[j] = p
-            done = prow.count(0) == len(prow) - 1
-        if done:
-            if unit:
+        while True:
+            least = None
+            for k, r in enumerate(rows):
+                if x := r[j]:
+                    q = (2 * x + p) // (2 * p)  # nearest to x / p, so x * p for a unit p
+                    rows[k] = r = [a - q * b for a, b in zip(r, prow)]
+                    if r[j] and (least is None or abs(r[j]) < abs(rows[least][j])):
+                        least = k
+            if least is not None:
+                rows[least], prow = prow, rows[least]
+            elif p in (1, -1):
                 ones += 1
+                break
             else:
-                others.append(abs(p))
-            del rows[i]
-            for r in rows:
-                del r[j]
-        rows = [r for r in rows if any(r)]
+                # column j is clear, so column operations only change the pivot row
+                prow = [x - (2 * x + p) // (2 * p) * p for x in prow]
+                prow[j] = p
+                size = min(filter(None, map(abs, prow)))
+                if size == abs(p):
+                    others.append(size)
+                    break
+                j = prow.index(size) if size in prow else prow.index(-size)
+            p = prow[j]
+        for r in rows:
+            del r[j]
     for a in range(len(others)):
         for b in range(a + 1, len(others)):
             g = math.gcd(others[a], others[b])
@@ -175,7 +185,8 @@ class WittenComplex(Frozen):
     generators[i] lists the degree-i generator names; boundaries[i] is the
     matrix of d_i : C_i -> C_{i-1}, rows indexed by degree-(i-1) generators,
     columns by degree-i generators.  Degrees with no generators are simply
-    absent from both maps.  Construction checks shapes, dd = 0 and the names:
+    absent from both maps.  Construction checks integer degrees and entries
+    (numpy integers pass, bool does not), shapes, dd = 0 and the names:
     distinct, nonempty and without whitespace, as the text format needs.
     """
 
@@ -183,6 +194,10 @@ class WittenComplex(Frozen):
 
     def __init__(self, generators: dict[int, list[str]] | None = None, boundaries: dict[int, Matrix] | None = None):
         self._init({} if generators is None else generators, {} if boundaries is None else boundaries)
+        entries = chain.from_iterable(chain.from_iterable(self.boundaries.values()))
+        for what, values in (("degree", chain(self.generators, self.boundaries)), ("boundary entry", entries)):
+            if bad := [t for t in {*map(type, values)} if issubclass(t, bool) or not hasattr(t, "__index__")]:
+                raise ComplexValidationError(f"a {what} of type {bad[0].__name__} is not an integer")
         bad = [g for g in chain(*self.generators.values()) if not (isinstance(g, str) and g.split() == [g])]
         if bad:
             raise ComplexValidationError(f"generator name {bad[0]!r} is not a nonempty string without whitespace")

@@ -1,6 +1,10 @@
 import ast
+import json
 import math
+import random
 import time
+from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
 import numpy as np
@@ -160,6 +164,121 @@ class TestElementaryDivisors:
         m = rng.integers(-3, 4, size=(30, 30)).tolist()
         assert elementary_divisors(m) == snf_divisors(m)
 
+    @pytest.mark.parametrize("size", [16, 20, 24])
+    def test_dense_against_smith_normal_form(self, size):
+        rng = np.random.default_rng(size)
+        for _ in range(3):
+            m = rng.integers(-3, 4, size=(size, size)).tolist()
+            before = [r[:] for r in m]
+            assert elementary_divisors(m) == snf_divisors(m)
+            assert m == before
+
+    @pytest.mark.parametrize("chains", [[(2, 4), (3, 9)], [(2, 2), ()], [(), (2, 6)], [(5,), (4,)]])
+    def test_planted_complexes(self, chains):
+        for seed in range(4):
+            c = _planted_complex(seed, chains)
+            for i, chain in enumerate(chains, start=1):
+                m = c.boundaries[i]
+                before = [r[:] for r in m]
+                assert elementary_divisors(m) == [1] * 3 + list(chain) == snf_divisors(m)
+                assert m == before
+            h = homology(c)
+            assert h.ranks == {i: 2 for i in range(len(chains) + 1)}
+            assert h.torsion == {i: list(chains[i]) if i < len(chains) else [] for i in range(len(chains) + 1)}
+
+    def test_large_entries_common_factors_and_dependent_rows(self):
+        rng = random.Random(18)
+        for t in range(60):
+            rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+            big = (10**18, 1000, 3)[t % 3]
+            factor = (1, 2, 3, 12)[t % 4]
+            m = [[factor * rng.randint(-big, big) for _ in range(cols)] for _ in range(rows)]
+            if rows > 1:
+                a, b = rng.sample(range(rows), 2)
+                m.append([x - rng.randint(-3, 3) * y for x, y in zip(m[a], m[b])])
+            before = [r[:] for r in m]
+            got = elementary_divisors(m)
+            assert got == snf_divisors(m)
+            assert all(d % factor == 0 for d in got)
+            assert m == before
+
+    def test_product_is_the_determinant_on_a_nonsingular_40x40(self):
+        m = np.random.default_rng(40).integers(-3, 4, size=(40, 40)).tolist()
+        det = exact_det(m)
+        assert det != 0
+        assert math.prod(elementary_divisors(m)) == abs(det)
+
+    def test_one_pivot_search_per_factor(self, monkeypatch):
+        calls = []
+        real = witten._pivot
+        monkeypatch.setattr(witten, "_pivot", lambda rows: calls.append(1) or real(rows))
+        rng = np.random.default_rng(20)
+        matrices = [rng.integers(-3, 4, size=(20, 20)).tolist() for _ in range(3)]
+        matrices += [_planted_complex(1, [(2, 4), (3, 9)]).boundaries[i] for i in (1, 2)]
+        matrices += [[[12, 18], [30, 42]], [[0, 0], [0, 0]], [[4, 6], [6, 9], [0, 0]]]
+        for m in matrices:
+            calls.clear()
+            assert len(elementary_divisors(m)) == len(calls)
+
+    def test_tuple_and_numpy_rows(self):
+        assert elementary_divisors(((2, 4), (6, 8))) == [2, 4]
+        got = elementary_divisors(np.array([[2, 4], [6, 8]]))
+        assert got == [2, 4] and {type(d) for d in got} == {int}
+        assert elementary_divisors([[np.int64(3), np.int64(-1)], [np.int64(1), np.int64(1)]]) == [1, 4]
+
+    @pytest.mark.parametrize("m", [
+        [[2, 2**62 + 1], [3, 5]],
+        [[1, 0], [2**62, 3]],  # 2 * 2**62 wraps around in int64
+        [[3, 2**62], [2, 5]],
+    ])
+    def test_numpy_integers_reduced_exactly(self, m):
+        with np.errstate(over="ignore"):
+            assert elementary_divisors([[np.int64(x) for x in r] for r in m]) == snf_divisors(m)
+            assert elementary_divisors([[r[0], np.int64(r[1])] for r in m]) == snf_divisors(m)
+
+    @pytest.mark.parametrize("m", [[[1, 2], [3]], [[1], [2, 3]], [[], [0]]])
+    def test_ragged_rows_refused(self, m):
+        with pytest.raises(ValueError, match="ragged rows"):
+            elementary_divisors(m)
+
+
+def _unimodular_pair(rng, size):
+    """A random unimodular P and its inverse, as products of 2 * size elementary row moves."""
+    p = [[int(i == j) for j in range(size)] for i in range(size)]
+    q = [row[:] for row in p]
+    for _ in range(2 * size):
+        i, j = rng.sample(range(size), 2)
+        s = rng.choice((-1, 1))
+        p[i] = [x + s * y for x, y in zip(p[i], p[j])]  # P <- E P, so P^-1 <- P^-1 E^-1
+        for row in q:
+            row[j] -= s * row[i]
+    return p, q
+
+
+def _planted_complex(seed, chains, ones=3, free=2):
+    """Degrees 0..len(chains), with d_i = P_{i-1} D_i P_i^-1 for random unimodular P.
+
+    In the standard basis C_i = A_i + H_i + B_i, D_i maps B_i onto A_{i-1} by
+    the diagonal (1,) * ones + chains[i - 1] and is zero elsewhere, so dd = 0,
+    H_i = Z^free plus the torsion of chains[i], whatever P hides it behind.
+    """
+    rng = random.Random(seed)
+    r = [0] + [ones + len(t) for t in chains] + [0]
+    dims = [r[i + 1] + free + r[i] for i in range(len(chains) + 1)]
+    pairs = [_unimodular_pair(rng, d) for d in dims]
+    boundaries = {}
+    for i, chain in enumerate(chains, start=1):
+        std = [[0] * dims[i] for _ in range(dims[i - 1])]
+        for t, d in enumerate([1] * ones + list(chain)):
+            std[t][dims[i] - r[i] + t] = d
+        boundaries[i] = _matmul(_matmul(pairs[i - 1][0], std), pairs[i][1])
+    gens = {i: [f"g{i}_{j}" for j in range(d)] for i, d in enumerate(dims)}
+    return WittenComplex(generators=gens, boundaries=boundaries)
+
+
+def _matmul(a, b):
+    return [[sum(map(mul, row, col)) for col in zip(*b)] for row in a]
+
 
 def rank_mod2_by_elimination(m):
     """GF(2) rank by column-by-column Gauss-Jordan elimination on rows packed as ints."""
@@ -311,6 +430,27 @@ class TestValidation:
     def test_names_the_text_format_cannot_hold_refused(self, gens, bad):
         with pytest.raises(ComplexValidationError, match=f"generator name {bad} is not a nonempty string"):
             WittenComplex(generators=gens, boundaries={1: [[1]]})
+
+    @pytest.mark.parametrize("gens,bnds,bad", [
+        ({0: ["a"], 1: ["b"]}, {1: [[2.5]]}, "a boundary entry of type float"),  # homology read it as Z/2.5
+        ({0: ["a"], 1: ["b"]}, {1: [[2.0]]}, "a boundary entry of type float"),
+        ({0: ["a"], 1: ["b"]}, {1: [[True]]}, "a boundary entry of type bool"),
+        ({0: ["a"], 1: ["b"]}, {1: [[Fraction(2)]]}, "a boundary entry of type Fraction"),
+        ({0.5: ["a"], 1: ["b"]}, {}, "a degree of type float"),
+        ({0: ["a"], 1: ["b"]}, {1.0: [[1]]}, "a degree of type float"),
+        ({True: ["a"], 2: ["b"]}, {}, "a degree of type bool"),
+    ])
+    def test_non_integer_degrees_and_entries_refused(self, gens, bnds, bad):
+        with pytest.raises(ComplexValidationError, match=f"{bad} is not an integer"):
+            WittenComplex(generators=gens, boundaries=bnds)
+
+    def test_numpy_integers_and_tuple_rows_accepted(self):
+        two = np.int64(2)
+        for c in (WittenComplex(generators={np.int64(0): ["a"], 1: ["b"]}, boundaries={1: [[two]]}),
+                  WittenComplex(generators={0: ["a"], 1: ["b"]}, boundaries={1: ((2,),)})):
+            h = homology(c)
+            assert h.torsion == {0: [2], 1: []} and h.ranks == {0: 0, 1: 0}
+            assert json.dumps(h.to_json()) == '{"mode": "integers", "ranks": {"0": 0, "1": 0}, "torsion": {"0": [2], "1": []}}'
 
     def test_fields_are_frozen_and_validate_complex_rechecks(self):
         c = WittenComplex(generators={0: ["a"], 1: ["b"], 2: ["c"]}, boundaries={1: [[0]], 2: [[1]]})
