@@ -6,7 +6,7 @@ and the Schubert-calculus cup product.
 
 Names are loaded on first use (PEP 562): ``import morsegrass`` imports no
 submodule, and numpy is imported only through ``flows``, when a name from it
-is first looked up or ``moment_map`` or ``flow_moment_trace`` first runs.  The
+is first looked up or ``flow_moment_trace`` first runs.  The
 exact modules (symbols, polynomials, witten, ring, graphs, polytopes) never
 import numpy at load.
 """

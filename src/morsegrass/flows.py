@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 
 import numpy as np
 # np.linalg.solve's LAPACK gufunc: on k x k systems its Python checks and errstate
@@ -28,7 +27,7 @@ from numpy.linalg._umath_linalg import solve as _gesv
 
 # tolerance, DEFAULT_TOL and AmbiguousCellError live in symbols so that the CLI
 # can parse --tol and map exit codes without importing numpy
-from .symbols import DEFAULT_TOL, AmbiguousCellError, Frozen, SchubertSymbol, check_ambient, tolerance
+from .symbols import DEFAULT_TOL, AmbiguousCellError, Frozen, SchubertSymbol, check_ambient, integers, tolerance
 
 # exp() overflows past ~709; flows clamp the largest exponent magnitude here
 MAX_EXPONENT = 700.0
@@ -164,9 +163,9 @@ def _check_flow_input(V: GrassmannPoint, a: HeightSpectrum, ts=()) -> list[float
 
 
 def height_value(V: GrassmannPoint, a: HeightSpectrum) -> float:
-    """f(V) = trace(pi_V D) = sum_i a_i (pi_V)_{ii}."""
+    """f(V) = trace(pi_V D) = sum_i a_i (pi_V)_{ii}; (pi_V)_{ii} is row i's squared norm in an orthonormal frame."""
     _check_flow_input(V, a)
-    return float(np.real(np.sum(np.array(a.a) * np.diag(projector(V)))))
+    return float(np.sum(np.array(a.a) * (abs(V.orthonormal_frame()) ** 2).sum(axis=1)))
 
 
 def gradient(V: GrassmannPoint, a: HeightSpectrum) -> TangentVector:
@@ -218,7 +217,8 @@ def integrate_flow(V: GrassmannPoint, a: HeightSpectrum, t: float, steps: int = 
     k2-k4 under np.linalg.solve's errstate, entered after their products so
     that overflow still reads as drift and only a zero pivot as singular.
     """
-    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
+    (steps,) = integers([steps], "step count")
+    if steps < 1:
         raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
     (t,) = _check_flow_input(V, a, [t])
     d = np.array(a.a)[:, None]

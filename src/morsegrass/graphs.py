@@ -14,11 +14,10 @@ product, delegated to the Schubert calculus engine.
 
 from __future__ import annotations
 
-import numbers
 from collections import Counter
 
 from .ring import triple_product
-from .symbols import Frozen, SchubertSymbol, _check_same_ambient, critical_index
+from .symbols import Frozen, SchubertSymbol, _check_same_ambient, critical_index, integers
 
 INCOMING = "incoming"
 INTERNAL = "internal"
@@ -107,7 +106,7 @@ class LabeledEnds(Frozen):
     __slots__ = ("incoming", "outgoing", "dim_m")
 
     def __init__(self, incoming: tuple[int, ...], outgoing: tuple[int, ...], dim_m: int):
-        self._init(tuple(map(_integer, incoming)), tuple(map(_integer, outgoing)), _integer(dim_m))
+        self._init(integers(incoming, "Morse index"), integers(outgoing, "Morse index"), *integers([dim_m], "dim_m"))
         for idx in self.incoming + self.outgoing:
             if not 0 <= idx <= self.dim_m:
                 raise ValueError(f"index {idx} outside 0..dim M = {self.dim_m}")
@@ -116,17 +115,9 @@ class LabeledEnds(Frozen):
     def from_json(cls, data: dict) -> "LabeledEnds":
         """Labels from the "incoming_indices", "outgoing_indices" and "dim_m" keys of a graph file."""
         try:
-            return cls(tuple(data.get("incoming_indices", [])),
-                       tuple(data.get("outgoing_indices", [])), data["dim_m"])
+            return cls(data.get("incoming_indices", []), data.get("outgoing_indices", []), data["dim_m"])
         except (AttributeError, TypeError) as exc:
             raise ValueError(f"end labels need integer lists and an integer 'dim_m' ({exc})") from None
-
-
-def _integer(x) -> int:
-    """x as an int if it is an integer; ValueError naming it otherwise (a float or a bool is not)."""
-    if isinstance(x, numbers.Integral) and not isinstance(x, bool):
-        return int(x)
-    raise ValueError(f"expected an integer, got {x!r}")
 
 
 def graph_first_betti(g: FlowGraph) -> int:

@@ -18,6 +18,7 @@ from .symbols import (
     check_budget,
     enumerate_symbols,
     generalized_index,
+    integers,
 )
 
 
@@ -27,7 +28,7 @@ class IntPolynomial(Frozen):
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        coeffs = [int(c) for c in coeffs]
+        coeffs = list(integers(coeffs, "coefficient"))
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
@@ -48,10 +49,8 @@ class IntPolynomial(Frozen):
         return self.coeffs[d] if 0 <= d < len(self.coeffs) else 0
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = IntPolynomial([other])
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
+        if (other := _operand(other)) is NotImplemented:
+            return other
         return self.coeffs == other.coeffs
 
     def __hash__(self):
@@ -59,8 +58,8 @@ class IntPolynomial(Frozen):
         return hash(self.coeffs) if len(self.coeffs) > 1 else hash(self.coefficient(0))
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = IntPolynomial([other])
+        if (other := _operand(other)) is NotImplemented:
+            return other
         n = max(len(self.coeffs), len(other.coeffs))
         return IntPolynomial(
             [self.coefficient(i) + other.coefficient(i) for i in range(n)]
@@ -72,13 +71,13 @@ class IntPolynomial(Frozen):
         return IntPolynomial([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = IntPolynomial([other])
+        if (other := _operand(other)) is NotImplemented:
+            return other
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPolynomial([other * c for c in self.coeffs])
+        if (other := _operand(other)) is NotImplemented:
+            return other
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
@@ -157,6 +156,14 @@ class IntPolynomial(Frozen):
         return cls(data["coeffs"])
 
 
+def _operand(other):
+    """other as an IntPolynomial, an integer as a constant one; NotImplemented for anything else."""
+    try:
+        return other if isinstance(other, IntPolynomial) else IntPolynomial([other])
+    except ValueError:
+        return NotImplemented
+
+
 IntPolynomial.zero = IntPolynomial([])
 IntPolynomial.one = IntPolynomial([1])
 
@@ -213,7 +220,7 @@ def gaussian_generating(k: int, n: int) -> IntPolynomial:
     CapacityError first if the passes' 2k(k(n - k) + 1) coefficient updates, counted in 64-bit
     words (every coefficient is below 2^n), exceed the budget.
     """
-    check_ambient(k, n)
+    k, n = check_ambient(k, n)
     what = f"thousands of word updates for the closed form of Gr({k},{n})"
     k = min(k, n - k)  # [n choose k]_t = [n choose n - k]_t
     check_budget(2 * k * (k * (n - k) + 1) * (1 + n // 64) // 1000, what)
@@ -245,7 +252,7 @@ def poincare_recurrence(k: int, n: int) -> IntPolynomial:
     updates per row, each of at most 2k(n - k) + 1 coefficients; CapacityError
     if their product with n, in thousands, exceeds the budget.
     """
-    check_ambient(k, n)
+    k, n = check_ambient(k, n)
     updates = n * min(k, n - k) * (2 * k * (n - k) + 1)
     check_budget(updates // 1000, f"thousands of coefficient updates for the recurrence of Gr({k},{n})")
     row = [[1] for _ in range(k + 1)]

@@ -8,7 +8,7 @@ Bruhat interval.  These are Schubert matroid polytopes, and their inequality
 system 0 <= x <= 1, x_1 + ... + x_i >= c_i, sum x = c_n alone decides
 membership, the dimension (n minus the pinned prefix sums) and the facets;
 see face_counts.  All of this is exact: only moment_map and flow_moment_trace
-compute floats, and they import flows, and with it numpy, when first called.
+compute floats, from frames that flows builds with numpy.
 """
 
 from __future__ import annotations
@@ -94,10 +94,8 @@ def _indicator(entries, n: int) -> tuple[int, ...]:
 
 
 def moment_map(V: GrassmannPoint) -> MomentPoint:
-    """mu(V) = diagonal of the orthogonal projector onto V."""
-    from .flows import projector
-
-    return MomentPoint(tuple(float(x) for x in projector(V).diagonal().real))
+    """mu(V) = diagonal of the orthogonal projector onto V: the squared row norms of an orthonormal frame."""
+    return MomentPoint(tuple(float(x) for x in (abs(V.orthonormal_frame()) ** 2).sum(axis=1)))
 
 
 def grassmannian_polytope(k: int, n: int) -> VertexPolytope:

@@ -23,6 +23,7 @@ from .symbols import (
     check_budget,
     complement,
     enumerate_symbols,
+    integers,
 )
 
 
@@ -32,8 +33,10 @@ class PartitionShape(Frozen):
     __slots__ = ("parts", "k", "n")
 
     def __init__(self, parts: tuple[int, ...], k: int, n: int):
-        parts = tuple(map(int, parts))
-        check_ambient(k, n)
+        parts = tuple(parts)
+        if not {int}.issuperset(map(type, parts)):  # inline for all ints, as in SchubertSymbol
+            parts = integers(parts, "part")
+        k, n = check_ambient(k, n)
         if len(parts) != k:
             raise ValueError(f"expected {k} parts, got {parts}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
@@ -148,10 +151,11 @@ class CohomologyClass(Frozen):
     __slots__ = ("k", "n", "coefficients")
 
     def __init__(self, k: int, n: int, coefficients=None):
-        check_ambient(k, n)
+        k, n = check_ambient(k, n)
         coefficients = dict(coefficients or {})
         _check_same_ambient((k, n), *(u.ambient for u in coefficients))
-        self._init(k, n, MappingProxyType({u: int(c) for u, c in coefficients.items() if c}))
+        values = integers(coefficients.values(), "coefficient")
+        self._init(k, n, MappingProxyType({u: c for u, c in zip(coefficients, values) if c}))
 
     def __reduce__(self):  # a mappingproxy cannot be pickled: copy, pickle and == go through a plain dict
         return CohomologyClass, (self.k, self.n, dict(self.coefficients))
@@ -246,7 +250,10 @@ def _basis_product(u1: SchubertSymbol, u2: SchubertSymbol) -> dict[SchubertSymbo
 
 
 def special_symbol(k: int, n: int, i: int) -> SchubertSymbol:
-    """Symbol of the i-th special Schubert class: (n-k,...,n-k+i-1, n-k+i+1,...,n)."""
+    """Symbol of the i-th special Schubert class: (n-k,...,n-k+i-1, n-k+i+1,...,n); Gr(k, k) has none."""
+    k, n = check_ambient(k, n)
+    if k == n:
+        raise ValueError(f"Gr({k},{n}) is a point and has no special classes: need k < n")
     if not 1 <= i <= k:
         raise ValueError(f"need 1 <= i <= k = {k}, got i={i}")
     entries = tuple(range(n - k, n - k + i)) + tuple(range(n - k + i + 1, n + 1))

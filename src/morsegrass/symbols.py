@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 # the one work budget: check_budget refuses any engine whose stated cost exceeds it
 MAX_SYMBOLS = 100_000
@@ -82,8 +83,10 @@ class SchubertSymbol(Frozen):
     __slots__ = ("entries", "n")
 
     def __init__(self, entries: tuple[int, ...], n: int):
-        entries = tuple(map(int, entries))
-        check_ambient(len(entries), n)
+        entries = tuple(entries)
+        if not {int}.issuperset(map(type, entries)):  # inline for all ints: a ring product builds hundreds
+            entries = integers(entries, "symbol entry")
+        _, n = check_ambient(len(entries), n)
         if any(b <= a for a, b in zip(entries, entries[1:])):
             raise ValueError(f"entries {entries} not strictly increasing")
         if entries and (entries[0] < 1 or entries[-1] > n):
@@ -123,7 +126,7 @@ class GeneralizedSchubertSymbol(Frozen):
     __slots__ = ("counts", "blocks")
 
     def __init__(self, counts: tuple[int, ...], blocks: tuple[int, ...]):
-        counts = tuple(int(c) for c in counts)
+        counts = integers(counts, "count")
         blocks = _block_sizes(blocks)
         if len(counts) != len(blocks):
             raise ValueError("counts and blocks must have equal length")
@@ -143,15 +146,33 @@ class GeneralizedSchubertSymbol(Frozen):
         return {"blocks": list(self.blocks), "counts": list(self.counts)}
 
 
-def check_ambient(k: int, n: int) -> None:
-    """ValueError unless 0 <= k <= n, the one check on the (k, n) of Gr_k(C^n)."""
+def integers(values, what: str) -> tuple[int, ...]:
+    """The values as a tuple of ints, the one rule for integer input: ValueError naming ``what`` unless each is one.
+
+    A value is an integer when its type has __index__ and is not bool: 2.0, Fraction(2), "2" and True are
+    refused, never truncated, and numpy integers become ints, which cannot wrap around.
+    """
+    values = tuple(values)
+    if {int}.issuperset(map(type, values)):
+        return values
+    for v in values:
+        if isinstance(v, bool) or not hasattr(type(v), "__index__"):
+            raise ValueError(f"a {what} of type {type(v).__name__} is not an integer")
+    return tuple(map(operator.index, values))
+
+
+def check_ambient(k: int, n: int) -> tuple[int, int]:
+    """(k, n) as ints; ValueError unless both are integers with 0 <= k <= n, the one check on Gr_k(C^n)."""
+    if type(k) is not int or type(n) is not int:
+        (k,), (n,) = integers([k], "dimension k"), integers([n], "dimension n")
     if k < 0 or n < 0 or k > n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    return k, n
 
 
 def _block_sizes(blocks) -> tuple[int, ...]:
-    """The eigenspace block sizes as ints; ValueError unless each is positive."""
-    blocks = tuple(int(m) for m in blocks)
+    """The eigenspace block sizes as ints; ValueError unless each is a positive integer."""
+    blocks = integers(blocks, "block size")
     if any(m <= 0 for m in blocks):
         raise ValueError(f"block sizes {blocks} must be positive")
     return blocks
@@ -169,7 +190,7 @@ def cell_count(k: int, n: int) -> int:
 
     ValueError unless 0 <= k <= n; CapacityError if C(n, k) > MAX_SYMBOLS.
     """
-    check_ambient(k, n)
+    k, n = check_ambient(k, n)
     # past min(k, n - k) = 20, C(n, k) >= C(n, 21) >= C(42, 21) > MAX_SYMBOLS: price C(n, 21)
     j = min(k, n - k, 21)
     cells = math.comb(n, j)
@@ -251,7 +272,7 @@ def enumerate_generalized_symbols(
     Each vector is stepped to from the one before, in O(l) steps.
     """
     blocks = _block_sizes(blocks)
-    check_ambient(k, sum(blocks))
+    k, _ = check_ambient(k, sum(blocks))
     tails = list(itertools.accumulate(reversed(blocks), initial=0))[::-1]  # tails[j] = sum(blocks[j:])
     what = f"occupancy vectors of {k} in {len(blocks)} blocks"
     ways, lo = [1], 0  # ways[s - lo]: prefixes over the blocks so far that sum to s

@@ -21,11 +21,11 @@ functions with m maxima/minima, real projective spaces, the torus, and the
 from __future__ import annotations
 
 import math
-import operator
 from collections import Counter
 from itertools import chain
 
-from .symbols import MAX_SYMBOLS, Frozen, cell_dimension, check_budget, enumerate_symbols  # noqa: F401 (re-exported)
+from .symbols import MAX_SYMBOLS  # noqa: F401 (re-exported)
+from .symbols import Frozen, cell_dimension, check_budget, enumerate_symbols, integers
 
 
 class ComplexValidationError(ValueError):
@@ -111,13 +111,14 @@ def elementary_divisors(m: Matrix) -> list[int]:
     reduce the pivot row alone, and its least nonzero remainder is the next
     pivot.  A clear row drops its column, zero rows go as they appear, and a
     gcd/lcm pass puts the non-unit pivots in divisibility order.  Extended-gcd
-    row steps grew entries to thousands of bits.  Ragged rows: ValueError.
+    row steps grew entries to thousands of bits.  Ragged rows and entries
+    that are not integers: ValueError.
     """
     rows = [list(r) for r in m]
     if len({len(r) for r in rows}) > 1:
         raise ValueError("ragged rows: every row of the matrix needs the same length")
-    if {*map(type, chain.from_iterable(rows))} - {int}:  # numpy integers would wrap around in int64
-        rows = [[*map(operator.index, r)] for r in rows]
+    if not {int}.issuperset(map(type, chain.from_iterable(rows))):  # numpy integers would wrap around in int64
+        rows = [list(integers(r, "matrix entry")) for r in rows]
     ones = 0
     others: list[int] = []
     while rows := [r for r in rows if any(r)]:
@@ -186,18 +187,21 @@ class WittenComplex(Frozen):
     matrix of d_i : C_i -> C_{i-1}, rows indexed by degree-(i-1) generators,
     columns by degree-i generators.  Degrees with no generators are simply
     absent from both maps.  Construction checks integer degrees and entries
-    (numpy integers pass, bool does not), shapes, dd = 0 and the names:
-    distinct, nonempty and without whitespace, as the text format needs.
+    (numpy integers pass and are stored as ints, each boundary as a list of
+    lists; bool does not), shapes, dd = 0 and the names: distinct, nonempty
+    and without whitespace, as the text format needs.
     """
 
     __slots__ = ("generators", "boundaries")
 
     def __init__(self, generators: dict[int, list[str]] | None = None, boundaries: dict[int, Matrix] | None = None):
-        self._init({} if generators is None else generators, {} if boundaries is None else boundaries)
-        entries = chain.from_iterable(chain.from_iterable(self.boundaries.values()))
-        for what, values in (("degree", chain(self.generators, self.boundaries)), ("boundary entry", entries)):
-            if bad := [t for t in {*map(type, values)} if issubclass(t, bool) or not hasattr(t, "__index__")]:
-                raise ComplexValidationError(f"a {what} of type {bad[0].__name__} is not an integer")
+        generators, boundaries = generators or {}, boundaries or {}
+        try:
+            degrees = integers([*generators, *boundaries], "degree")
+            matrices = [[list(integers(r, "boundary entry")) for r in m] for m in boundaries.values()]
+        except ValueError as exc:
+            raise ComplexValidationError(exc) from None
+        self._init(dict(zip(degrees, generators.values())), dict(zip(degrees[len(generators):], matrices)))
         bad = [g for g in chain(*self.generators.values()) if not (isinstance(g, str) and g.split() == [g])]
         if bad:
             raise ComplexValidationError(f"generator name {bad[0]!r} is not a nonempty string without whitespace")

@@ -447,8 +447,9 @@ class TestMalformedInput:
         assert data["code"] == "usage"
 
     @pytest.mark.parametrize("doc,value", [
-        ({"vertices": ["v"], "edges": [["v", None, "incoming"]] * 3,
-          "incoming_indices": [2.5, 2.9, 0.7], "dim_m": 4.9}, "2.5"),
+        pytest.param({"vertices": ["v"], "edges": [["v", None, "incoming"]] * 3,
+                      "incoming_indices": [2.5, 2.9, 0.7], "dim_m": 4.9},
+                     "a Morse index of type float is not an integer", id="doc0-2.5"),
         ({"vertices": "vw", "edges": [["v", "w", "internal"]], "dim_m": 4}, "'vw'"),
         ({"vertices": ["v", "v"], "edges": [["v", None, "incoming"]],
           "incoming_indices": [2], "dim_m": 4}, "names vertex 'v' more than once"),

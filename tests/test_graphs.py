@@ -159,14 +159,14 @@ class TestJsonShapes:
             LabeledEnds.from_json(data)
 
     @pytest.mark.parametrize("data,value", [
-        ({"incoming_indices": [2.5, 2.9, 0.7], "dim_m": 4}, "2.5"),
-        ({"incoming_indices": [2], "dim_m": 4.9}, "4.9"),
-        ({"outgoing_indices": [True], "dim_m": 4}, "True"),
-        ({"incoming_indices": ["3"], "dim_m": 4}, "'3'"),
-    ])
+        ({"incoming_indices": [2.5, 2.9, 0.7], "dim_m": 4}, "a Morse index of type float"),
+        ({"incoming_indices": [2], "dim_m": 4.9}, "a dim_m of type float"),
+        ({"outgoing_indices": [True], "dim_m": 4}, "a Morse index of type bool"),
+        ({"incoming_indices": ["3"], "dim_m": 4}, "a Morse index of type str"),
+    ], ids=["data0-2.5", "data1-4.9", "data2-True", "data3-'3'"])
     def test_labels_keep_their_numbers(self, data, value):
         # int() used to truncate them: 2.5, 2.9, 0.7 with dim_m 4.9 gave dimension -4
-        with pytest.raises(ValueError, match=f"expected an integer, got {value}"):
+        with pytest.raises(ValueError, match=f"{value} is not an integer"):
             LabeledEnds.from_json(data)
 
     def test_vertices_must_be_a_list(self):

@@ -1,5 +1,6 @@
 import itertools
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -71,6 +72,15 @@ class TestIntPolynomial:
     def test_json_round_trip(self):
         p = poly(1, 0, 2)
         assert IntPolynomial.from_json(p.to_json()) == p
+
+    @pytest.mark.parametrize("op", ["p + x", "x + p", "p - x", "p * x", "x * p"])
+    @pytest.mark.parametrize("x", [0.5, 2.0, Fraction(2), "2"])
+    def test_other_operands_are_type_errors(self, op, x):
+        # p + 0.5 and 0.5 * p raised AttributeError: 'float' object has no attribute 'coeffs'
+        p = poly(1, 2)
+        with pytest.raises(TypeError):
+            eval(op)
+        assert p != x
 
 
 class TestPoincareRoutes:

@@ -61,6 +61,16 @@ class TestMomentMap:
             V = random_point(2, 5, rng)
             assert abs(moment_height(moment_map(V), a) - height_value(V, a)) < 1e-12
 
+    def test_projector_diagonal_oracle(self):
+        # mu and f were read off the diagonal of the n x n projector; now squared row norms of the frame
+        rng = np.random.default_rng(5)
+        a = HeightSpectrum((9.0, 7.0, 4.0, 3.0, 2.5, 1.0, 0.0))
+        for _ in range(200):
+            V = random_point(3, 7, rng)
+            diagonal = polytopes.projector(V).diagonal().real
+            np.testing.assert_allclose(moment_map(V).coords, diagonal, rtol=0, atol=1e-15)
+            assert abs(height_value(V, a) - float(np.dot(a.a, diagonal))) < 1e-13
+
 
 class TestPolytopes:
     def test_hypersimplex_vertex_count(self):

@@ -227,6 +227,12 @@ class TestPieri:
         with pytest.raises(ValueError):
             pieri_product(CohomologyClass.unit(2, 4), 3)
 
+    @pytest.mark.parametrize("k,i", [(1, 1), (2, 1), (2, 2), (3, 2)])
+    def test_no_special_classes_on_a_point(self, k, i):
+        # Gr(2,2) used to blame "entries (0, 2) out of range 1..2", a symbol the caller never gave
+        with pytest.raises(ValueError, match=rf"Gr\({k},{k}\) is a point and has no special classes: need k < n"):
+            special_symbol(k, k, i)
+
     @pytest.mark.parametrize("k,n", [(1, 4), (2, 4), (2, 5), (3, 6), (3, 5)])
     def test_agrees_with_lr_engine(self, k, n):
         for u in enumerate_symbols(k, n):

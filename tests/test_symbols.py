@@ -1,12 +1,19 @@
 import ast
 import itertools
 import time
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import morsegrass.symbols as symbols_module
+from morsegrass.flows import GrassmannPoint, HeightSpectrum, integrate_flow
+from morsegrass.graphs import LabeledEnds
+from morsegrass.polynomials import IntPolynomial, gaussian_generating, poincare_closed, poincare_recurrence
+from morsegrass.ring import CohomologyClass, PartitionShape, special_symbol
+from morsegrass.witten import ComplexValidationError, WittenComplex, elementary_divisors
 from morsegrass.symbols import (
     MAX_SYMBOLS,
     AmbientMismatchError,
@@ -14,6 +21,7 @@ from morsegrass.symbols import (
     GeneralizedSchubertSymbol,
     SchubertSymbol,
     bruhat_leq,
+    cell_count,
     cell_dimension,
     check_ambient,
     check_budget,
@@ -231,7 +239,7 @@ class TestAmbientCheck:
 
     @pytest.mark.parametrize("k,n", [(0, 0), (0, 3), (3, 3), (2, 5)])
     def test_accepts(self, k, n):
-        assert check_ambient(k, n) is None
+        assert check_ambient(k, n) == (k, n)
 
     def test_generalized_symbols_use_it(self):
         with pytest.raises(ValueError, match="need 0 <= k <= n"):
@@ -393,6 +401,102 @@ class TestOneRulePerInput:
         ("spectrum length does not match ambient dimension", ("flows.py", "_check_flow_input")),
         ("flow time must be finite", ("flows.py", "_check_flow_input")),
         ("must be positive", ("symbols.py", "_block_sizes")),
+        ("is not an integer", ("symbols.py", "integers")),
     ])
     def test_each_message_from_one_function(self, text, site):
         assert _raise_sites(text=text) == [site]
+
+
+U24 = SchubertSymbol((1, 2), 4)
+
+
+def _rk4_frame(steps):
+    V = GrassmannPoint([[1, 0], [1, 1], [0, 1], [1, 2]])
+    return integrate_flow(V, HeightSpectrum((3.0, 2.0, 1.0, 0.0)), 0.5, steps=steps).matrix.tobytes()
+
+
+# every place an integer enters: (the field the refusal names, a call that puts x there, valid at x = 2,
+# returning what is stored or computed from it)
+INTEGER_INPUTS = [
+    pytest.param("symbol entry", lambda x: SchubertSymbol((1, x), 3).entries[1], id="SchubertSymbol-entries"),
+    pytest.param("dimension n", lambda x: SchubertSymbol((1, 2), x).n, id="SchubertSymbol-n"),
+    pytest.param("count", lambda x: GeneralizedSchubertSymbol((x, 0), (2, 1)).counts[0], id="Generalized-counts"),
+    pytest.param("block size", lambda x: GeneralizedSchubertSymbol((1, 0), (x, 1)).blocks[0],
+                 id="Generalized-blocks"),
+    pytest.param("block size", lambda x: enumerate_generalized_symbols((x, 1), 1)[0].blocks[0],
+                 id="enumerate_generalized_symbols-blocks"),
+    pytest.param("dimension k", lambda x: enumerate_generalized_symbols((2, 1), x)[-1].counts[0],
+                 id="enumerate_generalized_symbols-k"),
+    pytest.param("part", lambda x: PartitionShape((x, 0), 2, 4).parts[0], id="PartitionShape-parts"),
+    pytest.param("dimension k", lambda x: PartitionShape((1, 0), x, 4).k, id="PartitionShape-k"),
+    pytest.param("dimension n", lambda x: PartitionShape((0, 0), 2, x).n, id="PartitionShape-n"),
+    pytest.param("coefficient", lambda x: CohomologyClass(2, 4, {U24: x}).coefficients[U24],
+                 id="CohomologyClass-coefficients"),
+    pytest.param("dimension k", lambda x: CohomologyClass(x, 4).k, id="CohomologyClass-k"),
+    pytest.param("dimension n", lambda x: CohomologyClass(2, x).n, id="CohomologyClass-n"),
+    pytest.param("dimension k", lambda x: check_ambient(x, 4)[0], id="check_ambient-k"),
+    pytest.param("dimension n", lambda x: check_ambient(2, x)[1], id="check_ambient-n"),
+    pytest.param("dimension k", lambda x: cell_count(x, 4), id="cell_count"),
+    pytest.param("dimension k", lambda x: special_symbol(x, 4, 1).entries, id="special_symbol"),
+    pytest.param("dimension k", lambda x: gaussian_generating(x, 3).coeffs, id="gaussian_generating"),
+    pytest.param("dimension k", lambda x: poincare_closed(x, 4).coeffs, id="poincare_closed"),
+    pytest.param("dimension k", lambda x: poincare_recurrence(x, 4).coeffs, id="poincare_recurrence"),
+    pytest.param("coefficient", lambda x: IntPolynomial([1, x]).coeffs[1], id="IntPolynomial"),
+    pytest.param("degree", lambda x: [*WittenComplex({x: ["a"]}).generators][0], id="WittenComplex-degree"),
+    pytest.param("boundary entry", lambda x: WittenComplex({0: ["a"], 1: ["b"]}, {1: [[x]]}).boundaries[1][0][0],
+                 id="WittenComplex-entry"),
+    pytest.param("matrix entry", lambda x: elementary_divisors([[x, 0], [0, 4]])[0], id="elementary_divisors"),
+    pytest.param("Morse index", lambda x: LabeledEnds((x,), (), 4).incoming[0], id="LabeledEnds-incoming"),
+    pytest.param("Morse index", lambda x: LabeledEnds((), (x,), 4).outgoing[0], id="LabeledEnds-outgoing"),
+    pytest.param("dim_m", lambda x: LabeledEnds((), (), x).dim_m, id="LabeledEnds-dim_m"),
+    pytest.param("step count", _rk4_frame, id="integrate_flow-steps"),
+]
+
+# calls that truncated, stored or passed on a value that is not an integer; what each gave before
+REPROS = [
+    pytest.param(lambda: SchubertSymbol((Fraction(5, 2), 3), 3), "a symbol entry of type Fraction",
+                 id="SchubertSymbol-Fraction"),  # (2,3)
+    pytest.param(lambda: SchubertSymbol(("1", "2"), 3), "a symbol entry of type str", id="SchubertSymbol-str"),
+    pytest.param(lambda: SchubertSymbol((1, 2), 3.5), "a dimension n of type float", id="SchubertSymbol-n"),  # n=3.5
+    pytest.param(lambda: PartitionShape((1.9, 0), 2, 4), "a part of type float", id="PartitionShape-parts"),  # (1, 0)
+    pytest.param(lambda: PartitionShape((1, 0), 2.0, 4), "a dimension k of type float", id="PartitionShape-k"),
+    pytest.param(lambda: GeneralizedSchubertSymbol((0.9, 1), (1, 1)), "a count of type float",
+                 id="Generalized-counts"),  # (0, 1)
+    pytest.param(lambda: IntPolynomial([1.5, 2]), "a coefficient of type float", id="IntPolynomial-float"),  # 1 + 2t
+    pytest.param(lambda: IntPolynomial([Fraction(3, 2)]), "a coefficient of type Fraction",
+                 id="IntPolynomial-Fraction"),  # 1
+    pytest.param(lambda: CohomologyClass(2, 4, {U24: 1.5}), "a coefficient of type float",
+                 id="CohomologyClass-coefficient"),  # z(2,4)
+    pytest.param(lambda: CohomologyClass.basis(U24).scale(0.5), "a coefficient of type float",
+                 id="CohomologyClass-scale"),  # a stored zero: 0z(2,4), is_zero() False
+    pytest.param(lambda: CohomologyClass(2.5, 5, {}), "a dimension k of type float", id="CohomologyClass-k"),
+    pytest.param(lambda: gaussian_generating(True, 3), "a dimension k of type bool",
+                 id="gaussian_generating-bool"),  # 1 + t + t^2
+    pytest.param(lambda: poincare_closed(2.0, 4), "a dimension k of type float",
+                 id="poincare_closed-float"),  # a TypeError from deep inside
+]
+
+
+class TestIntegerRule:
+    @pytest.mark.parametrize("bad", [2.5, 2.0, Fraction(2), "2", True], ids=repr)
+    @pytest.mark.parametrize("field,build", INTEGER_INPUTS)
+    def test_non_integers_refused(self, field, build, bad):
+        error = ComplexValidationError if field in ("degree", "boundary entry") else ValueError
+        with pytest.raises(error, match=f"^a {field} of type {type(bad).__name__} is not an integer$") as info:
+            build(bad)
+        assert type(info.value) is error
+
+    @pytest.mark.parametrize("field,build", INTEGER_INPUTS)
+    def test_numpy_integers_stored_as_int(self, field, build):
+        got, want = build(np.int64(2)), build(2)
+        assert got == want and type(got) is type(want)
+
+    @pytest.mark.parametrize("call,message", REPROS)
+    def test_repros_refused(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message} is not an integer$"):
+            call()
+
+    def test_all_int_input_is_returned_as_it_is(self):
+        values = (1, -2, 2**70)
+        assert symbols_module.integers(values, "value") is values
+        assert symbols_module.integers(iter([np.uint8(255), np.int64(2**62)]), "value") == (255, 2**62)

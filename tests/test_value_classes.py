@@ -133,6 +133,21 @@ def test_every_slots_class_is_frozen():
     assert frozen >= {cls for cls, _, _ in VALUES}
 
 
+def test_no_value_class_converts_with_int():
+    # int() truncates 2.5 and Fraction(5, 2) and reads "2"; integer fields go through symbols.integers
+    found = []
+    for info in pkgutil.iter_modules(morsegrass.__path__):
+        module = importlib.import_module(f"morsegrass.{info.name}")
+        for cls in ast.walk(ast.parse(Path(module.__file__).read_text())):
+            if not (isinstance(cls, ast.ClassDef) and issubclass(getattr(module, cls.name), Frozen)):
+                continue
+            for init in (f for f in cls.body if isinstance(f, ast.FunctionDef) and f.name == "__init__"):
+                calls = (c for c in ast.walk(init) if isinstance(c, ast.Call))
+                found += [(info.name, cls.name, c.lineno) for c in calls
+                          if any(isinstance(a, ast.Name) and a.id == "int" for a in (c.func, *c.args))]
+    assert found == []
+
+
 def test_repr_is_the_dataclass_repr():
     assert repr(SchubertSymbol((1, 3), 4)) == "SchubertSymbol(entries=(1, 3), n=4)"
 
