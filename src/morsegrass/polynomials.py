@@ -202,6 +202,7 @@ def partition_count(d: int, k: int, cap: int) -> int:
     The t^d coefficient of [k + cap choose k]_t, k and cap clamped to d, by passes cut at degree d.
     CapacityError first if 2 min(k, cap)(d + 1) coefficient updates, in thousands of words, are over budget.
     """
+    (d,), (k,), (cap,) = integers([d], "size d"), integers([k], "part count k"), integers([cap], "part bound cap")
     if d < 0:
         raise ValueError("d must be nonnegative")
     if k < 0 or cap < 0:

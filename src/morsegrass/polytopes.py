@@ -19,7 +19,7 @@ from itertools import accumulate
 from typing import TYPE_CHECKING
 
 from .symbols import CapacityError  # noqa: F401 (re-exported)
-from .symbols import MAX_SYMBOLS, Frozen, SchubertSymbol, cell_count, check_budget, tolerance
+from .symbols import MAX_SYMBOLS, Frozen, SchubertSymbol, cell_count, check_ambient, check_budget, tolerance
 
 if TYPE_CHECKING:
     from .flows import GrassmannPoint, HeightSpectrum
@@ -66,12 +66,12 @@ class VertexPolytope(_PrefixBounds):
     __slots__ = ("vertices", "k", "n")
 
     def __init__(self, vertices: tuple[tuple, ...], k: int, n: int):
-        self._init(tuple(tuple(v) for v in vertices), k, n)
+        self._init(tuple(tuple(v) for v in vertices), *check_ambient(k, n))
         if not self.vertices:
             raise ValueError("a polytope needs at least one vertex")
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("vertices must be pairwise distinct")
-        object.__setattr__(self, "_bounds", _prefix_bounds(self.vertices, k, n))
+        object.__setattr__(self, "_bounds", _prefix_bounds(self.vertices, self.k, self.n))
 
     def to_json(self) -> dict:
         return {

@@ -3,14 +3,16 @@
 Classes are integer combinations of basis elements z_u, one per Schubert
 symbol, with deg z_u = 2k(n-k) - 2 sum(u_i - i).  Products are computed on
 the partition avatars of symbols (codimension partitions inside the
-k x (n-k) box) by Littlewood-Richardson tableau enumeration, truncating any
-shape that leaves the box.  Pieri multiplication by the special classes is
-implemented separately and serves as an independent oracle.
+k x (n-k) box) by the Littlewood-Richardson rule: one horizontal strip per
+part of the second partition is grown onto the first, never leaving the box,
+so only shapes that occur are ever built.  Pieri multiplication by the
+special classes is implemented separately and serves as an independent oracle.
 """
 
 from __future__ import annotations
 
 import itertools
+from operator import add
 from types import MappingProxyType
 
 from .symbols import (
@@ -22,7 +24,7 @@ from .symbols import (
     check_ambient,
     check_budget,
     complement,
-    enumerate_symbols,
+    enumerate_symbols,  # unused here: bench/selftest.py checks that the tracer wraps ring.enumerate_symbols
     integers,
 )
 
@@ -33,9 +35,7 @@ class PartitionShape(Frozen):
     __slots__ = ("parts", "k", "n")
 
     def __init__(self, parts: tuple[int, ...], k: int, n: int):
-        parts = tuple(parts)
-        if not {int}.issuperset(map(type, parts)):  # inline for all ints, as in SchubertSymbol
-            parts = integers(parts, "part")
+        parts = integers(parts, "part")
         k, n = check_ambient(k, n)
         if len(parts) != k:
             raise ValueError(f"expected {k} parts, got {parts}")
@@ -43,17 +43,7 @@ class PartitionShape(Frozen):
             raise ValueError(f"parts {parts} not weakly decreasing")
         if parts and (parts[0] > n - k or parts[-1] < 0):
             raise ValueError(f"parts {parts} leave the {k}x{n - k} box")
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "n", n)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.parts == other.parts and self.k == other.k and self.n == other.n
-
-    def __hash__(self):
-        return hash((self.parts, self.k, self.n))
+        self._init(parts, k, n)
 
     @property
     def weight(self) -> int:
@@ -71,9 +61,12 @@ def symbol_to_partition(u: SchubertSymbol) -> PartitionShape:
     return PartitionShape(tuple((n - k) + j - uj for j, uj in enumerate(u.entries, 1)), k, n)
 
 
+def _entries(parts: tuple[int, ...], n: int) -> tuple[int, ...]:  # symbol entries of k parts in the k x (n-k) box
+    return tuple((n - len(parts)) + j - p for j, p in enumerate(parts, 1))
+
+
 def partition_to_symbol(lam: PartitionShape) -> SchubertSymbol:
-    k, n = lam.k, lam.n
-    return SchubertSymbol(tuple((n - k) + j - p for j, p in enumerate(lam.parts, 1)), n)
+    return SchubertSymbol(_entries(lam.parts, lam.n), lam.n)
 
 
 def duality_pairing(u: SchubertSymbol, v: SchubertSymbol) -> int:
@@ -86,63 +79,51 @@ def duality_pairing(u: SchubertSymbol, v: SchubertSymbol) -> int:
     return 1 if v == complement(u) else 0
 
 
-def lr_coefficient(lam: tuple[int, ...], mu: tuple[int, ...], nu: tuple[int, ...]) -> int:
-    """Littlewood-Richardson coefficient c^lam_{mu, nu}.
+def _lr_terms(mu: tuple[int, ...], nu: tuple[int, ...], rows: int, cols: int) -> dict[tuple[int, ...], int]:
+    """The nonzero c^lam_{mu, nu} over the shapes lam in the rows x cols box, each lam as a tuple of rows parts.
 
-    Counts skew semistandard fillings of lam/mu with content nu whose reverse
-    reading word is a lattice word.  Plain backtracking, fine at desk scale.
+    Grows mu by one horizontal strip per part of nu: strip i holds the boxes an LR tableau
+    fills with i (Fulton, Young Tableaux, ch. 5).  A state is (shape, boxes per row of the
+    last strip), with its number of fillings, merged after each strip.  Strip i puts a_r
+    boxes in row r, where a_r <= shape_{r-1} - shape_r before the strip (a horizontal strip,
+    so columns stay strict), shape_r + a_r <= cols, and a_1 + ... + a_r is at most the last
+    strip's boxes in rows 1..r-1 (the reverse reading word stays a lattice word).
     """
-    lam = tuple(lam)
-    mu = tuple(mu) + (0,) * (len(lam) - len(mu))
-    if sum(lam) != sum(mu) + sum(nu):
-        return 0
-    if any(l < m for l, m in zip(lam, mu)):
-        return 0
+    mu = tuple(p for p in mu if p)
+    if len(mu) > rows or mu and mu[0] > cols:
+        return {}
+    states = {(mu + (0,) * (rows - len(mu)), None): 1}
+    for m in nu:
+        grown = {}
+        for (shape, last), count in states.items():
+            caps = itertools.accumulate(last, initial=0) if last is not None else itertools.repeat(m)
+            strips = [((), 0)]  # (boxes in rows 0..r-1, their sum), row by row
+            for r, cap in zip(range(rows), caps):
+                room = (shape[r - 1] if r else cols) - shape[r]
+                strips = [(a + (x,), t + x) for a, t in strips for x in range(min(room, min(cap, m) - t) + 1)]
+            for a, t in strips:
+                if t == m:
+                    key = (tuple(map(add, shape, a)), a)
+                    grown[key] = grown.get(key, 0) + count
+        states = grown
+    out = {}
+    for (shape, _), count in states.items():
+        out[shape] = out.get(shape, 0) + count
+    return out
 
-    rows = len(lam)
-    nu = tuple(nu)
-    # counts[s] = how many s+1 entries placed so far; lattice condition keeps
-    # counts weakly decreasing as the reverse reading word is consumed.
-    count = 0
 
-    # fill cells row by row, right to left within a row (reverse reading order)
-    cells = [(r, c) for r in range(rows) for c in range(lam[r] - 1, mu[r] - 1, -1)]
+def _partition(parts, what: str) -> tuple[int, ...]:
+    """The parts as ints; ValueError naming ``what`` unless they are integers, weakly decreasing to a last part >= 0."""
+    parts = integers(parts, f"part of {what}")
+    if any(a < b for a, b in zip(parts, (*parts[1:], 0))):
+        raise ValueError(f"{what} = {parts} is not a partition: parts must be nonnegative and weakly decreasing")
+    return parts
 
-    filling = {}
-    placed = [0] * len(nu)
 
-    def ok(r, c, val):
-        # weakly increasing along rows (left neighbor <= val <= right neighbor)
-        right = filling.get((r, c + 1))
-        if right is not None and val > right:
-            return False
-        # strictly increasing down columns
-        above = filling.get((r - 1, c))
-        if above is not None and val <= above:
-            return False
-        # lattice word: after placing val, #val <= #(val-1)
-        if val > 0 and placed[val] + 1 > placed[val - 1]:
-            return False
-        if placed[val] + 1 > nu[val]:
-            return False
-        return True
-
-    def rec(i):
-        nonlocal count
-        if i == len(cells):
-            count += 1
-            return
-        r, c = cells[i]
-        for val in range(len(nu)):
-            if ok(r, c, val):
-                filling[(r, c)] = val
-                placed[val] += 1
-                rec(i + 1)
-                placed[val] -= 1
-                del filling[(r, c)]
-
-    rec(0)
-    return count
+def lr_coefficient(lam: tuple[int, ...], mu: tuple[int, ...], nu: tuple[int, ...]) -> int:
+    """Littlewood-Richardson coefficient c^lam_{mu, nu}; ValueError naming lam, mu or nu if one is not a partition."""
+    lam, mu, nu = _partition(lam, "lam"), _partition(mu, "mu"), _partition(nu, "nu")
+    return _lr_terms(mu, nu, len(lam), lam[0] if lam else 0).get(lam, 0)
 
 
 class CohomologyClass(Frozen):
@@ -199,6 +180,7 @@ class CohomologyClass(Frozen):
         return self + other.scale(-1)
 
     def scale(self, c: int) -> "CohomologyClass":
+        (c,) = integers([c], "scale factor")
         return CohomologyClass(self.k, self.n, {u: c * x for u, x in self.coefficients.items()})
 
     def _check(self, other):
@@ -233,20 +215,11 @@ def cup_product(z1: CohomologyClass, z2: CohomologyClass) -> CohomologyClass:
 
 
 def _basis_product(u1: SchubertSymbol, u2: SchubertSymbol) -> dict[SchubertSymbol, int]:
-    """The nonzero coefficients of z_u1 z_u2 in the Schubert basis."""
+    """The nonzero coefficients of z_u1 z_u2 in the Schubert basis, in lexicographic symbol order."""
     k, n = u1.ambient
-    mu = symbol_to_partition(u1).parts
-    nu = symbol_to_partition(u2).parts
-    size = sum(mu) + sum(nu)
-    out = {}
-    for lam_sym in enumerate_symbols(k, n):
-        lam = symbol_to_partition(lam_sym)
-        if lam.weight != size:
-            continue
-        c = lr_coefficient(lam.parts, mu, nu)
-        if c:
-            out[lam_sym] = c
-    return out
+    cell_count(k, n)  # CapacityError for a Grassmannian with more cells than the budget
+    terms = _lr_terms(symbol_to_partition(u1).parts, symbol_to_partition(u2).parts, k, n - k)
+    return {SchubertSymbol(e, n): c for e, c in sorted((_entries(lam, n), c) for lam, c in terms.items())}
 
 
 def special_symbol(k: int, n: int, i: int) -> SchubertSymbol:
@@ -254,6 +227,7 @@ def special_symbol(k: int, n: int, i: int) -> SchubertSymbol:
     k, n = check_ambient(k, n)
     if k == n:
         raise ValueError(f"Gr({k},{n}) is a point and has no special classes: need k < n")
+    (i,) = integers([i], "special class index i")
     if not 1 <= i <= k:
         raise ValueError(f"need 1 <= i <= k = {k}, got i={i}")
     entries = tuple(range(n - k, n - k + i)) + tuple(range(n - k + i + 1, n + 1))
@@ -268,6 +242,7 @@ def pieri_product(z: CohomologyClass, i: int) -> CohomologyClass:
     Independent of the LR engine.
     """
     k, n = z.k, z.n
+    (i,) = integers([i], "special class index i")
     if not 1 <= i <= k:
         raise ValueError(f"need 1 <= i <= k = {k}, got i={i}")
     out: dict[SchubertSymbol, int] = {}
@@ -281,7 +256,7 @@ def pieri_product(z: CohomologyClass, i: int) -> CohomologyClass:
                 continue
             if any(new[r] < new[r + 1] for r in range(k - 1)):
                 continue
-            w = partition_to_symbol(PartitionShape(tuple(new), k, n))
+            w = SchubertSymbol(_entries(tuple(new), n), n)
             out[w] = out.get(w, 0) + c
     return CohomologyClass(k, n, out)
 
@@ -303,10 +278,10 @@ def chern_presentation_check(k: int, n: int) -> bool:
     the relation, and the remaining degrees n-k+1..n must then close to zero
     in the Schubert basis (on Gr(n, n), a point, every d_i vanishes).  Each
     c_i is one Schubert class up to sign, so there are k(n-k) basis products,
-    each over C(n, k) candidate shapes; CapacityError first if they exceed the budget.
+    each of at most C(n, k) terms; CapacityError first if they exceed the budget.
     """
     cells = cell_count(k, n)
-    check_budget(k * (n - k) * cells, f"candidate shapes for the Chern check of Gr({k},{n}), {k * (n - k)}*{cells}")
+    check_budget(k * (n - k) * cells, f"product terms for the Chern check of Gr({k},{n}), {k * (n - k)}*{cells}")
     d = {i: CohomologyClass.basis(special_symbol(k, n, i)) for i in range(1, k + 1) if k < n}
     c: dict[int, CohomologyClass] = {}
     for m in range(1, n + 1):

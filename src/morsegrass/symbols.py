@@ -48,8 +48,7 @@ class AmbiguousCellError(ValueError):
 class Frozen:
     """Immutable base of the value classes: each names its fields in __slots__ and sets them once, in __init__.
 
-    ==, hash and repr are a frozen dataclass's, over the field tuple.  The classes built and hashed in loops
-    set their fields with object.__setattr__ and spell out __eq__ and __hash__, which is faster.
+    ==, hash and repr are a frozen dataclass's, over the field tuple.
     """
 
     __slots__ = ()
@@ -83,24 +82,13 @@ class SchubertSymbol(Frozen):
     __slots__ = ("entries", "n")
 
     def __init__(self, entries: tuple[int, ...], n: int):
-        entries = tuple(entries)
-        if not {int}.issuperset(map(type, entries)):  # inline for all ints: a ring product builds hundreds
-            entries = integers(entries, "symbol entry")
+        entries = integers(entries, "symbol entry")
         _, n = check_ambient(len(entries), n)
         if any(b <= a for a, b in zip(entries, entries[1:])):
             raise ValueError(f"entries {entries} not strictly increasing")
         if entries and (entries[0] < 1 or entries[-1] > n):
             raise ValueError(f"entries {entries} out of range 1..{n}")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "n", n)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.entries == other.entries and self.n == other.n
-
-    def __hash__(self):
-        return hash((self.entries, self.n))
+        self._init(entries, n)
 
     @property
     def k(self) -> int:

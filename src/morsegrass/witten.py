@@ -322,6 +322,7 @@ def circle_complex(m: int) -> WittenComplex:
     With the clockwise orientation convention, maximum j bounds
     minimum j minus minimum j+1 (indices mod m).
     """
+    (m,) = integers([m], "maximum count m")
     if m < 1:
         raise ValueError("need at least one maximum/minimum")
     check_budget(m * m, f"boundary entries of circle_complex({m})")
@@ -336,6 +337,7 @@ def circle_complex(m: int) -> WittenComplex:
 
 def rp_complex(n: int) -> WittenComplex:
     """Real projective n-space: one generator per degree, d_i = (2) for even i."""
+    (n,) = integers([n], "dimension n")
     if n < 1:
         raise ValueError("need n >= 1")
     check_budget(n + 1, f"degrees of rp_complex({n})")

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -32,6 +33,59 @@ def sym(entries, n):
 
 def basis(entries, n):
     return CohomologyClass.basis(sym(entries, n))
+
+
+def lr_filler(lam, mu, nu):
+    """c^lam_{mu, nu} by backtracking: the oracle of the ring's strip-growing engine.
+
+    Counts skew semistandard fillings of lam/mu with content nu whose reverse
+    reading word is a lattice word, filling cells row by row, right to left.
+    """
+    lam = tuple(lam)
+    mu = tuple(mu) + (0,) * (len(lam) - len(mu))
+    if sum(lam) != sum(mu) + sum(nu) or any(l < m for l, m in zip(lam, mu)):
+        return 0
+    nu = tuple(nu)
+    cells = [(r, c) for r in range(len(lam)) for c in range(lam[r] - 1, mu[r] - 1, -1)]
+    filling = {}
+    placed = [0] * len(nu)  # entries of each value placed so far
+    count = 0
+
+    def ok(r, c, val):
+        right = filling.get((r, c + 1))  # rows weakly increase
+        above = filling.get((r - 1, c))  # columns strictly increase
+        return ((right is None or val <= right) and (above is None or val > above)
+                and (val == 0 or placed[val] < placed[val - 1]) and placed[val] < nu[val])
+
+    def rec(i):
+        nonlocal count
+        if i == len(cells):
+            count += 1
+            return
+        r, c = cells[i]
+        for val in range(len(nu)):
+            if ok(r, c, val):
+                filling[(r, c)] = val
+                placed[val] += 1
+                rec(i + 1)
+                placed[val] -= 1
+                del filling[(r, c)]
+
+    rec(0)
+    return count
+
+
+def filler_product(u, v):
+    """z_u z_v by the filler over every shape of the right weight in the box, in lexicographic symbol order."""
+    k, n = u.ambient
+    mu, nu = symbol_to_partition(u).parts, symbol_to_partition(v).parts
+    out = {}
+    for w in enumerate_symbols(k, n):
+        lam = symbol_to_partition(w)
+        c = lam.weight == sum(mu) + sum(nu) and lr_filler(lam.parts, mu, nu)
+        if c:
+            out[w] = c
+    return out
 
 
 class TestDegreeAndPartitions:
@@ -90,8 +144,55 @@ class TestLRCoefficients:
         assert lr_coefficient((1,), (1,), (1,)) == 0
         assert lr_coefficient((2,), (1, 1), (1,)) == 0
 
+    def test_matches_the_filler_without_a_column_bound(self):
+        # lam grows from mu by |nu| boxes at random corners, so about half the triples are nonzero;
+        # lam[0] can pass any box, the case quantum products need
+        rng = random.Random(21)
+        nonzero = 0
+        for _ in range(600):
+            mu, nu = (sorted((rng.randint(0, 5) for _ in range(rng.randint(0, 4))), reverse=True) for _ in "mn")
+            lam = mu + [0] * 4
+            for _ in range(sum(nu)):
+                r = rng.choice([r for r in range(len(lam)) if r == 0 or lam[r] < lam[r - 1]])
+                lam[r] += 1
+            lam = tuple(p for p in lam if p)
+            want = lr_filler(lam, mu, nu)
+            assert lr_coefficient(lam, mu, nu) == want, (lam, mu, nu)
+            nonzero += want > 0
+        assert nonzero > 200
+
+    @pytest.mark.parametrize("lam,mu,nu,what", [
+        ((1,), (-1,), (2,), "mu"),  # counted as 1 by the filler
+        ((2, 1), (1,), (-1, -1), "nu"),
+        ((1, 2), (1,), (2,), "lam"),
+        ((2, 1), (1, 2), (0,), "mu"),
+    ])
+    def test_parts_must_form_a_partition(self, lam, mu, nu, what):
+        with pytest.raises(ValueError, match=rf"^{what} = .* is not a partition"):
+            lr_coefficient(lam, mu, nu)
+
 
 class TestCupProduct:
+    @pytest.mark.parametrize("k,n,stride", [(1, 3, 1), (2, 4, 1), (2, 5, 1), (3, 5, 1), (2, 6, 1), (3, 6, 1),
+                                            (4, 6, 1), (2, 7, 1), (3, 7, 1), (4, 7, 1), (4, 8, 7)])
+    def test_matches_the_filler(self, k, n, stride):
+        # every ordered pair through Gr(3,7), and every 7th of Gr(4,8); keys in the filler's order too,
+        # as to_json writes them
+        pairs = list(itertools.product(enumerate_symbols(k, n), repeat=2))[::stride]
+        for u, v in pairs:
+            want = filler_product(u, v)
+            got = cup_product(CohomologyClass.basis(u), CohomologyClass.basis(v))
+            assert list(got.coefficients.items()) == list(want.items()), (u, v)
+            mu, nu = symbol_to_partition(u).parts, symbol_to_partition(v).parts
+            assert all(lr_coefficient(symbol_to_partition(w).parts, mu, nu) == c for w, c in want.items())
+
+    def test_no_shape_is_searched(self, monkeypatch):
+        # the product grows strips onto one partition: no symbol list, no coefficient per candidate shape
+        monkeypatch.setattr(ring_module, "enumerate_symbols", lambda *a: pytest.fail("symbols enumerated"))
+        monkeypatch.setattr(ring_module, "lr_coefficient", lambda *a: pytest.fail("candidate shape tested"))
+        z = cup_product(basis((2, 4, 6, 8), 8), basis((1, 4, 6, 8), 8))
+        assert list(z.to_json().items()) == [("(1,2,3,7)", 1), ("(1,2,4,6)", 2), ("(1,3,4,5)", 1)]
+
     def test_example_table(self):
         z24 = basis((2, 4), 4)
         assert cup_product(z24, z24) == basis((2, 3), 4) + basis((1, 4), 4)
@@ -303,7 +404,7 @@ class TestChernPresentation:
         # priced by the one budget: Gr(4, 8) answers, Gr(7, 14) is refused before any product
         assert chern_presentation_check(4, 8)
         monkeypatch.setattr(ring_module, "_basis_product", lambda u1, u2: pytest.fail("product made"))
-        with pytest.raises(CapacityError, match=r"candidate shapes for the Chern check of Gr\(7,14\), 49\*3432"):
+        with pytest.raises(CapacityError, match=r"product terms for the Chern check of Gr\(7,14\), 49\*3432"):
             chern_presentation_check(7, 14)
 
     def test_one_basis_product_per_pair(self, monkeypatch):

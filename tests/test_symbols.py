@@ -11,9 +11,16 @@ from hypothesis import given, strategies as st
 import morsegrass.symbols as symbols_module
 from morsegrass.flows import GrassmannPoint, HeightSpectrum, integrate_flow
 from morsegrass.graphs import LabeledEnds
-from morsegrass.polynomials import IntPolynomial, gaussian_generating, poincare_closed, poincare_recurrence
-from morsegrass.ring import CohomologyClass, PartitionShape, special_symbol
-from morsegrass.witten import ComplexValidationError, WittenComplex, elementary_divisors
+from morsegrass.polynomials import (
+    IntPolynomial,
+    gaussian_generating,
+    partition_count,
+    poincare_closed,
+    poincare_recurrence,
+)
+from morsegrass.polytopes import VertexPolytope
+from morsegrass.ring import CohomologyClass, PartitionShape, lr_coefficient, pieri_product, special_symbol
+from morsegrass.witten import ComplexValidationError, WittenComplex, circle_complex, elementary_divisors, rp_complex
 from morsegrass.symbols import (
     MAX_SYMBOLS,
     AmbientMismatchError,
@@ -450,6 +457,22 @@ INTEGER_INPUTS = [
     pytest.param("Morse index", lambda x: LabeledEnds((), (x,), 4).outgoing[0], id="LabeledEnds-outgoing"),
     pytest.param("dim_m", lambda x: LabeledEnds((), (), x).dim_m, id="LabeledEnds-dim_m"),
     pytest.param("step count", _rk4_frame, id="integrate_flow-steps"),
+    # each of these took True as 1; where they refused a float it was with a TypeError from deep inside
+    pytest.param("special class index i", lambda x: special_symbol(2, 4, x).entries, id="special_symbol-i"),
+    pytest.param("special class index i", lambda x: pieri_product(CohomologyClass.unit(2, 4), x),
+                 id="pieri_product"),
+    pytest.param("scale factor", lambda x: CohomologyClass.basis(U24).scale(x).coefficients[U24],
+                 id="CohomologyClass-scale"),
+    pytest.param("size d", lambda x: partition_count(x, 2, 2), id="partition_count-d"),
+    pytest.param("part count k", lambda x: partition_count(2, x, 2), id="partition_count-k"),
+    pytest.param("part bound cap", lambda x: partition_count(2, 2, x), id="partition_count-cap"),
+    pytest.param("dimension n", lambda x: len(rp_complex(x).generators), id="rp_complex"),
+    pytest.param("maximum count m", lambda x: len(circle_complex(x).generators[0]), id="circle_complex"),
+    pytest.param("dimension k", lambda x: VertexPolytope(((1, 1, 0),), x, 3).k, id="VertexPolytope-k"),
+    pytest.param("dimension n", lambda x: VertexPolytope(((1, 0),), 1, x).n, id="VertexPolytope-n"),
+    pytest.param("part of lam", lambda x: lr_coefficient((x, 1), (1,), (1, 1)), id="lr_coefficient-lam"),
+    pytest.param("part of mu", lambda x: lr_coefficient((3, 1), (x,), (1, 1)), id="lr_coefficient-mu"),
+    pytest.param("part of nu", lambda x: lr_coefficient((3, 1), (1, 1), (x,)), id="lr_coefficient-nu"),
 ]
 
 # calls that truncated, stored or passed on a value that is not an integer; what each gave before
@@ -467,7 +490,7 @@ REPROS = [
                  id="IntPolynomial-Fraction"),  # 1
     pytest.param(lambda: CohomologyClass(2, 4, {U24: 1.5}), "a coefficient of type float",
                  id="CohomologyClass-coefficient"),  # z(2,4)
-    pytest.param(lambda: CohomologyClass.basis(U24).scale(0.5), "a coefficient of type float",
+    pytest.param(lambda: CohomologyClass.basis(U24).scale(0.5), "a scale factor of type float",
                  id="CohomologyClass-scale"),  # a stored zero: 0z(2,4), is_zero() False
     pytest.param(lambda: CohomologyClass(2.5, 5, {}), "a dimension k of type float", id="CohomologyClass-k"),
     pytest.param(lambda: gaussian_generating(True, 3), "a dimension k of type bool",

@@ -148,6 +148,22 @@ def test_no_value_class_converts_with_int():
     assert found == []
 
 
+def test_equality_is_defined_only_where_it_differs():
+    # the other value classes take == and hash from Frozen's field tuple; a class with an __eq__ or
+    # __hash__ of its own (a def or an assignment) must be one of these
+    found = set()
+    for path in sorted(Path(morsegrass.__file__).parent.glob("*.py")):
+        for cls in (c for c in ast.walk(ast.parse(path.read_text())) if isinstance(c, ast.ClassDef)):
+            for node in cls.body:
+                targets = node.targets if isinstance(node, ast.Assign) else []
+                names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+                if isinstance(node, ast.FunctionDef):
+                    names.add(node.name)
+                if names & {"__eq__", "__hash__"}:
+                    found.add(cls.name)
+    assert found == {"Frozen", *(cls.__name__ for cls in OWN_EQUALITY)}
+
+
 def test_repr_is_the_dataclass_repr():
     assert repr(SchubertSymbol((1, 3), 4)) == "SchubertSymbol(entries=(1, 3), n=4)"
 
