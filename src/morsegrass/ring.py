@@ -3,16 +3,16 @@
 Classes are integer combinations of basis elements z_u, one per Schubert
 symbol, with deg z_u = 2k(n-k) - 2 sum(u_i - i).  Products are computed on
 the partition avatars of symbols (codimension partitions inside the
-k x (n-k) box) by the Littlewood-Richardson rule: one horizontal strip per
-part of the second partition is grown onto the first, never leaving the box,
-so only shapes that occur are ever built.  Pieri multiplication by the
+k x (n-k) box) by the Littlewood-Richardson rule: the partition with more
+boxes grows by one horizontal strip per part of the other, never leaving the
+box, so only shapes that occur are ever built.  Pieri multiplication by the
 special classes is implemented separately and serves as an independent oracle.
 """
 
 from __future__ import annotations
 
 import itertools
-from operator import add
+from operator import add, sub
 from types import MappingProxyType
 
 from .symbols import (
@@ -57,12 +57,15 @@ def degree(u: SchubertSymbol) -> int:
 
 def symbol_to_partition(u: SchubertSymbol) -> PartitionShape:
     """Codimension partition lambda_j = (n - k) + j - u_j."""
-    k, n = u.ambient
-    return PartitionShape(tuple((n - k) + j - uj for j, uj in enumerate(u.entries, 1)), k, n)
+    return PartitionShape(_parts(u), u.k, u.n)
 
 
 def _entries(parts: tuple[int, ...], n: int) -> tuple[int, ...]:  # symbol entries of k parts in the k x (n-k) box
-    return tuple((n - len(parts)) + j - p for j, p in enumerate(parts, 1))
+    return tuple(map(sub, range(n - len(parts) + 1, n + 1), parts))  # u_j = (n - k) + j - lambda_j
+
+
+def _parts(u: SchubertSymbol) -> tuple[int, ...]:  # u's codimension partition, k parts: _entries is its own inverse
+    return _entries(u.entries, u.n)
 
 
 def partition_to_symbol(lam: PartitionShape) -> SchubertSymbol:
@@ -82,15 +85,16 @@ def duality_pairing(u: SchubertSymbol, v: SchubertSymbol) -> int:
 def _lr_terms(mu: tuple[int, ...], nu: tuple[int, ...], rows: int, cols: int) -> dict[tuple[int, ...], int]:
     """The nonzero c^lam_{mu, nu} over the shapes lam in the rows x cols box, each lam as a tuple of rows parts.
 
-    Grows mu by one horizontal strip per part of nu: strip i holds the boxes an LR tableau
+    Drops zero parts and, as c^lam_{mu, nu} = c^lam_{nu, mu}, grows the partition with more
+    boxes by one horizontal strip per part of the other: strip i holds the boxes an LR tableau
     fills with i (Fulton, Young Tableaux, ch. 5).  A state is (shape, boxes per row of the
     last strip), with its number of fillings, merged after each strip.  Strip i puts a_r
     boxes in row r, where a_r <= shape_{r-1} - shape_r before the strip (a horizontal strip,
     so columns stay strict), shape_r + a_r <= cols, and a_1 + ... + a_r is at most the last
     strip's boxes in rows 1..r-1 (the reverse reading word stays a lattice word).
     """
-    mu = tuple(p for p in mu if p)
-    if len(mu) > rows or mu and mu[0] > cols:
+    mu, nu = sorted((tuple(p for p in parts if p) for parts in (mu, nu)), key=sum, reverse=True)  # mu the larger
+    if any(len(p) > rows or p and p[0] > cols for p in (mu, nu)):
         return {}
     states = {(mu + (0,) * (rows - len(mu)), None): 1}
     for m in nu:
@@ -100,7 +104,7 @@ def _lr_terms(mu: tuple[int, ...], nu: tuple[int, ...], rows: int, cols: int) ->
             strips = [((), 0)]  # (boxes in rows 0..r-1, their sum), row by row
             for r, cap in zip(range(rows), caps):
                 room = (shape[r - 1] if r else cols) - shape[r]
-                strips = [(a + (x,), t + x) for a, t in strips for x in range(min(room, min(cap, m) - t) + 1)]
+                strips = [(a + (x,), t + x) for a, t in strips for x in range(min(room, cap - t, m - t) + 1)]
             for a, t in strips:
                 if t == m:
                     key = (tuple(map(add, shape, a)), a)
@@ -134,11 +138,14 @@ class CohomologyClass(Frozen):
     def __init__(self, k: int, n: int, coefficients=None):
         k, n = check_ambient(k, n)
         coefficients = dict(coefficients or {})
+        if not {SchubertSymbol}.issuperset(map(type, coefficients)):  # one scan over the key types
+            bad = next(u for u in coefficients if type(u) is not SchubertSymbol)
+            raise ValueError(f"a key of type {type(bad).__name__} is not a SchubertSymbol")
         _check_same_ambient((k, n), *(u.ambient for u in coefficients))
         values = integers(coefficients.values(), "coefficient")
         self._init(k, n, MappingProxyType({u: c for u, c in zip(coefficients, values) if c}))
 
-    def __reduce__(self):  # a mappingproxy cannot be pickled: copy, pickle and == go through a plain dict
+    def __reduce__(self):  # a mappingproxy cannot be pickled: copy and pickle go through a plain dict
         return CohomologyClass, (self.k, self.n, dict(self.coefficients))
 
     @classmethod
@@ -218,7 +225,7 @@ def _basis_product(u1: SchubertSymbol, u2: SchubertSymbol) -> dict[SchubertSymbo
     """The nonzero coefficients of z_u1 z_u2 in the Schubert basis, in lexicographic symbol order."""
     k, n = u1.ambient
     cell_count(k, n)  # CapacityError for a Grassmannian with more cells than the budget
-    terms = _lr_terms(symbol_to_partition(u1).parts, symbol_to_partition(u2).parts, k, n - k)
+    terms = _lr_terms(_parts(u1), _parts(u2), k, n - k)
     return {SchubertSymbol(e, n): c for e, c in sorted((_entries(lam, n), c) for lam, c in terms.items())}
 
 
@@ -247,7 +254,7 @@ def pieri_product(z: CohomologyClass, i: int) -> CohomologyClass:
         raise ValueError(f"need 1 <= i <= k = {k}, got i={i}")
     out: dict[SchubertSymbol, int] = {}
     for u, c in z.coefficients.items():
-        mu = symbol_to_partition(u).parts
+        mu = _parts(u)
         for rows in itertools.combinations(range(k), i):
             new = list(mu)
             for r in rows:
@@ -267,8 +274,8 @@ def triple_product(u: SchubertSymbol, v: SchubertSymbol, w: SchubertSymbol) -> i
     k, n = u.ambient
     if degree(u) + degree(v) + degree(w) != 2 * k * (n - k):
         raise ValueError("degrees do not sum to the top degree")
-    prod = cup_product(CohomologyClass.basis(u), CohomologyClass.basis(v))
-    return prod.coefficient(complement(w))
+    cell_count(k, n)  # CapacityError for a Grassmannian with more cells than the budget
+    return _lr_terms(_parts(u), _parts(v), k, n - k).get(_parts(complement(w)), 0)
 
 
 def chern_presentation_check(k: int, n: int) -> bool:

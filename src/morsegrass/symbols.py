@@ -48,10 +48,14 @@ class AmbiguousCellError(ValueError):
 class Frozen:
     """Immutable base of the value classes: each names its fields in __slots__ and sets them once, in __init__.
 
-    ==, hash and repr are a frozen dataclass's, over the field tuple.
+    ==, hash and repr are a frozen dataclass's, over the field tuple, which one getter per class reads.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls):  # _fields(x): x's field tuple, a 1-tuple for one field
+        get = operator.attrgetter(*cls.__slots__)
+        cls._fields = staticmethod(get if len(cls.__slots__) > 1 else lambda x: (get(x),))
 
     def _init(self, *values):  # sets the fields in __slots__ order; returns self
         for f, v in zip(self.__slots__, values):
@@ -63,14 +67,14 @@ class Frozen:
 
     __delattr__ = __setattr__
 
-    def __reduce__(self):  # (class, field tuple): copy and pickle rebuild through __init__; == and hash use it
-        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+    def __reduce__(self):  # (class, field tuple): copy and pickle rebuild through __init__
+        return type(self), self._fields(self)
 
     def __eq__(self, other):
-        return self.__reduce__() == other.__reduce__() if other.__class__ is self.__class__ else NotImplemented
+        return self._fields(self) == self._fields(other) if other.__class__ is self.__class__ else NotImplemented
 
     def __hash__(self):
-        return hash(self.__reduce__()[1])
+        return hash(self._fields(self))
 
     def __repr__(self):
         return f"{type(self).__name__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self.__slots__)})"

@@ -172,6 +172,40 @@ class TestLRCoefficients:
             lr_coefficient(lam, mu, nu)
 
 
+def box_shapes(rows, cols):
+    """Every partition of at most rows parts, each at most cols, as a tuple of rows parts."""
+    return [tuple(cols - c + j for j, c in enumerate(top)) for top in itertools.combinations(range(rows + cols), rows)]
+
+
+class TestEngine:
+    CASES = [((), (), 0, 0), ((), (), 2, 3), ((0, 0), (0,), 2, 2), ((2, 1), (), 2, 3), ((), (1, 0, 0), 2, 2),
+             ((3, 0), (1,), 2, 2), ((1,), (3,), 2, 2), ((1, 1, 1), (1,), 2, 4), ((1,), (1, 1, 1), 2, 4),
+             ((2, 1, 0), (2, 1), 3, 3), ((1, 0), (2, 2, 1), 3, 3)]
+
+    @staticmethod
+    def seeded_cases():
+        rng = random.Random(22)
+        for _ in range(400):
+            rows, cols = rng.randint(0, 4), rng.randint(0, 5)
+            mu, nu = (tuple(sorted((rng.randint(0, cols + 1) for _ in range(rng.randint(0, rows + 1))), reverse=True))
+                      for _ in "mn")
+            yield mu, nu, rows, cols
+
+    def test_symmetric_and_matches_the_filler(self):
+        # the engine grows the larger operand by strips of the smaller; either order, zero parts, empty
+        # partitions and operands outside the rows x cols box give the filler's terms over every shape in it
+        seen = {"zero part": 0, "outside": 0, "nonzero": 0, "mu larger": 0, "nu larger": 0}
+        for mu, nu, rows, cols in [*self.CASES, *self.seeded_cases()]:
+            want = {lam: c for lam in box_shapes(rows, cols) if (c := lr_filler(lam, mu, nu))}
+            got = ring_module._lr_terms(mu, nu, rows, cols)
+            assert got == want == ring_module._lr_terms(nu, mu, rows, cols), (mu, nu, rows, cols)
+            seen["zero part"] += 0 in mu + nu
+            seen["outside"] += any(len([p for p in x if p]) > rows or x and x[0] > cols for x in (mu, nu))
+            seen["nonzero"] += bool(want)
+            seen["mu larger" if sum(mu) > sum(nu) else "nu larger"] += sum(mu) != sum(nu)
+        assert min(seen.values()) > 50, seen
+
+
 class TestCupProduct:
     @pytest.mark.parametrize("k,n,stride", [(1, 3, 1), (2, 4, 1), (2, 5, 1), (3, 5, 1), (2, 6, 1), (3, 6, 1),
                                             (4, 6, 1), (2, 7, 1), (3, 7, 1), (4, 7, 1), (4, 8, 7)])
@@ -211,6 +245,13 @@ class TestCupProduct:
             basis((2, 4), 4) + basis((2, 4), 5)
         with pytest.raises(AmbientMismatchError, match=r"different Grassmannians: \(2, 4\) vs \(2, 5\)"):
             CohomologyClass(2, 4, {sym((2, 4), 5): 1})
+
+    @pytest.mark.parametrize("keys,name", [([(1, 3)], "tuple"), (["x"], "str"), ([(2, 4), "x"], "tuple"),
+                                           ([SchubertSymbol((2, 4), 4), None], "NoneType")])
+    def test_keys_must_be_symbols(self, keys, name):
+        # a tuple or a string key used to escape as AttributeError: 'tuple' object has no attribute 'ambient'
+        with pytest.raises(ValueError, match=rf"^a key of type {name} is not a SchubertSymbol$"):
+            CohomologyClass(2, 4, dict.fromkeys(keys, 1))
 
     def test_impossible_grassmannian_refused(self):
         with pytest.raises(ValueError, match=r"need 0 <= k <= n, got k=5, n=3"):

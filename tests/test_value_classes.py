@@ -42,6 +42,7 @@ VALUES = [
     (CohomologyClass, (2, 4, {SchubertSymbol((1, 3), 4): 2}), ("k", "n", "coefficients")),
     (GrassmannPoint, (np.eye(3, 2),), ("matrix",)),
 ]
+FIELD_GETTER_CASES = [v for v in VALUES if v[0] in (SchubertSymbol, PartitionShape, MomentPoint)]  # 2, 3 and 1 fields
 # immutable like the others, with ==, hash and repr of their own: test_own_equality
 OWN_EQUALITY = (IntPolynomial, CohomologyClass, GrassmannPoint)
 
@@ -89,6 +90,27 @@ def test_own_equality():
     V = GrassmannPoint(np.eye(3, 2))
     assert V == V and V != GrassmannPoint(np.eye(3, 2)) and hash(V) == object.__hash__(V)
     assert np.array_equal(pickle.loads(pickle.dumps(V)).matrix, V.matrix)
+
+
+def test_cohomology_equality_ignores_insertion_order():
+    u, v, w = SchubertSymbol((1, 4), 4), SchubertSymbol((2, 3), 4), SchubertSymbol((1, 3), 4)
+    z, y = CohomologyClass(2, 4, {u: 1, v: -2, w: 3}), CohomologyClass(2, 4, {w: 3, v: -2, u: 1})
+    assert list(z.coefficients) != list(y.coefficients)
+    assert z == y and not z != y and hash(z) == hash(y) and len({z, y}) == 1
+    assert z != CohomologyClass(2, 4, {u: 1, v: 2, w: 3}) and z != CohomologyClass(2, 4, {u: 1, v: -2})
+    for twin in (copy.deepcopy(z), pickle.loads(pickle.dumps(z)), pickle.loads(pickle.dumps(y))):
+        assert twin == z == y and hash(twin) == hash(z) and type(twin.coefficients) is type(z.coefficients)
+
+
+@pytest.mark.parametrize("cls,args,fields", FIELD_GETTER_CASES,
+                         ids=["SchubertSymbol", "PartitionShape", "MomentPoint"])
+def test_equality_and_hash_read_the_fields_directly(cls, args, fields, monkeypatch):
+    # __reduce__ serves copy and pickle only: == and hash read the field tuple through the class's getter
+    x, y = cls(*args), cls(*args)
+    values = tuple(getattr(x, f) for f in fields)
+    monkeypatch.setattr(Frozen, "__reduce__", lambda self: pytest.fail("__reduce__ called"))
+    assert x == y and not x != y and hash(x) == hash(y) == hash(values) and x != values
+    assert cls._fields(x) == values
 
 
 def test_shared_and_hashed_values_cannot_change():
