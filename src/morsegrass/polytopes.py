@@ -14,6 +14,7 @@ compute floats, from frames that flows builds with numpy.
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 from itertools import accumulate
 from typing import TYPE_CHECKING
@@ -58,20 +59,24 @@ class VertexPolytope(_PrefixBounds):
     """A Schubert matroid polytope of Gr_k(C^n), held by its vertices: the 0/1 points of its inequality system.
 
     The system is 0 <= x <= 1, x_1 + ... + x_i >= c_i, x_1 + ... + x_n = c_n = k
-    (Gelfand-Goresky-MacPherson-Serganova); every schubert_polytope and
-    grassmannian_polytope is one.  The constructor finds c_1, ..., c_n once,
-    for membership and face_counts, and raises ValueError for any other vertex set.
+    (Gelfand-Goresky-MacPherson-Serganova).  schubert_polytope and grassmannian_polytope take c_i from the
+    symbol; the constructor checks a vertex set from outside once, finding c_1, ..., c_n for membership and
+    face_counts, and raises ValueError for any other vertex set.
     """
 
     __slots__ = ("vertices", "k", "n")
 
     def __init__(self, vertices: tuple[tuple, ...], k: int, n: int):
-        self._init(tuple(tuple(v) for v in vertices), *check_ambient(k, n))
-        if not self.vertices:
+        vertices, (k, n) = tuple(tuple(v) for v in vertices), check_ambient(k, n)
+        if not vertices:
             raise ValueError("a polytope needs at least one vertex")
-        if len(set(self.vertices)) != len(self.vertices):
+        if len(set(vertices)) != len(vertices):
             raise ValueError("vertices must be pairwise distinct")
-        object.__setattr__(self, "_bounds", _prefix_bounds(self.vertices, self.k, self.n))
+        self._set(vertices, k, n, _prefix_bounds(vertices, k, n))
+
+    def _set(self, vertices, k, n, bounds):  # the fields and prefix bounds as given, unchecked; returns self
+        object.__setattr__(self._init(vertices, k, n), "_bounds", bounds)
+        return self
 
     def to_json(self) -> dict:
         return {
@@ -107,9 +112,9 @@ def grassmannian_polytope(k: int, n: int) -> VertexPolytope:
 def schubert_polytope(u: SchubertSymbol) -> VertexPolytope:
     """Moment image of the Schubert variety X_u: hull of {e_v : v in closure of S_u}.
 
-    The closure holds the symbols v with v_j <= u_j for every j, listed in
-    lexicographic order by stepping from one to the next.  CapacityError if
-    Gr_k(C^n) has more than MAX_SYMBOLS cells or the vertices more coordinates.
+    The closure holds the symbols v with v_j <= u_j for every j, listed in lexicographic order by stepping from
+    one to the next: the e_v with every prefix sum at least e_u's (Gale order), so c_i is e_u's i-th prefix sum,
+    unchecked.  CapacityError if Gr_k(C^n) has more than MAX_SYMBOLS cells or the vertices more coordinates.
     """
     cells = cell_count(u.k, u.n)
     if cells * u.n > MAX_SYMBOLS:  # else all C(n, k) cells fit; count the e_v above e_u's prefix sums
@@ -124,8 +129,8 @@ def schubert_polytope(u: SchubertSymbol) -> VertexPolytope:
         j = k - 1
         while j >= 0 and v[j] == bounds[j]:
             j -= 1
-        if j < 0:
-            return VertexPolytope(tuple(verts), u.k, u.n)
+        if j < 0:  # v = u, so verts[-1] is e_u
+            return VertexPolytope.__new__(VertexPolytope)._set(tuple(verts), u.k, u.n, list(accumulate(verts[-1])))
         # raise the last entry below its bound, then the least tail; u_i >= u_j + (i - j)
         v[j:] = range(v[j] + 1, v[j] + 1 + k - j)
 
@@ -169,12 +174,15 @@ def membership(x, P: VertexPolytope, tol: float = 1e-9) -> bool:
 
     Rational coordinates (int/Fraction) are decided exactly.  Float
     coordinates must be finite; each inequality may be violated by at most
-    tol * (1 + |(x, 1)|_1).
+    tol * (1 + |(x, 1)|_1).  ValueError for a coordinate that is a bool or not a numbers.Real.
     """
     coords = x.coords if isinstance(x, MomentPoint) else tuple(x)
     if len(coords) != P.n:
         raise ValueError(f"point has {len(coords)} coordinates, polytope ambient is {P.n}")
     tol = tolerance(tol)
+    for t in {*map(type, coords)} - {int, float, Fraction}:
+        if t is bool or not issubclass(t, numbers.Real):
+            raise ValueError(f"a point coordinate of type {t.__name__} is not a real number")
     exact = all(isinstance(c, (int, Fraction)) for c in coords)
     if not exact and not all(math.isfinite(c) for c in coords):
         raise ValueError(f"point coordinates {coords} must be finite")
@@ -267,5 +275,8 @@ def flow_moment_trace(
 
 
 def moment_height(x: MomentPoint, a: HeightSpectrum) -> float:
-    """<a, mu(V)>; equals height_value(V, a) when x = moment_map(V)."""
+    """<a, mu(V)>; equals height_value(V, a) when x = moment_map(V).  ValueError unless a and x have one length."""
+    from .flows import _check_flow_input
+
+    _check_flow_input(x, a)
     return float(sum(ai * xi for ai, xi in zip(a.a, x.coords)))

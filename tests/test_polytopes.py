@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate, combinations
 
@@ -60,6 +61,12 @@ class TestMomentMap:
         for _ in range(20):
             V = random_point(2, 5, rng)
             assert abs(moment_height(moment_map(V), a) - height_value(V, a)) < 1e-12
+
+    @pytest.mark.parametrize("coords", [(1, 0, 0), (1,)])
+    def test_height_refuses_other_lengths(self, coords):
+        # zip once dropped the extra coordinates or heights and both points read 2.0
+        with pytest.raises(ValueError, match="spectrum length does not match ambient dimension"):
+            moment_height(MomentPoint(coords), HeightSpectrum((2.0, 1.0)))
 
     def test_projector_diagonal_oracle(self):
         # mu and f were read off the diagonal of the n x n projector; now squared row norms of the frame
@@ -293,14 +300,18 @@ class TestExactStructure:
         for P in cases:
             pins = sum(c == min(i, P.k) for i, c in enumerate(P._bounds, 1))
             assert P.n - pins == _affine_rank(P.vertices), P.vertices
+            # the bounds read from the symbol are those the checked constructor finds
+            Q = VertexPolytope(P.vertices, P.k, P.n)
+            assert Q == P and hash(Q) == hash(P) and Q._bounds == P._bounds, P.vertices
 
     def test_vertices_skip_bruhat_filter(self, monkeypatch):
         def forbidden(*args):
-            raise AssertionError("the vertex list is stepped through, not filtered")
+            raise AssertionError("the vertices are stepped through, not filtered, and the bounds read off the symbol")
 
         for name in ("bruhat_leq", "enumerate_symbols"):
             monkeypatch.setattr(symbols, name, forbidden)
             monkeypatch.setattr(polytopes, name, forbidden, raising=False)
+        monkeypatch.setattr(polytopes, "_prefix_bounds", forbidden)
         assert len(schubert_polytope(sym((3, 5, 8), 8)).vertices) == 37
         assert len(grassmannian_polytope(4, 8).vertices) == 70
         assert grassmannian_polytope(0, 0).vertices == ((),)
@@ -380,6 +391,28 @@ class TestMembership:
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="finite"):
                 membership([bad, 0.5, 0.5, 0.5], P)
+
+    @pytest.mark.parametrize("coords, kind", [
+        (("1", "0"), "str"),
+        ((None, 1), "NoneType"),
+        ((1 + 0j, 0), "complex"),
+        ((Decimal(1), Decimal(0)), "Decimal"),
+        ((True, False), "bool"),
+        ((1, np.bool_(False)), np.bool_.__name__),
+        ((np.int64(1), np.int64(0)), None),
+        ((np.float64(0.5), np.float32(0.5)), None),
+        ((np.int32(1), Fraction(0)), None),
+    ])
+    def test_coordinates_must_be_real_numbers(self, coords, kind):
+        # these raised TypeError from float() or +, and (True, False) was taken as the point (1, 0)
+        P = grassmannian_polytope(1, 2)
+        if kind is None:
+            assert membership(coords, P)
+            assert membership(MomentPoint(coords), P)
+        else:
+            for x in (coords, MomentPoint(coords)):
+                with pytest.raises(ValueError, match=f"a point coordinate of type {kind} is not a real number"):
+                    membership(x, P)
 
     def test_lower_dimensional_schubert_polytope(self):
         # X_(2,4) in Gr(2,4): vertices e_v with v <= (2,4), so x_1 + x_2 >= 1
