@@ -27,7 +27,7 @@ from numpy.linalg._umath_linalg import solve as _gesv
 
 # tolerance, DEFAULT_TOL and AmbiguousCellError live in symbols so that the CLI
 # can parse --tol and map exit codes without importing numpy
-from .symbols import DEFAULT_TOL, AmbiguousCellError, Frozen, SchubertSymbol, check_ambient, integers, tolerance
+from .symbols import DEFAULT_TOL, AmbiguousCellError, Frozen, SchubertSymbol, check_ambient, integers, reals, tolerance
 
 # exp() overflows past ~709; flows clamp the largest exponent magnitude here
 MAX_EXPONENT = 700.0
@@ -48,14 +48,12 @@ def _singular_stage(err, flag):  # np.errstate call: zgesv met a zero pivot in a
 
 
 class HeightSpectrum(Frozen):
-    """Diagonal entries a_1 >= ... >= a_n >= 0 of the height function."""
+    """Diagonal entries a_1 >= ... >= a_n >= 0 of the height function, as floats once symbols.reals passes each."""
 
     __slots__ = ("a",)
 
     def __init__(self, a: tuple[float, ...]):
-        a = tuple(float(x) for x in a)
-        if not all(map(math.isfinite, a)):
-            raise ValueError(f"spectrum entries must be finite, got {a}")
+        a = tuple(map(float, reals(a, "height")))
         if any(a[i] < a[i + 1] for i in range(len(a) - 1)):
             raise ValueError(f"spectrum {a} must be nonincreasing")
         if a and a[-1] < 0:
@@ -82,9 +80,10 @@ class GrassmannPoint(Frozen):
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, matrix):
-        m = np.array(matrix, dtype=complex)
-        if m.ndim != 2:
-            raise ValueError("expected a 2-d matrix")
+        m = np.asarray(matrix)
+        if m.ndim != 2 or m.dtype.kind in "USb":  # a cast to complex would parse strings and take True as 1
+            raise ValueError(f"expected a 2-d matrix of numbers, got a {m.ndim}-d array of dtype {m.dtype}")
+        m = m.astype(complex)
         check_ambient(m.shape[1], m.shape[0])
         if m.shape[1] > 0:
             scale = float(np.abs(m).max())  # NaN or inf if any entry is
@@ -152,14 +151,10 @@ def span_distance(V: GrassmannPoint, W: GrassmannPoint) -> float:
 
 
 def _check_flow_input(V: GrassmannPoint, a: HeightSpectrum, ts=()) -> list[float]:
-    """The times ts as floats; ValueError unless a has one height per coordinate of V and each t is finite."""
+    """The times ts as floats; ValueError unless a has one height per coordinate of V and symbols.reals passes ts."""
     if a.n != V.n:
         raise ValueError("spectrum length does not match ambient dimension")
-    ts = [float(t) for t in ts]
-    for t in ts:
-        if not math.isfinite(t):
-            raise ValueError(f"flow time must be finite, got {t}")
-    return ts
+    return [*map(float, reals(ts, "flow time"))]
 
 
 def height_value(V: GrassmannPoint, a: HeightSpectrum) -> float:
@@ -322,6 +317,7 @@ def plucker_embed(V: GrassmannPoint) -> np.ndarray:
 
 def plucker_weights(a: HeightSpectrum, k: int) -> list[float]:
     """Flow weights a_{u_1} + ... + a_{u_k} per symbol, lexicographic order."""
+    k, _ = check_ambient(k, a.n)
     return [sum(a.a[i] for i in rows) for rows in itertools.combinations(range(a.n), k)]
 
 
@@ -344,6 +340,7 @@ def projective_distance(x: np.ndarray, y: np.ndarray) -> float:
 
 def random_point(k: int, n: int, rng=None) -> GrassmannPoint:
     """Generic point: complex Gaussian frame (almost surely in the top cell)."""
+    k, n = check_ambient(k, n)
     rng = np.random.default_rng(rng)
     m = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
     return GrassmannPoint(m)

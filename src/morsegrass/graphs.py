@@ -152,6 +152,7 @@ def interval_graph() -> FlowGraph:
 
 def y_graph(n_in: int = 3) -> FlowGraph:
     """Single vertex with n_in incoming ends (cup-product shape for n_in = 3)."""
+    (n_in,) = integers([n_in], "count of incoming ends")
     return FlowGraph({"v"}, tuple(("v", None, INCOMING) for _ in range(n_in)))
 
 

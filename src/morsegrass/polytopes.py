@@ -13,14 +13,12 @@ compute floats, from frames that flows builds with numpy.
 
 from __future__ import annotations
 
-import math
-import numbers
 from fractions import Fraction
 from itertools import accumulate
 from typing import TYPE_CHECKING
 
 from .symbols import CapacityError  # noqa: F401 (re-exported)
-from .symbols import MAX_SYMBOLS, Frozen, SchubertSymbol, cell_count, check_ambient, check_budget, tolerance
+from .symbols import MAX_SYMBOLS, Frozen, SchubertSymbol, cell_count, check_ambient, check_budget, reals, tolerance
 
 if TYPE_CHECKING:
     from .flows import GrassmannPoint, HeightSpectrum
@@ -36,12 +34,12 @@ def __getattr__(name):
 
 
 class MomentPoint(Frozen):
-    """A point of R^n, typically diag(pi_V) with entries in [0,1] summing to k."""
+    """A point of R^n, typically diag(pi_V) with entries in [0,1] summing to k; symbols.reals judges each coordinate."""
 
     __slots__ = ("coords",)
 
     def __init__(self, coords: tuple):
-        self._init(tuple(coords))
+        self._init(reals(coords, "point coordinate"))
 
     @property
     def n(self) -> int:
@@ -172,20 +170,13 @@ def _lattice_paths(bounds, total: int) -> int:
 def membership(x, P: VertexPolytope, tol: float = 1e-9) -> bool:
     """Whether x lies in the Schubert matroid polytope P, decided by its stored prefix bounds.
 
-    Rational coordinates (int/Fraction) are decided exactly.  Float
-    coordinates must be finite; each inequality may be violated by at most
-    tol * (1 + |(x, 1)|_1).  ValueError for a coordinate that is a bool or not a numbers.Real.
-    """
-    coords = x.coords if isinstance(x, MomentPoint) else tuple(x)
+    symbols.reals judges the coordinates of a sequence x as MomentPoint's.  Rational coordinates (int/Fraction)
+    are decided exactly; with any other, each inequality may be violated by at most tol * (1 + |(x, 1)|_1)."""
+    coords = x.coords if isinstance(x, MomentPoint) else reals(x, "point coordinate")
     if len(coords) != P.n:
         raise ValueError(f"point has {len(coords)} coordinates, polytope ambient is {P.n}")
     tol = tolerance(tol)
-    for t in {*map(type, coords)} - {int, float, Fraction}:
-        if t is bool or not issubclass(t, numbers.Real):
-            raise ValueError(f"a point coordinate of type {t.__name__} is not a real number")
     exact = all(isinstance(c, (int, Fraction)) for c in coords)
-    if not exact and not all(math.isfinite(c) for c in coords):
-        raise ValueError(f"point coordinates {coords} must be finite")
     slack = 0 if exact else tol * (2.0 + sum(abs(c) for c in coords))
     return (
         abs(sum(coords) - P.k) <= slack

@@ -23,14 +23,12 @@ DEFAULT_TOL = 1e-9
 
 
 def tolerance(value) -> float:
-    """A numerical tolerance as a float; ValueError unless finite and positive.
-
-    Accepts numbers and numeric strings, so it also serves as an argparse type.
-    """
-    tol = float(value)
-    if not (math.isfinite(tol) and tol > 0):
+    """A numerical tolerance as a float; ValueError unless finite and positive.  A string, as --tol and
+    MORSEGRASS_TOL are, is parsed with float() first; any other value must pass reals, the rule for real input."""
+    (tol,) = reals((float(value) if isinstance(value, str) else value,), "tolerance")
+    if not tol > 0:
         raise ValueError(f"tolerance must be finite and positive, got {value!r}")
-    return tol
+    return float(tol)
 
 
 class AmbientMismatchError(ValueError):
@@ -151,6 +149,24 @@ def integers(values, what: str) -> tuple[int, ...]:
         if isinstance(v, bool) or not hasattr(type(v), "__index__"):
             raise ValueError(f"a {what} of type {type(v).__name__} is not an integer")
     return tuple(map(operator.index, values))
+
+
+def reals(values, what: str) -> tuple:
+    """The values as a tuple, the one rule for real input: ValueError naming ``what`` unless each is a numbers.Real,
+    not bool ("1.5", True, None, 1+0j and Decimal are never parsed), and finite unless exact (ints, Fractions)."""
+    values = tuple(values)
+    if {float}.issuperset(map(type, values)) and all(map(math.isfinite, values)) or {int}.issuperset(map(type, values)):
+        return values
+    kinds = set(map(type, values))
+    import numbers  # here, not at load: the CLI's exact subcommands never load it
+    for t in kinds:  # ABC checks once per type, not per value: each costs more than the finite test
+        if t is bool or not issubclass(t, numbers.Real):
+            raise ValueError(f"a {what} of type {t.__name__} is not a real number")
+    exact = {t for t in kinds if issubclass(t, numbers.Rational)}  # never math.isfinite: 10**400 overflows
+    for v in values:
+        if type(v) not in exact and not math.isfinite(v):
+            raise ValueError(f"a {what} must be finite, got {v!r}")
+    return values
 
 
 def check_ambient(k: int, n: int) -> tuple[int, int]:

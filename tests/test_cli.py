@@ -579,6 +579,16 @@ class TestLazyLoading:
         numpy_loaded, code, _, introspection = probe(tmp_path, *argv)
         assert (numpy_loaded, code, introspection) == (False, 0, "none")
 
+    def test_cells_loads_no_number_tower(self):
+        # symbols.reals imports numbers only for values other than ints and finite floats
+        code = ("import sys\n"
+                "from morsegrass.cli import main\n"
+                "assert main(['cells', '2', '4']) == 0\n"
+                "print([m for m in ('numbers', 'fractions', 'decimal') if m in sys.modules])")
+        out = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
+                             text=True, check=True, timeout=60).stdout
+        assert out.splitlines()[-1] == "[]"
+
     @pytest.mark.parametrize("argv", [
         ["polytope", "3", "9"],
         ["polytope", "2", "4", "(1,2,3)"],

@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -600,6 +601,25 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match="finite") as err:
             GrassmannPoint(m)
         assert "SVD" not in str(err.value)
+
+    @pytest.mark.parametrize("frame", [
+        [["1", "0"], ["0", "1"], ["0", "0"]],
+        np.array([[b"1", b"0"], [b"0", b"1"], [b"0", b"0"]]),
+        [[True, False], [False, True], [False, False]],
+    ], ids=["str", "bytes", "bool"])
+    def test_frame_of_non_numbers_refuses(self, frame):
+        # the cast to complex parsed the strings and took True as 1, building the plane span(e1, e2)
+        with pytest.raises(ValueError, match="^expected a 2-d matrix of numbers, got a 2-d array of dtype"):
+            GrassmannPoint(frame)
+
+    @pytest.mark.parametrize("frame", [
+        [[1, 0], [0, 1], [0, 0]],
+        np.array([[Fraction(1), Fraction(0)], [Fraction(1, 2), Fraction(1)], [0, 0]], dtype=object),
+        np.eye(3, 2, dtype=np.float32),
+        np.eye(3, 2, dtype=np.int8),
+    ], ids=["int", "Fraction", "float32", "int8"])
+    def test_numeric_frames_still_build(self, frame):
+        assert np.array_equal(GrassmannPoint(frame).matrix, np.array(frame, dtype=complex))
 
     @pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
     def test_flow_time_refuses(self, t):

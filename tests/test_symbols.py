@@ -1,6 +1,7 @@
 import ast
 import itertools
 import time
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,8 +10,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 import morsegrass.symbols as symbols_module
-from morsegrass.flows import GrassmannPoint, HeightSpectrum, integrate_flow
-from morsegrass.graphs import LabeledEnds
+from morsegrass.flows import (
+    GrassmannPoint,
+    HeightSpectrum,
+    flow,
+    integrate_flow,
+    limit_symbol,
+    plucker_weights,
+    random_point,
+)
+from morsegrass.graphs import LabeledEnds, y_graph
 from morsegrass.polynomials import (
     IntPolynomial,
     gaussian_generating,
@@ -18,7 +27,7 @@ from morsegrass.polynomials import (
     poincare_closed,
     poincare_recurrence,
 )
-from morsegrass.polytopes import VertexPolytope
+from morsegrass.polytopes import MomentPoint, VertexPolytope, flow_moment_trace, grassmannian_polytope, membership
 from morsegrass.ring import CohomologyClass, PartitionShape, lr_coefficient, pieri_product, special_symbol
 from morsegrass.witten import ComplexValidationError, WittenComplex, circle_complex, elementary_divisors, rp_complex
 from morsegrass.symbols import (
@@ -42,6 +51,7 @@ from morsegrass.symbols import (
     ndcm_dimension,
     ndcm_shape,
     schubert_conditions,
+    tolerance,
 )
 
 
@@ -406,9 +416,10 @@ class TestOneRulePerInput:
     @pytest.mark.parametrize("text,site", [
         ("need 0 <= k <= n", ("symbols.py", "check_ambient")),
         ("spectrum length does not match ambient dimension", ("flows.py", "_check_flow_input")),
-        ("flow time must be finite", ("flows.py", "_check_flow_input")),
+        ("{what} must be finite", ("symbols.py", "reals")),
         ("must be positive", ("symbols.py", "_block_sizes")),
         ("is not an integer", ("symbols.py", "integers")),
+        ("is not a real number", ("symbols.py", "reals")),
     ])
     def test_each_message_from_one_function(self, text, site):
         assert _raise_sites(text=text) == [site]
@@ -473,6 +484,12 @@ INTEGER_INPUTS = [
     pytest.param("part of lam", lambda x: lr_coefficient((x, 1), (1,), (1, 1)), id="lr_coefficient-lam"),
     pytest.param("part of mu", lambda x: lr_coefficient((3, 1), (x,), (1, 1)), id="lr_coefficient-mu"),
     pytest.param("part of nu", lambda x: lr_coefficient((3, 1), (1, 1), (x,)), id="lr_coefficient-nu"),
+    # each of these raised TypeError from inside numpy, itertools or range
+    pytest.param("dimension k", lambda x: plucker_weights(HeightSpectrum((3.0, 2.0, 1.0, 0.0)), x),
+                 id="plucker_weights-k"),
+    pytest.param("dimension k", lambda x: random_point(x, 4, 1).k, id="random_point-k"),
+    pytest.param("dimension n", lambda x: random_point(2, x, 1).n, id="random_point-n"),
+    pytest.param("count of incoming ends", lambda x: y_graph(x).n_incoming, id="y_graph"),
 ]
 
 # calls that truncated, stored or passed on a value that is not an integer; what each gave before
@@ -523,3 +540,56 @@ class TestIntegerRule:
         values = (1, -2, 2**70)
         assert symbols_module.integers(values, "value") is values
         assert symbols_module.integers(iter([np.uint8(255), np.int64(2**62)]), "value") == (255, 2**62)
+
+
+A4 = HeightSpectrum((3.0, 2.0, 1.0, 0.0))
+V4 = GrassmannPoint([[1, 0], [1, 1], [0, 1], [1, 2]])
+P12 = grassmannian_polytope(1, 2)
+V_EMPTY = GrassmannPoint(np.zeros((4, 0)))  # no pivot to find, so any valid tolerance gives ()
+
+# every place a real number enters: (the field the refusal names, a call that puts x there, valid at x = 1
+# and x = 1/2, returning what is stored or computed from it)
+REAL_INPUTS = [
+    pytest.param("height", lambda x: HeightSpectrum((2, x, 0)).a, id="HeightSpectrum"),
+    pytest.param("flow time", lambda x: flow(V4, A4, x).matrix.tobytes(), id="flow"),
+    pytest.param("flow time", lambda x: integrate_flow(V4, A4, x, steps=4).matrix.tobytes(), id="integrate_flow"),
+    pytest.param("flow time", lambda x: [mu.coords for mu in flow_moment_trace(V4, A4, [0.0, x])],
+                 id="flow_moment_trace"),
+    pytest.param("point coordinate", lambda x: MomentPoint((x, 0)).coords, id="MomentPoint"),
+    pytest.param("point coordinate", lambda x: membership((x, 0), P12), id="membership-coords"),
+    pytest.param("tolerance", tolerance, id="tolerance"),
+    pytest.param("tolerance", lambda x: membership((0.5, 0.5), P12, tol=x), id="membership-tol"),
+    pytest.param("tolerance", lambda x: str(limit_symbol(V_EMPTY, tol=x)), id="limit_symbol-tol"),
+]
+
+
+class TestRealRule:
+    @pytest.mark.parametrize("bad", ["1.5", True, None, 1 + 0j, Decimal("1.5")], ids=repr)
+    @pytest.mark.parametrize("field,build", REAL_INPUTS)
+    def test_non_reals_refused(self, field, build, bad):
+        if field == "tolerance" and isinstance(bad, str):
+            # the text of --tol and MORSEGRASS_TOL is parsed with float(); no other real input is
+            assert build(bad) == build(float(bad))
+            return
+        with pytest.raises(ValueError, match=f"^a {field} of type {type(bad).__name__} is not a real number$"):
+            build(bad)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), np.float32("nan")], ids=repr)
+    @pytest.mark.parametrize("field,build", REAL_INPUTS)
+    def test_non_finite_refused(self, field, build, bad):
+        with pytest.raises(ValueError, match=f"^a {field} must be finite, got "):
+            build(bad)
+
+    @pytest.mark.parametrize("good", [1, Fraction(1, 2), np.float64(0.5), np.int64(1)], ids=repr)
+    @pytest.mark.parametrize("field,build", REAL_INPUTS)
+    def test_exact_and_numpy_reals_used_as_floats_of_their_value(self, field, build, good):
+        assert build(good) == build(float(good))
+
+    def test_values_pass_as_they_are(self):
+        # exact values are never converted: math.isfinite(10**400) raises OverflowError
+        values = (10**400, Fraction(1, 3), np.int64(2), np.float64(0.5), np.float32(0.25), -3, 2.5)
+        got = symbols_module.reals(values, "value")
+        assert got is values and [*map(type, got)] == [*map(type, values)]
+        assert MomentPoint((Fraction(1, 2), np.int64(0))).coords == (Fraction(1, 2), 0)
+        assert type(MomentPoint((Fraction(1, 2), np.int64(0))).coords[1]) is np.int64
+        assert symbols_module.reals(iter([1.5, 2]), "value") == (1.5, 2)
