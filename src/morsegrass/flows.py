@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 
 import numpy as np
 # np.linalg.solve's LAPACK gufunc: on k x k systems its Python checks and errstate
@@ -27,7 +28,8 @@ from numpy.linalg._umath_linalg import solve as _gesv
 
 # tolerance, DEFAULT_TOL and AmbiguousCellError live in symbols so that the CLI
 # can parse --tol and map exit codes without importing numpy
-from .symbols import DEFAULT_TOL, AmbiguousCellError, Frozen, SchubertSymbol, check_ambient, integers, reals, tolerance
+from .symbols import (DEFAULT_TOL, AmbiguousCellError, Frozen, SchubertSymbol, cell_count, check_ambient, floats,
+                      integers, tolerance)
 
 # exp() overflows past ~709; flows clamp the largest exponent magnitude here
 MAX_EXPONENT = 700.0
@@ -53,7 +55,7 @@ class HeightSpectrum(Frozen):
     __slots__ = ("a",)
 
     def __init__(self, a: tuple[float, ...]):
-        a = tuple(map(float, reals(a, "height")))
+        a = floats(a, "height")
         if any(a[i] < a[i + 1] for i in range(len(a) - 1)):
             raise ValueError(f"spectrum {a} must be nonincreasing")
         if a and a[-1] < 0:
@@ -83,7 +85,7 @@ class GrassmannPoint(Frozen):
         m = np.asarray(matrix)
         if m.ndim != 2 or m.dtype.kind in "USb":  # a cast to complex would parse strings and take True as 1
             raise ValueError(f"expected a 2-d matrix of numbers, got a {m.ndim}-d array of dtype {m.dtype}")
-        m = m.astype(complex)
+        m = _complex_array(matrix, "frame entry")
         check_ambient(m.shape[1], m.shape[0])
         if m.shape[1] > 0:
             scale = float(np.abs(m).max())  # NaN or inf if any entry is
@@ -127,6 +129,17 @@ class GrassmannPoint(Frozen):
         return cls(m)
 
 
+def _complex_array(x, what: str) -> np.ndarray:
+    """x as a complex ndarray; ValueError naming ``what`` for a string or bool entry, which the cast would parse or
+    take as 1.  Entries are judged by type, once per type, unless x is a numeric ndarray, the hot case."""
+    m = np.asarray(x)
+    if m is not x or m.dtype.kind not in "iufc":  # a list turns True into 1 before the cast: judge x itself
+        for t in set(map(type, np.asarray(x, dtype=object).flat)):
+            if t is bool or not issubclass(t, numbers.Complex):
+                raise ValueError(f"a {what} of type {t.__name__} is not a number")
+    return m.astype(complex)
+
+
 class TangentVector(Frozen):
     """Tangent vector at a point, as a skew-Hermitian n x n matrix."""
 
@@ -150,11 +163,11 @@ def span_distance(V: GrassmannPoint, W: GrassmannPoint) -> float:
     return float(np.linalg.norm(projector(V) - projector(W)))
 
 
-def _check_flow_input(V: GrassmannPoint, a: HeightSpectrum, ts=()) -> list[float]:
-    """The times ts as floats; ValueError unless a has one height per coordinate of V and symbols.reals passes ts."""
+def _check_flow_input(V: GrassmannPoint, a: HeightSpectrum, ts=()) -> tuple[float, ...]:
+    """The times ts as floats; ValueError unless a has one height per coordinate of V and symbols.floats passes ts."""
     if a.n != V.n:
         raise ValueError("spectrum length does not match ambient dimension")
-    return [*map(float, reals(ts, "flow time"))]
+    return floats(ts, "flow time")
 
 
 def height_value(V: GrassmannPoint, a: HeightSpectrum) -> float:
@@ -307,8 +320,9 @@ def limit_symbol(
 def plucker_embed(V: GrassmannPoint) -> np.ndarray:
     """Plucker coordinates: maximal minors in lexicographic symbol order.
 
-    One stacked det over the C(n, k) row selections; k = 0 gives [1].
+    One stacked det over the C(n, k) row selections, priced by symbols.cell_count first; k = 0 gives [1].
     """
+    cell_count(V.k, V.n)
     if V.k == 0:
         return np.ones(1, dtype=complex)
     rows = np.array(list(itertools.combinations(range(V.n), V.k)))
@@ -316,16 +330,16 @@ def plucker_embed(V: GrassmannPoint) -> np.ndarray:
 
 
 def plucker_weights(a: HeightSpectrum, k: int) -> list[float]:
-    """Flow weights a_{u_1} + ... + a_{u_k} per symbol, lexicographic order."""
-    k, _ = check_ambient(k, a.n)
+    """Flow weights a_{u_1} + ... + a_{u_k} per symbol, lexicographic order; CapacityError first past C(n, k) cells."""
+    cell_count(k, a.n)  # checks k too
     return [sum(a.a[i] for i in rows) for rows in itertools.combinations(range(a.n), k)]
 
 
 def projective_distance(x: np.ndarray, y: np.ndarray) -> float:
     """Distance between lines through x and y: norm of the difference after
-    normalizing and aligning phases via the largest coordinate of x; ValueError if either is zero."""
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
+    normalizing and aligning phases via the largest coordinate of x; ValueError if either is zero or has an entry
+    that is a string or bool."""
+    x, y = (_complex_array(v, "vector entry") for v in (x, y))
     nx, ny = np.linalg.norm(x), np.linalg.norm(y)
     if nx == 0 or ny == 0:
         raise ValueError("projective_distance needs nonzero vectors: a zero vector spans no line")

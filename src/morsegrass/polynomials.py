@@ -13,6 +13,7 @@ from __future__ import annotations
 from .symbols import (
     Frozen,
     GeneralizedSchubertSymbol,
+    _combination,
     cell_dimension,
     check_ambient,
     check_budget,
@@ -31,10 +32,14 @@ class IntPolynomial(Frozen):
         coeffs = list(integers(coeffs, "coefficient"))
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        self._init(tuple(coeffs))
 
     @classmethod
     def monomial(cls, degree: int, coefficient: int = 1) -> "IntPolynomial":
+        """coefficient * t^degree; ValueError unless degree is an integer >= 0 and coefficient an integer."""
+        (degree,) = integers([degree], "monomial degree")
+        if degree < 0:
+            raise ValueError(f"a monomial needs degree >= 0, got {degree}")
         return cls([0] * degree + [coefficient])
 
     zero: "IntPolynomial"
@@ -116,7 +121,10 @@ class IntPolynomial(Frozen):
         return value
 
     def substitute_power(self, p: int) -> "IntPolynomial":
-        """Replace t by t^p."""
+        """Replace t by t^p; ValueError unless p is an integer >= 1."""
+        (p,) = integers([p], "power p")
+        if p < 1:
+            raise ValueError(f"substitute_power needs p >= 1, got {p}")
         out = [0] * (p * len(self.coeffs) or 1)
         for d, c in enumerate(self.coeffs):
             out[p * d] = c
@@ -126,24 +134,7 @@ class IntPolynomial(Frozen):
         return not self.coeffs
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        terms = []
-        for d, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if d == 0:
-                terms.append(str(c))
-            else:
-                var = "t" if d == 1 else f"t^{d}"
-                if c == 1:
-                    terms.append(var)
-                elif c == -1:
-                    terms.append(f"-{var}")
-                else:
-                    terms.append(f"{c}{var}")
-        text = " + ".join(terms)
-        return text.replace("+ -", "- ")
+        return _combination((c, "t" if d == 1 else f"t^{d}" if d else "") for d, c in enumerate(self.coeffs))
 
     def __repr__(self):
         return f"IntPolynomial({list(self.coeffs)})"

@@ -49,11 +49,7 @@ class MomentPoint(Frozen):
         return [float(x) for x in self.coords]
 
 
-class _PrefixBounds(Frozen):
-    __slots__ = ("_bounds",)  # a slot outside VertexPolytope's fields, so ==, hash, repr and pickle skip it
-
-
-class VertexPolytope(_PrefixBounds):
+class VertexPolytope(Frozen):
     """A Schubert matroid polytope of Gr_k(C^n), held by its vertices: the 0/1 points of its inequality system.
 
     The system is 0 <= x <= 1, x_1 + ... + x_i >= c_i, x_1 + ... + x_n = c_n = k
@@ -62,7 +58,7 @@ class VertexPolytope(_PrefixBounds):
     face_counts, and raises ValueError for any other vertex set.
     """
 
-    __slots__ = ("vertices", "k", "n")
+    __slots__ = ("vertices", "k", "n", "_bounds")  # _bounds: c_1, ..., c_n
 
     def __init__(self, vertices: tuple[tuple, ...], k: int, n: int):
         vertices, (k, n) = tuple(tuple(v) for v in vertices), check_ambient(k, n)
@@ -70,11 +66,7 @@ class VertexPolytope(_PrefixBounds):
             raise ValueError("a polytope needs at least one vertex")
         if len(set(vertices)) != len(vertices):
             raise ValueError("vertices must be pairwise distinct")
-        self._set(vertices, k, n, _prefix_bounds(vertices, k, n))
-
-    def _set(self, vertices, k, n, bounds):  # the fields and prefix bounds as given, unchecked; returns self
-        object.__setattr__(self._init(vertices, k, n), "_bounds", bounds)
-        return self
+        self._init(vertices, k, n, _prefix_bounds(vertices, k, n))
 
     def to_json(self) -> dict:
         return {
@@ -128,7 +120,7 @@ def schubert_polytope(u: SchubertSymbol) -> VertexPolytope:
         while j >= 0 and v[j] == bounds[j]:
             j -= 1
         if j < 0:  # v = u, so verts[-1] is e_u
-            return VertexPolytope.__new__(VertexPolytope)._set(tuple(verts), u.k, u.n, list(accumulate(verts[-1])))
+            return VertexPolytope._of(tuple(verts), u.k, u.n, list(accumulate(verts[-1])))
         # raise the last entry below its bound, then the least tail; u_i >= u_j + (i - j)
         v[j:] = range(v[j] + 1, v[j] + 1 + k - j)
 
@@ -219,9 +211,9 @@ def face_counts(P: VertexPolytope) -> tuple[int, ...]:
     # the maximal candidates: at most 3n distinct masks, so at most 9n^2 ands
     facets = [f for f in candidates if not any(f & g == f != g for g in candidates)]
 
-    # cover[h]: the smallest face f != h with f & g == h for a facet g.  It covers h;
+    # cover[h]: (size, f) for the smallest face f != h with f & g == h for a facet g.  It covers h;
     # the keys are the faces below the facets, each found first in one round's frontier
-    cover: dict[int, int] = {}
+    cover: dict[int, tuple[int, int]] = {}
     frontier = facets
     intersections = 0
     while frontier:
@@ -235,16 +227,16 @@ def face_counts(P: VertexPolytope) -> tuple[int, ...]:
                 if h and h != f:
                     c = cover.get(h)
                     if c is None:
-                        cover[h] = f
+                        cover[h] = (size, f)
                         new.append(h)
-                    elif size < c.bit_count():
-                        cover[h] = f
+                    elif size < c[0]:
+                        cover[h] = (size, f)
         frontier = new
 
     # a cover is larger than the face it covers, so it has its dimension first
     dims = dict.fromkeys(facets, d - 1)
     for h in sorted(cover, key=int.bit_count, reverse=True):
-        dims[h] = dims[cover[h]] - 1
+        dims[h] = dims[cover[h][1]] - 1
     counts = [0] * d + [1]  # the polytope itself
     for dim in dims.values():
         counts[dim] += 1

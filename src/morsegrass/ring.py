@@ -12,13 +12,16 @@ special classes is implemented separately and serves as an independent oracle.
 from __future__ import annotations
 
 import itertools
+import math
 from operator import add, sub
 from types import MappingProxyType
 
 from .symbols import (
+    MAX_SYMBOLS,
     Frozen,
     SchubertSymbol,
     _check_same_ambient,
+    _combination,
     cell_count,
     cell_dimension,
     check_ambient,
@@ -91,12 +94,13 @@ def _lr_terms(mu: tuple[int, ...], nu: tuple[int, ...], rows: int, cols: int) ->
     last strip), with its number of fillings, merged after each strip.  Strip i puts a_r
     boxes in row r, where a_r <= shape_{r-1} - shape_r before the strip (a horizontal strip,
     so columns stay strict), shape_r + a_r <= cols, and a_1 + ... + a_r is at most the last
-    strip's boxes in rows 1..r-1 (the reverse reading word stays a lattice word).
+    strip's boxes in rows 1..r-1 (the reverse reading word stays a lattice word).  The strips' prefixes,
+    row by row, are the engine's work: CapacityError after a state whose prefixes take the count past the budget.
     """
     mu, nu = sorted((tuple(p for p in parts if p) for parts in (mu, nu)), key=sum, reverse=True)  # mu the larger
     if any(len(p) > rows or p and p[0] > cols for p in (mu, nu)):
         return {}
-    states = {(mu + (0,) * (rows - len(mu)), None): 1}
+    states, built = {(mu + (0,) * (rows - len(mu)), None): 1}, 0
     for m in nu:
         grown = {}
         for (shape, last), count in states.items():
@@ -105,6 +109,9 @@ def _lr_terms(mu: tuple[int, ...], nu: tuple[int, ...], rows: int, cols: int) ->
             for r, cap in zip(range(rows), caps):
                 room = (shape[r - 1] if r else cols) - shape[r]
                 strips = [(a + (x,), t + x) for a, t in strips for x in range(min(room, cap - t, m - t) + 1)]
+                built += len(strips)
+            if built > MAX_SYMBOLS:
+                check_budget(built, f"strip prefixes built by the Littlewood-Richardson rule in a {rows}x{cols} box")
             for a, t in strips:
                 if t == m:
                     key = (tuple(map(add, shape, a)), a)
@@ -196,13 +203,8 @@ class CohomologyClass(Frozen):
         _check_same_ambient((self.k, self.n), (other.k, other.n))
 
     def __str__(self):
-        if not self.coefficients:
-            return "0"
-        terms = []
-        for u in sorted(self.coefficients, key=lambda s: (degree(s), s.entries)):
-            c = self.coefficients[u]
-            terms.append({1: "", -1: "-"}.get(c, str(c)) + f"z{u}")
-        return " + ".join(terms).replace("+ -", "- ")
+        order = sorted(self.coefficients, key=lambda s: (degree(s), s.entries))
+        return _combination((self.coefficients[u], f"z{u}") for u in order)
 
     __repr__ = __str__
 
@@ -252,6 +254,7 @@ def pieri_product(z: CohomologyClass, i: int) -> CohomologyClass:
     (i,) = integers([i], "special class index i")
     if not 1 <= i <= k:
         raise ValueError(f"need 1 <= i <= k = {k}, got i={i}")
+    check_budget(len(z.coefficients) * math.comb(k, i), f"Pieri row sets, C({k},{i}) per term of {len(z.coefficients)}")
     out: dict[SchubertSymbol, int] = {}
     for u, c in z.coefficients.items():
         mu = _parts(u)

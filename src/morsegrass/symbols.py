@@ -25,10 +25,10 @@ DEFAULT_TOL = 1e-9
 def tolerance(value) -> float:
     """A numerical tolerance as a float; ValueError unless finite and positive.  A string, as --tol and
     MORSEGRASS_TOL are, is parsed with float() first; any other value must pass reals, the rule for real input."""
-    (tol,) = reals((float(value) if isinstance(value, str) else value,), "tolerance")
+    (tol,) = floats((float(value) if isinstance(value, str) else value,), "tolerance")
     if not tol > 0:
         raise ValueError(f"tolerance must be finite and positive, got {value!r}")
-    return float(tol)
+    return tol
 
 
 class AmbientMismatchError(ValueError):
@@ -44,18 +44,24 @@ class AmbiguousCellError(ValueError):
 
 
 class Frozen:
-    """Immutable base of the value classes: each names its fields in __slots__ and sets them once, in __init__.
+    """Immutable base of the value classes: each sets its __slots__ once, in __init__ or through _of.
 
-    ==, hash and repr are a frozen dataclass's, over the field tuple, which one getter per class reads.
+    The fields are the slot names without a leading _, as a _name slot holds derived state; ==, hash and repr
+    are a frozen dataclass's, over the field tuple, which one getter per class reads.
     """
 
     __slots__ = ()
 
-    def __init_subclass__(cls):  # _fields(x): x's field tuple, a 1-tuple for one field
-        get = operator.attrgetter(*cls.__slots__)
-        cls._fields = staticmethod(get if len(cls.__slots__) > 1 else lambda x: (get(x),))
+    def __init_subclass__(cls):  # _names: the field names; _fields(x): x's field tuple, a 1-tuple for one field
+        cls._names = tuple(f for f in cls.__slots__ if not f.startswith("_"))
+        get = operator.attrgetter(*cls._names)
+        cls._fields = staticmethod(get if len(cls._names) > 1 else lambda x: (get(x),))
 
-    def _init(self, *values):  # sets the fields in __slots__ order; returns self
+    @classmethod
+    def _of(cls, *values):  # a value from parts already checked, skipping __init__
+        return object.__new__(cls)._init(*values)
+
+    def _init(self, *values):  # sets the slots in __slots__ order; returns self
         for f, v in zip(self.__slots__, values):
             object.__setattr__(self, f, v)
         return self
@@ -75,7 +81,7 @@ class Frozen:
         return hash(self._fields(self))
 
     def __repr__(self):
-        return f"{type(self).__name__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self.__slots__)})"
+        return f"{type(self).__name__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._names)})"
 
 
 class SchubertSymbol(Frozen):
@@ -169,6 +175,14 @@ def reals(values, what: str) -> tuple:
     return values
 
 
+def floats(values, what: str) -> tuple[float, ...]:
+    """The values as floats once reals passes them; ValueError naming ``what`` for one too large for a float."""
+    try:
+        return tuple(map(float, reals(values, what)))
+    except OverflowError:  # an exact value past the float range, such as 10**400
+        raise ValueError(f"a {what} is too large to be a float") from None
+
+
 def check_ambient(k: int, n: int) -> tuple[int, int]:
     """(k, n) as ints; ValueError unless both are integers with 0 <= k <= n, the one check on Gr_k(C^n)."""
     if type(k) is not int or type(n) is not int:
@@ -184,6 +198,13 @@ def _block_sizes(blocks) -> tuple[int, ...]:
     if any(m <= 0 for m in blocks):
         raise ValueError(f"block sizes {blocks} must be positive")
     return blocks
+
+
+def _combination(terms) -> str:
+    """Text of an integer combination of (coefficient, basis name) pairs, the name "" for a constant: zero terms
+    are dropped, a named term's coefficient 1 or -1 prints as its sign, "+ -" as "- " and no term as "0"."""
+    text = " + ".join({1: "", -1: "-"}.get(c, str(c)) + name if name else str(c) for c, name in terms if c)
+    return text.replace("+ -", "- ") or "0"
 
 
 def check_budget(cost: int, what: str) -> None:
@@ -297,8 +318,7 @@ def enumerate_generalized_symbols(
         for i in range(j + 1, len(blocks)):  # the least tail: each entry the least the blocks after it allow
             v[i] = c = max(0, rest - tails[i + 1])
             rest -= c
-        # blocks were checked once above and v is in range: set the fields without re-checking them
-        out.append(object.__new__(GeneralizedSchubertSymbol)._init(tuple(v), blocks))
+        out.append(GeneralizedSchubertSymbol._of(tuple(v), blocks))  # blocks checked above, v in range
         j = len(blocks) - 1  # the last entry that can take one from the entries after it
         while j >= 0 and (v[j] == blocks[j] or rest == 0):
             rest += v[j]

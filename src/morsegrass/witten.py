@@ -60,10 +60,10 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     row t, to floor-division remainders.  A nonzero remainder is a smaller pivot
     for the next round; a block entry the pivot does not divide has its row
     added to row t, which leaves one.  Otherwise d_t = |pivot| and t advances.
+    Ragged rows and entries that are not integers: ValueError, as in elementary_divisors.
     """
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    d = [row[:] for row in m]
+    d = _integer_rows(m)
+    rows, cols = len(d), len(d[0]) if d else 0
     u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
     vt = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]  # V transposed: column operations act on rows
     t = 0
@@ -114,11 +114,7 @@ def elementary_divisors(m: Matrix) -> list[int]:
     row steps grew entries to thousands of bits.  Ragged rows and entries
     that are not integers: ValueError.
     """
-    rows = [list(r) for r in m]
-    if len({len(r) for r in rows}) > 1:
-        raise ValueError("ragged rows: every row of the matrix needs the same length")
-    if not {int}.issuperset(map(type, chain.from_iterable(rows))):  # numpy integers would wrap around in int64
-        rows = [list(integers(r, "matrix entry")) for r in rows]
+    rows = _integer_rows(m)
     ones = 0
     others: list[int] = []
     while rows := [r for r in rows if any(r)]:
@@ -155,6 +151,16 @@ def elementary_divisors(m: Matrix) -> list[int]:
             g = math.gcd(others[a], others[b])
             others[a], others[b] = g, others[a] * others[b] // g
     return [1] * ones + others
+
+
+def _integer_rows(m) -> Matrix:
+    """The rows of m as new lists of ints; ValueError for ragged rows or an entry that symbols.integers refuses."""
+    rows = [list(r) for r in m]
+    if len({len(r) for r in rows}) > 1:
+        raise ValueError("ragged rows: every row of the matrix needs the same length")
+    if not {int}.issuperset(map(type, chain.from_iterable(rows))):  # numpy integers would wrap around in int64
+        rows = [list(integers(r, "matrix entry")) for r in rows]
+    return rows
 
 
 def _pivot(rows: Matrix) -> tuple[int, int]:

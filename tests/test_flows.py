@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import warnings
 from fractions import Fraction
 
@@ -26,7 +27,8 @@ from morsegrass.flows import (
     span_distance,
     tolerance,
 )
-from morsegrass.symbols import SchubertSymbol, critical_index, enumerate_symbols
+import morsegrass.flows as flows_module
+from morsegrass.symbols import CapacityError, SchubertSymbol, critical_index, enumerate_symbols
 
 RNG = np.random.default_rng(20240824)
 
@@ -544,6 +546,15 @@ class TestPlucker:
                 rhs = np.exp(-t * (w - w.min())) * plucker_embed(V)
                 assert projective_distance(lhs, rhs) < 1e-9
 
+    def test_priced_by_the_cells(self):
+        # C(20, 10) = 184 756 minors took 1.2 s, and as many weights were returned
+        V, a = random_point(10, 20, 1), HeightSpectrum(tuple(range(20, 0, -1)))
+        for call in (lambda: plucker_embed(V), lambda: plucker_weights(a, 10)):
+            start = time.perf_counter()
+            with pytest.raises(CapacityError, match=r"Schubert cells of Gr\(10,20\), C\(20,10\): 184756"):
+                call()
+            assert time.perf_counter() - start < 1.0
+
 
 class TestProjectiveDistance:
     def test_lines_not_vectors(self):
@@ -611,6 +622,31 @@ class TestNonFiniteInput:
         # the cast to complex parsed the strings and took True as 1, building the plane span(e1, e2)
         with pytest.raises(ValueError, match="^expected a 2-d matrix of numbers, got a 2-d array of dtype"):
             GrassmannPoint(frame)
+
+    @pytest.mark.parametrize("frame,kind", [
+        (np.array([["1", 0], [0, 1], [0, 0]], dtype=object), "str"),
+        ([[1, True], [0, 1], [0, 0]], "bool"),
+        ([[1, 0], [0, np.bool_(True)], [0, 0]], "bool"),
+        ([[1, 0], [0, 1], [0, None]], "NoneType"),
+    ], ids=["object-str", "list-bool", "numpy-bool", "None"])
+    def test_frame_entries_judged_by_type(self, frame, kind):
+        # "1" was parsed and True taken as 1, where the array's dtype did not show them
+        with pytest.raises(ValueError, match=f"^a frame entry of type {kind} is not a number$"):
+            GrassmannPoint(frame)
+
+    @pytest.mark.parametrize("x,kind", [(["1", "0"], "str"), ([True, False], "bool"), ([1, "0"], "str")])
+    def test_vector_entries_judged_by_type(self, x, kind):
+        # both gave 0.0, the distance of [1, 0] to itself
+        with pytest.raises(ValueError, match=f"^a vector entry of type {kind} is not a number$"):
+            projective_distance(x, [1, 0])
+        with pytest.raises(ValueError, match=f"^a vector entry of type {kind} is not a number$"):
+            projective_distance([1, 0], x)
+
+    def test_numeric_arrays_are_not_scanned(self, monkeypatch):
+        # the hot case: a scan of the entries' types would need flows.numbers
+        monkeypatch.setattr(flows_module, "numbers", None)
+        assert GrassmannPoint(np.eye(3, 2)).k == 2 and GrassmannPoint(np.eye(3, 2, dtype=np.int8)).k == 2
+        assert projective_distance(np.ones(2), np.ones(2, dtype=complex)) == 0.0
 
     @pytest.mark.parametrize("frame", [
         [[1, 0], [0, 1], [0, 0]],

@@ -62,6 +62,15 @@ class TestIntPolynomial:
         assert str(poly(0, -1)) == "-t"
         assert str(IntPolynomial()) == "0"
 
+    def test_degree_and_power_ranges(self):
+        # monomial(-2) was 1 and substitute_power(0) turned 1 + 2t into 2; substitute_power(-1) raised IndexError
+        assert IntPolynomial.monomial(0, 3) == 3 and IntPolynomial([1, 2]).substitute_power(1) == IntPolynomial([1, 2])
+        with pytest.raises(ValueError, match="a monomial needs degree >= 0, got -2"):
+            IntPolynomial.monomial(-2)
+        for p in (0, -1):
+            with pytest.raises(ValueError, match=f"substitute_power needs p >= 1, got {p}"):
+                IntPolynomial([1, 2]).substitute_power(p)
+
     def test_constants_hash_like_ints(self):
         for c in (0, 1, 5, -3, 2**70):
             assert IntPolynomial([c]) == c

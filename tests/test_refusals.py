@@ -1,0 +1,89 @@
+"""Refusal branches that the module tests do not reach: each input here must raise, with its own message."""
+
+import pytest
+
+from morsegrass import polynomials, witten
+from morsegrass.cli import EXIT_CONSISTENCY, main
+from morsegrass.flows import GrassmannPoint, limit_symbol
+from morsegrass.polynomials import IntPolynomial, mb_polynomial, partition_count
+from morsegrass.ring import PartitionShape, special_symbol
+from morsegrass.symbols import GeneralizedSchubertSymbol, SchubertSymbol, critical_index
+
+
+def test_cli_exit_3_when_the_poincare_routes_disagree(capsys, monkeypatch):
+    # the only documented exit code that no other test reaches: one route made to answer wrong
+    monkeypatch.setattr(polynomials, "poincare_recurrence", lambda k, n: IntPolynomial([1, 1]))
+    assert main(["poincare", "2", "4"]) == EXIT_CONSISTENCY
+    err = capsys.readouterr().err
+    assert "the three Poincare polynomial routes disagree" in err and "recurrence: 1 + t" in err
+
+
+def test_limit_symbol_refusals():
+    V = GrassmannPoint([[1, 0], [1, 1], [0, 1], [1, 2]])
+    with pytest.raises(ValueError, match="direction must be 'down' or 'up', got 'left'"):
+        limit_symbol(V, "left")
+    with pytest.raises(ValueError, match="could not locate pivots for every column"):
+        limit_symbol(V, tol=100)  # every candidate pivot counts as noise
+
+
+def test_critical_index_sign():
+    with pytest.raises(ValueError, match="sign must be 'for_f' or 'for_minus_f', got 'up'"):
+        critical_index(SchubertSymbol((1, 3), 4), "up")
+
+
+@pytest.mark.parametrize("counts,blocks,message", [
+    ((1,), (2, 1), "counts and blocks must have equal length"),
+    ((3, 0), (2, 1), r"counts \(3, 0\) out of range for blocks \(2, 1\)"),
+    ((-1, 1), (2, 1), r"counts \(-1, 1\) out of range"),
+])
+def test_generalized_symbol_length_and_range(counts, blocks, message):
+    with pytest.raises(ValueError, match=message):
+        GeneralizedSchubertSymbol(counts, blocks)
+
+
+def test_homology_mode_and_rp_size():
+    with pytest.raises(ValueError, match="mode must be 'integers' or 'mod2', got 'rationals'"):
+        witten.homology(witten.torus_complex(), "rationals")
+    with pytest.raises(ValueError, match="need n >= 1"):
+        witten.rp_complex(0)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("degrees: 0 1\ngens 0: a b\ngens 1: c\nd 1:\n1\n", "line 5: boundary d 1: expected 2 rows"),
+    ("degrees: 0 1\ngens 0: a\ngens 1: c\nd 1:\n1.5\n", "line 5: boundary rows must be integers"),
+])
+def test_load_complex_boundary_rows(text, message):
+    with pytest.raises(witten.ComplexValidationError, match=f"^{message}$"):
+        witten.load_complex(text)
+
+
+def test_divide_exact_refusals():
+    with pytest.raises(ZeroDivisionError, match="division by zero polynomial"):
+        IntPolynomial([1, 1]).divide_exact(IntPolynomial.zero)
+    with pytest.raises(ValueError, match=r"inexact polynomial division \(leading coefficient\)"):
+        IntPolynomial([1, 1]).divide_exact(IntPolynomial([1, 2]))
+
+
+@pytest.mark.parametrize("d,k,cap,message", [
+    (-1, 2, 2, "d must be nonnegative"),
+    (2, -1, 2, "k and cap must be nonnegative"),
+    (2, 2, -1, "k and cap must be nonnegative"),
+])
+def test_partition_count_negative_arguments(d, k, cap, message):
+    with pytest.raises(ValueError, match=message):
+        partition_count(d, k, cap)
+
+
+@pytest.mark.parametrize("i", [0, 3])
+def test_special_symbol_index_range(i):
+    with pytest.raises(ValueError, match=f"need 1 <= i <= k = 2, got i={i}"):
+        special_symbol(2, 4, i)
+
+
+def test_partition_shape_part_count():
+    with pytest.raises(ValueError, match=r"expected 2 parts, got \(1,\)"):
+        PartitionShape((1,), 2, 4)
+
+
+def test_mb_polynomial_of_no_manifold_is_zero():
+    assert mb_polynomial([]) is IntPolynomial.zero

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -160,6 +161,19 @@ class TestLRCoefficients:
             assert lr_coefficient(lam, mu, nu) == want, (lam, mu, nu)
             nonzero += want > 0
         assert nonzero > 200
+
+    @pytest.mark.parametrize("box,mu", [(12, (6, 5, 4, 3, 2, 1)), (16, (8, 7, 6, 5, 4, 3, 2, 1))])
+    def test_engine_priced_as_it_runs(self, box, mu):
+        # the 12x12 box took 2.95 s and the 16x16 box ran for more than a minute
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match=rf"built by the Littlewood-Richardson rule in a {box}x{box} box"):
+            lr_coefficient((box,) * box, mu, mu)
+        assert time.perf_counter() - start < 1.0
+
+    def test_engine_answers_below_the_budget(self):
+        # the same product with lam = mu + mu, a box of 6 rows: fewer strips, answered as before
+        assert lr_coefficient((12, 10, 8, 6, 4, 2), (6, 5, 4, 3, 2, 1), (6, 5, 4, 3, 2, 1)) == 1
+        assert lr_coefficient((8,) * 8, (4, 3, 2, 1), (4, 3, 2, 1)) == 0
 
     @pytest.mark.parametrize("lam,mu,nu,what", [
         ((1,), (-1,), (2,), "mu"),  # counted as 1 by the filler
@@ -368,6 +382,15 @@ class TestPieri:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             pieri_product(CohomologyClass.unit(2, 4), 3)
+
+    def test_priced_on_its_row_sets(self):
+        # one term of Gr(20,21) walked all C(20,10) row sets (0.42 s); i = 6, C(20,6) = 38 760 row sets, answers
+        z = CohomologyClass.basis(SchubertSymbol(tuple(range(2, 22)), 21))
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match=r"Pieri row sets, C\(20,10\) per term of 1: 184756"):
+            pieri_product(z, 10)
+        assert time.perf_counter() - start < 1.0
+        assert pieri_product(z, 6) == cup_product(z, CohomologyClass.basis(special_symbol(20, 21, 6)))
 
     @pytest.mark.parametrize("k,i", [(1, 1), (2, 1), (2, 2), (3, 2)])
     def test_no_special_classes_on_a_point(self, k, i):

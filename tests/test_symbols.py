@@ -29,7 +29,14 @@ from morsegrass.polynomials import (
 )
 from morsegrass.polytopes import MomentPoint, VertexPolytope, flow_moment_trace, grassmannian_polytope, membership
 from morsegrass.ring import CohomologyClass, PartitionShape, lr_coefficient, pieri_product, special_symbol
-from morsegrass.witten import ComplexValidationError, WittenComplex, circle_complex, elementary_divisors, rp_complex
+from morsegrass.witten import (
+    ComplexValidationError,
+    WittenComplex,
+    circle_complex,
+    elementary_divisors,
+    rp_complex,
+    smith_normal_form,
+)
 from morsegrass.symbols import (
     MAX_SYMBOLS,
     AmbientMismatchError,
@@ -490,6 +497,10 @@ INTEGER_INPUTS = [
     pytest.param("dimension k", lambda x: random_point(x, 4, 1).k, id="random_point-k"),
     pytest.param("dimension n", lambda x: random_point(2, x, 1).n, id="random_point-n"),
     pytest.param("count of incoming ends", lambda x: y_graph(x).n_incoming, id="y_graph"),
+    # monomial(-2) was 1, monomial(True) t; substitute_power(0) gave 2 for 1 + 2t; smith_normal_form kept 1.5 and True
+    pytest.param("monomial degree", lambda x: IntPolynomial.monomial(x).coeffs, id="IntPolynomial-monomial"),
+    pytest.param("power p", lambda x: IntPolynomial([1, 2]).substitute_power(x).coeffs, id="substitute_power"),
+    pytest.param("matrix entry", lambda x: smith_normal_form([[x, 0], [0, 4]])[0][0][0], id="smith_normal_form"),
 ]
 
 # calls that truncated, stored or passed on a value that is not an integer; what each gave before
@@ -584,6 +595,20 @@ class TestRealRule:
     @pytest.mark.parametrize("field,build", REAL_INPUTS)
     def test_exact_and_numpy_reals_used_as_floats_of_their_value(self, field, build, good):
         assert build(good) == build(float(good))
+
+    @pytest.mark.parametrize("huge", [10**400, -(10**400), Fraction(10**400, 3)], ids=["int", "-int", "Fraction"])
+    @pytest.mark.parametrize("field,build", [
+        ("height", lambda x: HeightSpectrum((x, 0))),
+        ("flow time", lambda x: flow(V4, A4, x)),
+        ("flow time", lambda x: integrate_flow(V4, A4, x, steps=4)),
+        ("flow time", lambda x: flow_moment_trace(V4, A4, [0.0, x])),
+        ("tolerance", tolerance),
+        ("tolerance", lambda x: limit_symbol(V_EMPTY, tol=x)),
+    ], ids=["HeightSpectrum", "flow", "integrate_flow", "flow_moment_trace", "tolerance", "limit_symbol-tol"])
+    def test_too_large_for_a_float_refused(self, field, build, huge):
+        # float(10**400) raised OverflowError where the floats were made
+        with pytest.raises(ValueError, match=f"^a {field} is too large to be a float$"):
+            build(huge)
 
     def test_values_pass_as_they_are(self):
         # exact values are never converted: math.isfinite(10**400) raises OverflowError

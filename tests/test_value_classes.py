@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import morsegrass
+from morsegrass import polytopes
 from morsegrass.flows import GrassmannPoint, HeightSpectrum, TangentVector
 from morsegrass.graphs import FlowGraph, LabeledEnds
 from morsegrass.polynomials import IntPolynomial, MorseViolation
@@ -50,7 +51,7 @@ OWN_EQUALITY = (IntPolynomial, CohomologyClass, GrassmannPoint)
 @pytest.mark.parametrize("cls,args,fields", VALUES, ids=[v[0].__name__ for v in VALUES])
 def test_value_class_contract(cls, args, fields):
     x = cls(*args)
-    assert isinstance(x, Frozen) and cls.__slots__ == fields
+    assert isinstance(x, Frozen) and tuple(f for f in cls.__slots__ if not f.startswith("_")) == fields
     values = tuple(getattr(x, f) for f in fields)
     for name in (*fields, "extra"):
         with pytest.raises(AttributeError, match=f"field '{name}' of a frozen {cls.__name__}"):
@@ -184,6 +185,28 @@ def test_equality_is_defined_only_where_it_differs():
                 if names & {"__eq__", "__hash__"}:
                     found.add(cls.name)
     assert found == {"Frozen", *(cls.__name__ for cls in OWN_EQUALITY)}
+
+
+def test_only_frozen_builds_around_init():
+    # a value built from parts already checked goes through Frozen._of, and its slots through Frozen._init:
+    # outside Frozen no code in the package calls __new__ or object.__setattr__
+    found = []
+    for path in sorted(Path(morsegrass.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        frozen = [c for c in ast.walk(tree) if isinstance(c, ast.ClassDef) and c.name == "Frozen"]
+        inside = {id(n) for c in frozen for n in ast.walk(c)}
+        found += [(path.name, node.lineno, node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and id(node) not in inside
+                  and (node.attr == "__new__" or node.attr == "__setattr__" and ast.unparse(node.value) == "object")]
+    assert found == []
+
+
+def test_underscore_slots_are_not_fields():
+    # VertexPolytope keeps its prefix bounds in _bounds: outside ==, hash, repr and pickle, rebuilt by __init__
+    P, Q = VertexPolytope(((1, 0), (0, 1)), 1, 2), polytopes.grassmannian_polytope(1, 2)
+    assert P._bounds == Q._bounds == [0, 1] and P == Q and hash(P) == hash(Q)
+    assert repr(Q) == "VertexPolytope(vertices=((1, 0), (0, 1)), k=1, n=2)"
+    assert pickle.loads(pickle.dumps(Q))._bounds == [0, 1] and VertexPolytope._names == ("vertices", "k", "n")
 
 
 def test_repr_is_the_dataclass_repr():

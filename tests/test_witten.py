@@ -241,6 +241,18 @@ class TestElementaryDivisors:
         with pytest.raises(ValueError, match="ragged rows"):
             elementary_divisors(m)
 
+    def test_smith_normal_form_takes_the_same_rule(self):
+        # it gave d_2 = 4611686018427387919, a wrapped int64, kept 1.5 and True, and raised IndexError on ragged rows
+        m = np.array([[2**62, 3], [5, 7]])
+        d = smith_normal_form(m)[0]
+        assert [d[0][0], d[1][1]] == elementary_divisors(m) == [1, 7 * 2**62 - 15]
+        for bad, kind in (([[1.5, 2], [3, 4]], "float"), ([[True, 2], [3, 4]], "bool"), ([["1"]], "str")):
+            with pytest.raises(ValueError, match=f"^a matrix entry of type {kind} is not an integer$"):
+                smith_normal_form(bad)
+        for ragged in ([[1, 2], [3]], [[1], [2, 3]]):
+            with pytest.raises(ValueError, match="ragged rows"):
+                smith_normal_form(ragged)
+
 
 def _unimodular_pair(rng, size):
     """A random unimodular P and its inverse, as products of 2 * size elementary row moves."""
