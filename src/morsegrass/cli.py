@@ -183,8 +183,7 @@ def cmd_witten(args) -> int:
         with open(args.source) as fh:
             c = witten.load_complex(fh.read())
     h = witten.homology(c, mode)
-    degs = sorted(set(c.degrees) | set(h.ranks))
-    lines = [f"H_{i} = {h.group_str(i)}" for i in degs]
+    lines = [f"H_{i} = {h.group_str(i)}" for i in h.ranks]
     return _emit(args, {"homology": h.to_json()}, "\n".join(lines))
 
 

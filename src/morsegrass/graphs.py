@@ -8,8 +8,8 @@ prescribed limiting critical points has expected dimension
     sum(incoming indices) - sum(outgoing indices)
         - dim M * (b_1(graph) + n_incoming - 1)
 
-and the only operation the package realizes geometrically is the Y-graph cup
-product, delegated to the Schubert calculus engine.
+and the Y-graph cup product checks only that this dimension is 0 before it
+takes the number from the Schubert calculus engine.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ class FlowGraph(Frozen):
 
     def to_json(self) -> dict:
         return {
-            "vertices": sorted(str(v) for v in self.vertices),
+            "vertices": sorted(self.vertices, key=str),  # names as they are, so edges still name them
             "edges": [[a, b, kind] for a, b, kind in self.edges],
         }
 
@@ -165,12 +165,11 @@ def two_in_one_out_tree() -> FlowGraph:
 
 
 def cup_product_instance(u: SchubertSymbol, v: SchubertSymbol, w: SchubertSymbol) -> int:
-    """Triple intersection number realized by the Y-graph moduli count.
+    """triple_product(u, v, w), once the Y-graph moduli space with these ends has expected dimension 0.
 
-    The incoming ends carry the Morse indices of the critical points for -f
-    (so each class z_u sits in cohomological degree dim M - index); the
-    moduli space must be zero-dimensional before delegating to the
-    cohomology engine.
+    The incoming ends carry the Morse indices of u, v, w as critical points of -f (z_u sits in cohomological
+    degree dim M - index).  No flow graph is counted: the number is the Schubert calculus engine's.  ValueError
+    when the dimension is not 0.
     """
     _check_same_ambient(u.ambient, v.ambient, w.ambient)
     k, n = u.ambient

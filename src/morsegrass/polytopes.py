@@ -18,7 +18,8 @@ from itertools import accumulate
 from typing import TYPE_CHECKING
 
 from .symbols import CapacityError  # noqa: F401 (re-exported)
-from .symbols import MAX_SYMBOLS, Frozen, SchubertSymbol, cell_count, check_ambient, check_budget, reals, tolerance
+from .symbols import (DEFAULT_TOL, MAX_SYMBOLS, Frozen, SchubertSymbol, cell_count, check_ambient, check_budget, floats,
+                      reals, tolerance)
 
 if TYPE_CHECKING:
     from .flows import GrassmannPoint, HeightSpectrum
@@ -46,7 +47,7 @@ class MomentPoint(Frozen):
         return len(self.coords)
 
     def to_json(self) -> list:
-        return [float(x) for x in self.coords]
+        return list(floats(self.coords, "point coordinate"))
 
 
 class VertexPolytope(Frozen):
@@ -159,17 +160,20 @@ def _lattice_paths(bounds, total: int) -> int:
     return ways[total + 1]
 
 
-def membership(x, P: VertexPolytope, tol: float = 1e-9) -> bool:
+def membership(x, P: VertexPolytope, tol: float = DEFAULT_TOL) -> bool:
     """Whether x lies in the Schubert matroid polytope P, decided by its stored prefix bounds.
 
     symbols.reals judges the coordinates of a sequence x as MomentPoint's.  Rational coordinates (int/Fraction)
-    are decided exactly; with any other, each inequality may be violated by at most tol * (1 + |(x, 1)|_1)."""
+    are decided exactly; with any other, all are taken by symbols.floats and each inequality may be violated by at
+    most tol * (1 + |(x, 1)|_1)."""
     coords = x.coords if isinstance(x, MomentPoint) else reals(x, "point coordinate")
     if len(coords) != P.n:
         raise ValueError(f"point has {len(coords)} coordinates, polytope ambient is {P.n}")
     tol = tolerance(tol)
-    exact = all(isinstance(c, (int, Fraction)) for c in coords)
-    slack = 0 if exact else tol * (2.0 + sum(abs(c) for c in coords))
+    slack = 0
+    if not all(isinstance(c, (int, Fraction)) for c in coords):
+        coords = floats(coords, "point coordinate")
+        slack = tol * (2.0 + sum(map(abs, coords)))
     return (
         abs(sum(coords) - P.k) <= slack
         and all(-slack <= c <= 1 + slack for c in coords)
@@ -262,4 +266,4 @@ def moment_height(x: MomentPoint, a: HeightSpectrum) -> float:
     from .flows import _check_flow_input
 
     _check_flow_input(x, a)
-    return float(sum(ai * xi for ai, xi in zip(a.a, x.coords)))
+    return float(sum(ai * xi for ai, xi in zip(a.a, floats(x.coords, "point coordinate"))))

@@ -44,7 +44,7 @@ class AmbiguousCellError(ValueError):
 
 
 class Frozen:
-    """Immutable base of the value classes: each sets its __slots__ once, in __init__ or through _of.
+    """Immutable base of the value classes: each sets its __slots__ in __init__ or through _of.
 
     The fields are the slot names without a leading _, as a _name slot holds derived state; ==, hash and repr
     are a frozen dataclass's, over the field tuple, which one getter per class reads.

@@ -3,15 +3,14 @@
 A WittenComplex stores, per degree, a list of generator names (critical
 points, graded by Morse index) and the integer boundary matrices between
 adjacent degrees.  Homology is computed exactly: over the integers from the
-invariant factors of each boundary (elementary_divisors: one pivot search per
-factor, Euclid inside its column, nearest remainders, no transforms), over
-GF(2) by Gaussian elimination.  smith_normal_form (least-entry reduction by
-integer division, with unimodular transforms) stays public as the tests'
-independent check of elementary_divisors.
+invariant factors of each boundary (elementary_divisors), over GF(2) from its
+rank.  smith_normal_form, with unimodular transforms, is the independent
+check of elementary_divisors.
 
-A complex is checked once, when it is built or loaded: integer degrees and
-entries, distinct generator names, boundary shapes and dd = 0, else
-ComplexValidationError.  Changing its maps afterwards is unsupported.
+A complex is checked once, when it is built or loaded, else
+ComplexValidationError, and stored in one form: no degree without generators
+and no boundary without rows or columns.  Changing its maps afterwards is
+unsupported.
 
 Built-in complexes cover the standard small instances: circle height
 functions with m maxima/minima, real projective spaces, the torus, and the
@@ -110,9 +109,8 @@ def elementary_divisors(m: Matrix) -> list[int]:
     least nonzero remainder swaps rows with the pivot; then column operations
     reduce the pivot row alone, and its least nonzero remainder is the next
     pivot.  A clear row drops its column, zero rows go as they appear, and a
-    gcd/lcm pass puts the non-unit pivots in divisibility order.  Extended-gcd
-    row steps grew entries to thousands of bits.  Ragged rows and entries
-    that are not integers: ValueError.
+    gcd/lcm pass puts the non-unit pivots in divisibility order.  Ragged rows
+    and entries that are not integers: ValueError.
     """
     rows = _integer_rows(m)
     ones = 0
@@ -153,13 +151,14 @@ def elementary_divisors(m: Matrix) -> list[int]:
     return [1] * ones + others
 
 
-def _integer_rows(m) -> Matrix:
-    """The rows of m as new lists of ints; ValueError for ragged rows or an entry that symbols.integers refuses."""
+def _integer_rows(m, what: str = "matrix entry") -> Matrix:
+    """The rows of m as new lists of ints; ValueError for ragged rows or an entry (a ``what``) that symbols.integers
+    refuses."""
     rows = [list(r) for r in m]
     if len({len(r) for r in rows}) > 1:
         raise ValueError("ragged rows: every row of the matrix needs the same length")
     if not {int}.issuperset(map(type, chain.from_iterable(rows))):  # numpy integers would wrap around in int64
-        rows = [list(integers(r, "matrix entry")) for r in rows]
+        rows = [list(integers(r, what)) for r in rows]
     return rows
 
 
@@ -191,11 +190,12 @@ class WittenComplex(Frozen):
 
     generators[i] lists the degree-i generator names; boundaries[i] is the
     matrix of d_i : C_i -> C_{i-1}, rows indexed by degree-(i-1) generators,
-    columns by degree-i generators.  Degrees with no generators are simply
-    absent from both maps.  Construction checks integer degrees and entries
-    (numpy integers pass and are stored as ints, each boundary as a list of
-    lists; bool does not), shapes, dd = 0 and the names: distinct, nonempty
-    and without whitespace, as the text format needs.
+    columns by degree-i generators.  Construction checks integer degrees and
+    entries (numpy integers pass and are stored as ints, each boundary as a
+    list of lists; bool does not), shapes and dd = 0 on the maps as given, and
+    the names: distinct, nonempty and without whitespace, as the text format
+    needs.  It then drops degrees with no generators and boundaries with no
+    rows or no columns, so complexes that differ only by those are equal.
     """
 
     __slots__ = ("generators", "boundaries")
@@ -204,19 +204,20 @@ class WittenComplex(Frozen):
         generators, boundaries = generators or {}, boundaries or {}
         try:
             degrees = integers([*generators, *boundaries], "degree")
-            matrices = [[list(integers(r, "boundary entry")) for r in m] for m in boundaries.values()]
+            matrices = [_integer_rows(m, "boundary entry") for m in boundaries.values()]
         except ValueError as exc:
             raise ComplexValidationError(exc) from None
-        self._init(dict(zip(degrees, generators.values())), dict(zip(degrees[len(generators):], matrices)))
-        bad = [g for g in chain(*self.generators.values()) if not (isinstance(g, str) and g.split() == [g])]
+        gens, maps = dict(zip(degrees, generators.values())), dict(zip(degrees[len(generators):], matrices))
+        bad = [g for g in chain(*gens.values()) if not (isinstance(g, str) and g.split() == [g])]
         if bad:
             raise ComplexValidationError(f"generator name {bad[0]!r} is not a nonempty string without whitespace")
-        repeated = [g for g, n in Counter(chain(*self.generators.values())).items() if n > 1]
+        repeated = [g for g, n in Counter(chain(*gens.values())).items() if n > 1]
         if repeated:
             raise ComplexValidationError(f"generator name {repeated[0]!r} is used more than once")
-        i = _dd_failure(self)
+        i = _dd_failure(self._init(gens, maps))  # shapes are checked on the maps as given
         if i is not None:
             raise ComplexValidationError(f"dd != 0 between degrees {i + 1} and {i - 1}")
+        self._init({d: g for d, g in gens.items() if g}, {d: m for d, m in maps.items() if m and m[0]})
 
     @property
     def degrees(self) -> list[int]:
@@ -270,16 +271,14 @@ def _polynomial(counts: dict[int, int]):
 
 
 def _dd_failure(c: WittenComplex) -> int | None:
-    """First degree i with d_i d_{i+1} != 0, or None; raises on inconsistent shapes.
+    """First degree i with d_i d_{i+1} != 0, or None; raises on a shape other than rank(i-1) x rank(i).
 
-    Multiplies only pairs of stored boundaries that are both nonzero.
+    With rank(i-1) = 0, a boundary with no rows passes, as it shows no column count.  Multiplies only pairs
+    of stored boundaries that are both nonzero.
     """
     for i, mat in c.boundaries.items():
         want_rows, want_cols = c.rank(i - 1), c.rank(i)
-        rows = len(mat)
-        cols = len(mat[0]) if mat else 0
-        if any(len(r) != cols for r in mat):
-            raise ComplexValidationError(f"ragged boundary matrix in degree {i}")
+        rows, cols = len(mat), len(mat[0]) if mat else 0
         if (rows, cols) != (want_rows, want_cols) and not (want_rows == 0 and rows == 0):
             raise ComplexValidationError(f"boundary d_{i} has shape {rows}x{cols}, "
                                          f"expected {want_rows}x{want_cols}")
@@ -305,17 +304,16 @@ def homology(c: WittenComplex, mode: str = "integers") -> HomologyResult:
     """
     if mode not in ("integers", "mod2"):
         raise ValueError(f"mode must be 'integers' or 'mod2', got {mode!r}")
-    degs = c.degrees
-    if degs:
-        check_budget(degs[-1] - degs[0] + 1, f"degrees {degs[0]}..{degs[-1]} to list")
+    lo, hi = min(c.generators, default=0), max(c.generators, default=-1)
+    check_budget(hi - lo + 1, f"degrees {lo}..{hi} to list")
     if mode == "mod2":
-        factors = {i: [1] * _rank_mod2(m) for i, m in c.boundaries.items() if m and m[0]}
+        factors = {i: [1] * _rank_mod2(m) for i, m in c.boundaries.items()}
     else:
-        factors = {i: elementary_divisors(m) for i, m in c.boundaries.items() if m and m[0]}
+        factors = {i: elementary_divisors(m) for i, m in c.boundaries.items()}
 
     ranks: dict[int, int] = {}
     torsion: dict[int, list[int]] = {}
-    for i in range(degs[0], degs[-1] + 1) if degs else ():
+    for i in range(lo, hi + 1):
         high = factors.get(i + 1, [])  # d_{i+1} : C_{i+1} -> C_i
         ranks[i] = c.rank(i) - len(factors.get(i, [])) - len(high)
         torsion[i] = [t for t in high if t > 1]
@@ -374,16 +372,15 @@ def torus_complex() -> WittenComplex:
 
 
 def dump_complex(c: WittenComplex) -> str:
-    """Serialize to the plain-text chain-complex format (see load_complex)."""
-    degrees = c.degrees
-    lo, hi = (degrees[0], degrees[-1]) if degrees else (0, 0)
+    """Serialize to the plain-text chain-complex format (see load_complex): one gens line per degree from the
+    least to the greatest holding generators (degrees 0..0 for none), then each stored boundary."""
+    lo, hi = min(c.generators, default=0), max(c.generators, default=0)
     lines = [f"degrees: {lo} {hi}"]
     for i in range(lo, hi + 1):
         lines.append(f"gens {i}: " + " ".join(c.generators.get(i, [])))
     for i, mat in sorted(c.boundaries.items()):
-        if mat and mat[0]:  # an empty d lies outside lo..hi or maps to or from 0
-            lines.append(f"d {i}:")
-            lines += [" ".join(str(x) for x in row) for row in mat]
+        lines.append(f"d {i}:")
+        lines += [" ".join(str(x) for x in row) for row in mat]
     return "\n".join(lines) + "\n"
 
 
@@ -394,19 +391,17 @@ def load_complex(text: str) -> WittenComplex:
     line per degree, then blocks "d <i>:" followed by the rows of the boundary
     matrix (targets x sources), every i in lo..hi and none repeated.
     """
-    lines = text.splitlines()
     gens: dict[int, list[str]] = {}
     bnds: dict[int, Matrix] = {}
     lo = hi = None
-    idx = 0
+    lines = enumerate(text.splitlines(), 1)
 
     def fail(lineno, msg):
-        raise ComplexValidationError(f"line {lineno + 1}: {msg}")
+        raise ComplexValidationError(f"line {lineno}: {msg}")
 
-    while idx < len(lines):
-        line = lines[idx].strip()
+    for no, line in lines:
+        line = line.strip()
         if not line or line.startswith("#"):
-            idx += 1
             continue
         head, colon, rest = line.partition(":")
         words = head.split() if colon else []
@@ -414,45 +409,40 @@ def load_complex(text: str) -> WittenComplex:
             try:
                 lo, hi = (int(x) for x in rest.split())
             except ValueError:
-                fail(idx, "expected 'degrees: lo hi'")
+                fail(no, "expected 'degrees: lo hi'")
             if lo > hi:
-                fail(idx, f"degrees: lo = {lo} exceeds hi = {hi}")
-            idx += 1
+                fail(no, f"degrees: lo = {lo} exceeds hi = {hi}")
             continue
         if words[:1] not in (["gens"], ["d"]):
-            fail(idx, f"unrecognized line {line!r}")
+            fail(no, f"unrecognized line {line!r}")
         try:
             (deg,) = (int(x) for x in words[1:])
         except ValueError:
-            fail(idx, "expected 'gens <degree>: names'" if words[0] == "gens" else "expected 'd <degree>:'")
+            fail(no, "expected 'gens <degree>: names'" if words[0] == "gens" else "expected 'd <degree>:'")
         if lo is None:
-            fail(idx, "missing 'degrees:' header")
+            fail(no, "missing 'degrees:' header")
         if not lo <= deg <= hi:
-            fail(idx, f"degree {deg} outside the header's degrees {lo}..{hi}")
+            fail(no, f"degree {deg} outside the header's degrees {lo}..{hi}")
         if deg in (gens if words[0] == "gens" else bnds):
-            fail(idx, f"repeated '{words[0]} {deg}:' line")
-        idx += 1
+            fail(no, f"repeated '{words[0]} {deg}:' line")
         if words[0] == "gens":
             gens[deg] = rest.split()
             continue
         if rest.strip():
-            fail(idx - 1, f"unexpected text {rest.strip()!r} after 'd {deg}:'; rows go on the lines below")
-        rows: Matrix = []
-        want = len(gens.get(deg - 1, []))
+            fail(no, f"unexpected text {rest.strip()!r} after 'd {deg}:'; rows go on the lines below")
+        want, width = len(gens.get(deg - 1, [])), len(gens.get(deg, []))
+        bnds[deg] = []
         for _ in range(want):
-            if idx >= len(lines):
-                fail(idx - 1, f"boundary d {deg}: expected {want} rows")
+            no, line = next(lines, (no, None))
+            if line is None:
+                fail(no, f"boundary d {deg}: expected {want} rows")
             try:
-                row = [int(x) for x in lines[idx].split()]
+                row = [int(x) for x in line.split()]
             except ValueError:
-                fail(idx, "boundary rows must be integers")
-            if len(row) != len(gens.get(deg, [])):
-                fail(idx, f"boundary d {deg}: row width {len(row)}, "
-                          f"expected {len(gens.get(deg, []))}")
-            rows.append(row)
-            idx += 1
-        bnds[deg] = rows
+                fail(no, "boundary rows must be integers")
+            if len(row) != width:
+                fail(no, f"boundary d {deg}: row width {len(row)}, expected {width}")
+            bnds[deg].append(row)
     if lo is None:
         raise ComplexValidationError("missing 'degrees:' header")
-    gens = {i: g for i, g in gens.items() if g}
     return WittenComplex(generators=gens, boundaries=bnds)

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 
@@ -62,10 +63,14 @@ class TestFlowGraph:
             graph_first_betti(g)
 
     def test_json_round_trip(self):
-        g = two_in_one_out_tree()
-        g2 = FlowGraph.from_json(g.to_json())
-        assert g2.vertices == g.vertices
-        assert g2.edges == g.edges
+        for g in (
+            two_in_one_out_tree(),
+            FlowGraph({1, 2}, ((1, 2, "internal"), (1, None, "incoming"))),  # integer names, as the edges give them
+            FlowGraph({1, "a"}, ((1, "a", "internal"),)),  # mixed names still sort
+        ):
+            g2 = FlowGraph.from_json(json.loads(json.dumps(g.to_json())))
+            assert g2.vertices == g.vertices
+            assert g2.edges == g.edges
 
 
 class TestLabeledEnds:

@@ -27,7 +27,9 @@ from morsegrass.polynomials import (
     poincare_closed,
     poincare_recurrence,
 )
-from morsegrass.polytopes import MomentPoint, VertexPolytope, flow_moment_trace, grassmannian_polytope, membership
+from morsegrass.polytopes import (
+    MomentPoint, VertexPolytope, flow_moment_trace, grassmannian_polytope, membership, moment_height,
+)
 from morsegrass.ring import CohomologyClass, PartitionShape, lr_coefficient, pieri_product, special_symbol
 from morsegrass.witten import (
     ComplexValidationError,
@@ -604,7 +606,11 @@ class TestRealRule:
         ("flow time", lambda x: flow_moment_trace(V4, A4, [0.0, x])),
         ("tolerance", tolerance),
         ("tolerance", lambda x: limit_symbol(V_EMPTY, tol=x)),
-    ], ids=["HeightSpectrum", "flow", "integrate_flow", "flow_moment_trace", "tolerance", "limit_symbol-tol"])
+        ("point coordinate", lambda x: membership((x, 0.5), grassmannian_polytope(1, 2))),
+        ("point coordinate", lambda x: moment_height(MomentPoint((x, 0)), HeightSpectrum((1.0, 0.0)))),
+        ("point coordinate", lambda x: MomentPoint((x, 0)).to_json()),
+    ], ids=["HeightSpectrum", "flow", "integrate_flow", "flow_moment_trace", "tolerance", "limit_symbol-tol",
+            "membership", "moment_height", "MomentPoint.to_json"])
     def test_too_large_for_a_float_refused(self, field, build, huge):
         # float(10**400) raised OverflowError where the floats were made
         with pytest.raises(ValueError, match=f"^a {field} is too large to be a float$"):

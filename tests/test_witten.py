@@ -425,7 +425,7 @@ class TestValidation:
     def test_shape_mismatch(self):
         with pytest.raises(ComplexValidationError, match="d_1 has shape 1x2, expected 1x1"):
             WittenComplex(generators={0: ["a"], 1: ["b"]}, boundaries={1: [[1, 2]]})
-        with pytest.raises(ComplexValidationError, match="ragged boundary matrix in degree 1"):
+        with pytest.raises(ComplexValidationError, match="ragged rows"):
             WittenComplex(generators={0: ["a", "b"], 1: ["c", "d"]}, boundaries={1: [[1, 0], [0]]})
 
     @pytest.mark.parametrize("gens", [{0: ["a", "b", "a"], 1: ["x"]}, {0: ["a"], 1: ["x", "a"]}])
@@ -695,3 +695,51 @@ class TestFileFormat:
         assert c2.generators == c.generators
         assert {i: m for i, m in c2.boundaries.items() if m and m[0]} == \
             {i: m for i, m in c.boundaries.items() if m and m[0]}
+
+
+@st.composite
+def complexes_with_empty_parts(draw):
+    """Complexes on a few adjacent degrees, some with no generators, each boundary absent or given, empty ones too.
+
+    Only even degrees get nonzero boundaries, so dd = 0.
+    """
+    lo = draw(st.integers(-2, 2))
+    ranks = draw(st.lists(st.integers(0, 3), max_size=5))
+    gens = {lo + j: [f"g{lo + j}_{t}" for t in range(r)] for j, r in enumerate(ranks)}
+    bnds = {}
+    for i in range(lo - 1, lo + len(ranks) + 1):
+        rows, cols = len(gens.get(i - 1, [])), len(gens.get(i, []))
+        if draw(st.booleans()):
+            entries = st.integers(-3, 3) if i % 2 == 0 else st.just(0)
+            bnds[i] = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    return WittenComplex(generators=gens, boundaries=bnds)
+
+
+class TestStoredForm:
+    @settings(max_examples=200, deadline=None)
+    @given(complexes_with_empty_parts())
+    @example(WittenComplex({0: ["a"], 1: []}))
+    @example(WittenComplex({0: [], 1: ["b"]}, {1: []}))
+    def test_text_round_trip_keeps_the_complex(self, c):
+        c2 = load_complex(dump_complex(c))
+        assert c2 == c
+        for mode in ("integers", "mod2"):
+            assert homology(c2, mode) == homology(c, mode)
+
+    def test_empty_degrees_and_maps_are_not_stored(self):
+        g = {0: [], 1: ["b"], 2: []}
+        c = WittenComplex(g, {1: [], 2: [[]], 5: []})
+        assert c == WittenComplex(g) == WittenComplex({1: ["b"]})
+        assert c.generators == {1: ["b"]} and c.boundaries == {} and c.degrees == [1]
+        assert homology(c).ranks == {1: 1}
+
+    @pytest.mark.parametrize("gens,bnds,shape", [
+        ({0: ["a", "b"], 1: []}, {1: []}, "0x0, expected 2x0"),  # a 2x0 map has two empty rows
+        ({0: ["a"], 1: []}, {1: [[], []]}, "2x0, expected 1x0"),
+        ({0: [], 1: ["b"]}, {1: [[]]}, "1x0, expected 0x1"),
+        ({0: ["a"], 1: ["b"]}, {1: []}, "0x0, expected 1x1"),
+        ({0: ["a"], 1: ["b"]}, {1: [[]]}, "1x0, expected 1x1"),
+    ])
+    def test_wrongly_shaped_empty_maps_refused(self, gens, bnds, shape):
+        with pytest.raises(ComplexValidationError, match=f"^boundary d_1 has shape {shape}$"):
+            WittenComplex(generators=gens, boundaries=bnds)
