@@ -10,6 +10,8 @@ dimensions are doubled by the callers in the symbol layer, never here.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .symbols import (
     Frozen,
     GeneralizedSchubertSymbol,
@@ -35,12 +37,24 @@ class IntPolynomial(Frozen):
         self._init(tuple(coeffs))
 
     @classmethod
+    def from_terms(cls, terms) -> "IntPolynomial":
+        """The sum of c * t^d over a {d: c} map; ValueError unless every d and c is an integer and no d of a nonzero c
+        is negative.  CapacityError first if its coefficients, in hundreds, exceed the budget."""
+        terms = {d: c for d, c in zip(integers(terms, "degree"), integers(terms.values(), "coefficient")) if c}
+        if min(terms, default=0) < 0:
+            raise ValueError(f"a polynomial in t has no negative degrees, got {min(terms)}")
+        top = max(terms, default=-1)
+        check_budget((top + 100) // 100, f"hundreds of coefficients of a polynomial of degree {top}")
+        coeffs = [0] * (top + 1)
+        for d, c in terms.items():
+            coeffs[d] = c
+        return cls._of(tuple(coeffs))
+
+    @classmethod
     def monomial(cls, degree: int, coefficient: int = 1) -> "IntPolynomial":
-        """coefficient * t^degree; ValueError unless degree is an integer >= 0 and coefficient an integer."""
+        """coefficient * t^degree, by from_terms; ValueError unless degree is an integer."""
         (degree,) = integers([degree], "monomial degree")
-        if degree < 0:
-            raise ValueError(f"a monomial needs degree >= 0, got {degree}")
-        return cls([0] * degree + [coefficient])
+        return cls.from_terms({degree: coefficient})
 
     zero: "IntPolynomial"
     one: "IntPolynomial"
@@ -121,14 +135,11 @@ class IntPolynomial(Frozen):
         return value
 
     def substitute_power(self, p: int) -> "IntPolynomial":
-        """Replace t by t^p; ValueError unless p is an integer >= 1."""
+        """Replace t by t^p, by from_terms; ValueError unless p is an integer >= 1."""
         (p,) = integers([p], "power p")
         if p < 1:
             raise ValueError(f"substitute_power needs p >= 1, got {p}")
-        out = [0] * (p * len(self.coeffs) or 1)
-        for d, c in enumerate(self.coeffs):
-            out[p * d] = c
-        return IntPolynomial(out)
+        return IntPolynomial.from_terms({p * d: c for d, c in enumerate(self.coeffs)})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -160,11 +171,8 @@ IntPolynomial.one = IntPolynomial([1])
 
 
 class MorseViolation(Frozen):
-    """Witness that a (M, P) pair cannot come from a Morse function.
-
-    Either the division of M - P by 1 + t left a remainder, or some
-    coefficient of the quotient Q is negative.
-    """
+    """Witness that (M, P) cannot come from a Morse function: M - P leaves a remainder on division by 1 + t, or the
+    quotient Q has a negative coefficient."""
 
     __slots__ = ("reason", "degree")
 
@@ -180,11 +188,7 @@ class MorseViolation(Frozen):
 
 def morse_polynomial_by_cells(k: int, n: int) -> IntPolynomial:
     """Morse polynomial of -f on Gr_k(C^n), one term t^(2 dim S_u) per cell."""
-    cells = enumerate_symbols(k, n)
-    out = [0] * (2 * k * (n - k) + 1)
-    for u in cells:
-        out[2 * cell_dimension(u)] += 1
-    return IntPolynomial(out)
+    return IntPolynomial.from_terms(Counter(2 * cell_dimension(u) for u in enumerate_symbols(k, n)))
 
 
 def partition_count(d: int, k: int, cap: int) -> int:
@@ -236,13 +240,10 @@ def _gaussian_passes(k: int, n: int, cut: int) -> list[int]:
 
 
 def poincare_recurrence(k: int, n: int) -> IntPolynomial:
-    """Poincare polynomial of Gr_k(C^n) via P_{k,n} = P_{k,n-1} + t^{2(n-k)} P_{k-1,n-1}.
+    """Poincare polynomial of Gr_k(C^n) via P_{k,n} = P_{k,n-1} + t^{2(n-k)} P_{k-1,n-1}, over Pascal rows.
 
-    Iterative over Pascal rows of coefficient lists: after step nn, row[kk]
-    holds P_{kk,nn} for every kk that P_{k,n} still needs, that is
-    max(0, k - (n - nn)) <= kk <= min(k, nn).  That is at most min(k, n - k)
-    updates per row, each of at most 2k(n - k) + 1 coefficients; CapacityError
-    if their product with n, in thousands, exceeds the budget.
+    After step nn, row[kk] holds P_{kk,nn} for max(0, k - (n - nn)) <= kk <= min(k, nn), the kk that P_{k,n} needs.
+    CapacityError first if n min(k, n - k)(2k(n - k) + 1) coefficient updates, in thousands, exceed the budget.
     """
     k, n = check_ambient(k, n)
     updates = n * min(k, n - k) * (2 * k * (n - k) + 1)
@@ -264,7 +265,7 @@ def poincare_closed(k: int, n: int) -> IntPolynomial:
 
 
 def mb_polynomial(cs: list[GeneralizedSchubertSymbol]) -> IntPolynomial:
-    """Morse-Bott polynomial: sum over critical manifolds of t^index * P(manifold)."""
+    """Morse-Bott polynomial: sum over critical manifolds of t^index * P(manifold), each t^index priced by from_terms."""
     if not cs:
         return IntPolynomial.zero
     blocks = cs[0].blocks
@@ -281,10 +282,7 @@ def mb_polynomial(cs: list[GeneralizedSchubertSymbol]) -> IntPolynomial:
 
 
 def morse_inequalities(m_poly: IntPolynomial, p_poly: IntPolynomial):
-    """Factor M(t) - P(t) as (1 + t) Q(t) with Q >= 0, or report the failure.
-
-    Returns Q as an IntPolynomial on success, a MorseViolation otherwise.
-    """
+    """Q with M(t) - P(t) = (1 + t) Q(t) and every coefficient of Q >= 0, else a MorseViolation naming the failure."""
     diff = m_poly - p_poly
     one_plus_t = IntPolynomial([1, 1])
     try:

@@ -94,8 +94,9 @@ def _lr_terms(mu: tuple[int, ...], nu: tuple[int, ...], rows: int, cols: int) ->
     last strip), with its number of fillings, merged after each strip.  Strip i puts a_r
     boxes in row r, where a_r <= shape_{r-1} - shape_r before the strip (a horizontal strip,
     so columns stay strict), shape_r + a_r <= cols, and a_1 + ... + a_r is at most the last
-    strip's boxes in rows 1..r-1 (the reverse reading word stays a lattice word).  The strips' prefixes,
-    row by row, are the engine's work: CapacityError after a state whose prefixes take the count past the budget.
+    strip's boxes in rows 1..r-1 (the reverse reading word stays a lattice word).  A strip's prefixes grow only
+    at rows with room, up to the first empty row, and are padded with zeros once.  They are the engine's work:
+    CapacityError after a state whose prefixes take the count past the budget.
     """
     mu, nu = sorted((tuple(p for p in parts if p) for parts in (mu, nu)), key=sum, reverse=True)  # mu the larger
     if any(len(p) > rows or p and p[0] > cols for p in (mu, nu)):
@@ -105,15 +106,18 @@ def _lr_terms(mu: tuple[int, ...], nu: tuple[int, ...], rows: int, cols: int) ->
         grown = {}
         for (shape, last), count in states.items():
             caps = itertools.accumulate(last, initial=0) if last is not None else itertools.repeat(m)
-            strips = [((), 0)]  # (boxes in rows 0..r-1, their sum), row by row
-            for r, cap in zip(range(rows), caps):
-                room = (shape[r - 1] if r else cols) - shape[r]
-                strips = [(a + (x,), t + x) for a, t in strips for x in range(min(room, cap - t, m - t) + 1)]
-                built += len(strips)
+            strips, width = [((), 0)], 0  # (boxes in rows 0..width-1, their sum), grown at rows with room
+            for r, cap in zip(range(min(rows, rows - shape.count(0) + 1)), caps):  # no room below the first empty row
+                if room := (shape[r - 1] if r else cols) - shape[r]:
+                    pad, width = (0,) * (r - width), r + 1
+                    strips = [(a + pad + (x,), t + x) for a, t in strips for x in range(min(room, cap - t, m - t) + 1)]
+                    built += len(strips)
             if built > MAX_SYMBOLS:
                 check_budget(built, f"strip prefixes built by the Littlewood-Richardson rule in a {rows}x{cols} box")
+            pad = (0,) * (rows - width)
             for a, t in strips:
                 if t == m:
+                    a += pad
                     key = (tuple(map(add, shape, a)), a)
                     grown[key] = grown.get(key, 0) + count
         states = grown

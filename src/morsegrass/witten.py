@@ -233,7 +233,9 @@ class WittenComplex(Frozen):
         return [[0] * self.rank(i) for _ in range(self.rank(i - 1))]
 
     def morse_polynomial(self):
-        return _polynomial({i: len(g) for i, g in self.generators.items()})
+        from .polynomials import IntPolynomial
+
+        return IntPolynomial.from_terms({i: len(g) for i, g in self.generators.items()})
 
 
 class HomologyResult(Frozen):
@@ -250,7 +252,9 @@ class HomologyResult(Frozen):
         return " + ".join(parts) if parts else "0"
 
     def poincare_polynomial(self):
-        return _polynomial(self.ranks)
+        from .polynomials import IntPolynomial
+
+        return IntPolynomial.from_terms(self.ranks)
 
     def to_json(self) -> dict:
         return {
@@ -258,16 +262,6 @@ class HomologyResult(Frozen):
             "ranks": {str(i): r for i, r in self.ranks.items()},
             "torsion": {str(i): t for i, t in self.torsion.items()},
         }
-
-
-def _polynomial(counts: dict[int, int]):
-    """The polynomial sum of count * t^degree, filled into one coefficient list."""
-    from .polynomials import IntPolynomial
-
-    terms = {d: count for d, count in counts.items() if count}
-    if min(terms, default=0) < 0:
-        raise ValueError(f"a polynomial in t has no negative degrees, got {min(terms)}")
-    return IntPolynomial([terms.get(d, 0) for d in range(max(terms, default=-1) + 1)])
 
 
 def _dd_failure(c: WittenComplex) -> int | None:
@@ -291,7 +285,10 @@ def _dd_failure(c: WittenComplex) -> int | None:
 
 def validate_complex(c: WittenComplex) -> bool:
     """True iff all shapes are consistent and every composite dd is zero, as checked when built."""
-    return _dd_failure(c) is None
+    try:
+        return _dd_failure(c) is None
+    except ComplexValidationError:  # a boundary whose shape does not fit the ranks
+        return False
 
 
 def homology(c: WittenComplex, mode: str = "integers") -> HomologyResult:
@@ -372,12 +369,11 @@ def torus_complex() -> WittenComplex:
 
 
 def dump_complex(c: WittenComplex) -> str:
-    """Serialize to the plain-text chain-complex format (see load_complex): one gens line per degree from the
-    least to the greatest holding generators (degrees 0..0 for none), then each stored boundary."""
+    """Serialize to the plain-text chain-complex format (see load_complex): the degrees from the least to the
+    greatest holding generators (0..0 for none), one gens line per degree holding them, then each stored boundary."""
     lo, hi = min(c.generators, default=0), max(c.generators, default=0)
     lines = [f"degrees: {lo} {hi}"]
-    for i in range(lo, hi + 1):
-        lines.append(f"gens {i}: " + " ".join(c.generators.get(i, [])))
+    lines += [f"gens {i}: " + " ".join(g) for i, g in sorted(c.generators.items())]
     for i, mat in sorted(c.boundaries.items()):
         lines.append(f"d {i}:")
         lines += [" ".join(str(x) for x in row) for row in mat]
@@ -387,9 +383,9 @@ def dump_complex(c: WittenComplex) -> str:
 def load_complex(text: str) -> WittenComplex:
     """Parse the plain-text chain-complex format; building the result checks it.
 
-    Format: a "degrees: lo hi" header with lo <= hi, then one "gens <i>: name ..."
-    line per degree, then blocks "d <i>:" followed by the rows of the boundary
-    matrix (targets x sources), every i in lo..hi and none repeated.
+    Format: a "degrees: lo hi" header with lo <= hi, then a "gens <i>: name ..."
+    line per degree with generators, then blocks "d <i>:" followed by the rows of
+    the boundary matrix (targets x sources), every i in lo..hi and none repeated.
     """
     gens: dict[int, list[str]] = {}
     bnds: dict[int, Matrix] = {}

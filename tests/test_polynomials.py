@@ -1,9 +1,12 @@
 import itertools
 import time
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import morsegrass.symbols as symbols_module
 from morsegrass.polynomials import (
     IntPolynomial,
     MorseViolation,
@@ -17,7 +20,8 @@ from morsegrass.polynomials import (
     poincare_closed,
     poincare_recurrence,
 )
-from morsegrass.symbols import CapacityError, enumerate_generalized_symbols
+from morsegrass.symbols import CapacityError, GeneralizedSchubertSymbol, enumerate_generalized_symbols
+from morsegrass.witten import WittenComplex, circle_complex, grassmannian_complex, homology, rp_complex, torus_complex
 
 
 def poly(*coeffs):
@@ -65,7 +69,7 @@ class TestIntPolynomial:
     def test_degree_and_power_ranges(self):
         # monomial(-2) was 1 and substitute_power(0) turned 1 + 2t into 2; substitute_power(-1) raised IndexError
         assert IntPolynomial.monomial(0, 3) == 3 and IntPolynomial([1, 2]).substitute_power(1) == IntPolynomial([1, 2])
-        with pytest.raises(ValueError, match="a monomial needs degree >= 0, got -2"):
+        with pytest.raises(ValueError, match="a polynomial in t has no negative degrees, got -2"):
             IntPolynomial.monomial(-2)
         for p in (0, -1):
             with pytest.raises(ValueError, match=f"substitute_power needs p >= 1, got {p}"):
@@ -90,6 +94,122 @@ class TestIntPolynomial:
         with pytest.raises(TypeError):
             eval(op)
         assert p != x
+
+
+
+def filled(terms):
+    """The sum of c * t^d filled into one coefficient list, as the four hand-built fills did before from_terms."""
+    return IntPolynomial([terms.get(d, 0) for d in range(max(terms, default=-1) + 1)])
+
+
+def monomial_fill(d, c):
+    return IntPolynomial([0] * d + [c])
+
+
+def substitute_fill(f, p):
+    out = [0] * (p * len(f.coeffs) or 1)
+    for d, c in enumerate(f.coeffs):
+        out[p * d] = c
+    return IntPolynomial(out)
+
+
+def cells_fill(k, n):
+    out = [0] * (2 * k * (n - k) + 1)
+    for u in symbols_module.enumerate_symbols(k, n):
+        out[2 * symbols_module.cell_dimension(u)] += 1
+    return IntPolynomial(out)
+
+
+WITTEN_BUILTINS = [
+    *(pytest.param(circle_complex(m), id=f"circle-{m}") for m in (1, 2, 3, 5)),
+    *(pytest.param(rp_complex(n), id=f"rp-{n}") for n in (1, 2, 3, 4, 7)),
+    pytest.param(torus_complex(), id="torus"),
+    *(pytest.param(grassmannian_complex(k, n), id=f"grassmannian-{k}-{n}") for k, n in ((0, 3), (1, 4), (2, 4), (2, 5),
+                                                                                       (3, 6), (4, 9))),
+]
+
+
+class TestFromTerms:
+    def test_terms(self):
+        assert IntPolynomial.from_terms({}) == IntPolynomial.zero
+        assert IntPolynomial.from_terms({2: 3, 0: -1}).coeffs == (-1, 0, 3)
+        assert IntPolynomial.from_terms({np.int64(1): np.int64(2)}).coeffs == (0, 2)
+        assert all(type(c) is int for c in IntPolynomial.from_terms({np.int64(1): np.int64(2)}).coeffs)
+
+    def test_zero_coefficients_are_dropped_before_the_price(self):
+        # a zero term has no degree to fill: not even a negative or unpriced one
+        assert IntPolynomial.from_terms({5: 0, 2: 3}).coeffs == (0, 0, 3)
+        assert IntPolynomial.from_terms({0: 0}).is_zero()
+        assert IntPolynomial.from_terms({10**30: 0, -4: 0, 1: 1}).coeffs == (0, 1)
+
+    def test_negative_degrees_refused_once(self):
+        for terms in ({-2: 1}, {-2: 1, 3: 1}, {-5: 2, -2: 1, 0: 1}):
+            with pytest.raises(ValueError, match=f"^a polynomial in t has no negative degrees, got {min(terms)}$"):
+                IntPolynomial.from_terms(terms)
+
+    @pytest.mark.parametrize("terms,message", [
+        ({1.0: 1}, "a degree of type float"), ({1: 0.5}, "a coefficient of type float"),
+        ({True: 1}, "a degree of type bool"), ({1: "1"}, "a coefficient of type str"),
+    ])
+    def test_integers_only(self, terms, message):
+        with pytest.raises(ValueError, match=f"^{message} is not an integer$"):
+            IntPolynomial.from_terms(terms)
+
+    def test_priced_in_hundreds_of_coefficients(self, monkeypatch):
+        monkeypatch.setattr(symbols_module, "MAX_SYMBOLS", 10)
+        assert IntPolynomial.from_terms({999: 1}).degree == 999  # 1000 coefficients, 10 hundreds
+        with pytest.raises(CapacityError, match="^hundreds of coefficients of a polynomial of degree 1000: 11 exceeds"):
+            IntPolynomial.from_terms({1000: 1})
+
+    # each built its whole coefficient list unpriced; at the default budget the degree 10**9 of each took seconds
+    # and gigabytes, so the budget is lowered to 10**4 coefficients and the degree kept at 10**6
+    REPROS = [
+        pytest.param(lambda: IntPolynomial.monomial(10**6), id="monomial"),
+        pytest.param(lambda: IntPolynomial([1, 1]).substitute_power(10**6), id="substitute_power"),
+        pytest.param(lambda: WittenComplex({10**6: ["a"]}).morse_polynomial(), id="morse_polynomial"),
+        pytest.param(lambda: homology(WittenComplex({10**6: ["a"]})).poincare_polynomial(), id="poincare_polynomial"),
+        pytest.param(lambda: mb_polynomial([GeneralizedSchubertSymbol((0, 500), (500, 500))]), id="mb_polynomial"),
+    ]
+
+    @pytest.mark.parametrize("build", REPROS)
+    def test_priced_before_the_list_is_allocated(self, monkeypatch, build):
+        monkeypatch.setattr(symbols_module, "MAX_SYMBOLS", 100)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(CapacityError, match="^hundreds of coefficients of a polynomial of degree"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 0.1
+        assert peak < 200_000  # a list of 10**6 coefficients takes 8 MB
+
+    def test_edge_cases_answered(self):
+        # the largest polynomials the CLI's cells and closed routes build stay below the price
+        assert morse_polynomial_by_cells(1, 100000).degree == 199998
+        assert poincare_closed(1, 50000).coeffs == (1, 0) * 49999 + (1,)
+
+    TABLE = [
+        *(pytest.param(lambda d=d, c=c: IntPolynomial.monomial(d, c), lambda d=d, c=c: monomial_fill(d, c),
+                       id=f"monomial-{d}-{c}") for d in (0, 1, 7) for c in (1, -3, 0)),
+        *(pytest.param(lambda f=f, p=p: f.substitute_power(p), lambda f=f, p=p: substitute_fill(f, p),
+                       id=f"substitute_power-{f.coeffs}-{p}")
+          for f in (IntPolynomial.zero, IntPolynomial.one, poly(1, 2), poly(0, -1, 0, 4)) for p in (1, 2, 5)),
+        *(pytest.param(lambda k=k, n=n: morse_polynomial_by_cells(k, n), lambda k=k, n=n: cells_fill(k, n),
+                       id=f"cells-{k}-{n}") for n in range(10) for k in range(n + 1)),
+    ]
+
+    @pytest.mark.parametrize("got,want", TABLE)
+    def test_equal_to_the_hand_built_fills(self, got, want):
+        assert got() == want()
+
+    @pytest.mark.parametrize("c", WITTEN_BUILTINS)
+    def test_witten_polynomials_equal_the_hand_built_fill(self, c):
+        assert c.morse_polynomial() == filled({i: len(g) for i, g in c.generators.items()})
+        for mode in ("integers", "mod2"):
+            h = homology(c, mode)
+            assert h.poincare_polynomial() == filled({i: r for i, r in h.ranks.items() if r})
 
 
 class TestPoincareRoutes:

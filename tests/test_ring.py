@@ -5,6 +5,7 @@ import time
 import pytest
 
 import morsegrass.ring as ring_module
+import morsegrass.symbols as symbols_module
 from morsegrass.ring import (
     CohomologyClass,
     PartitionShape,
@@ -174,6 +175,17 @@ class TestLRCoefficients:
         # the same product with lam = mu + mu, a box of 6 rows: fewer strips, answered as before
         assert lr_coefficient((12, 10, 8, 6, 4, 2), (6, 5, 4, 3, 2, 1), (6, 5, 4, 3, 2, 1)) == 1
         assert lr_coefficient((8,) * 8, (4, 3, 2, 1), (4, 3, 2, 1)) == 0
+
+    @pytest.mark.parametrize("lam,mu,nu,want", [
+        ((1,) * 10**4, (1,), (1,), 0),  # one box over 9999 empty rows
+        ((1,) * 3001, (1,) * 3000, (1,), 1),  # 3000 full rows over the one with room
+    ])
+    def test_rows_without_room_build_no_prefix(self, monkeypatch, lam, mu, nu, want):
+        # every row extended every prefix, so tall boxes cost the square of their rows: with 10**5 rows
+        # the first took 35 s and was then refused at 199 999 prefixes; only rows with room build them now
+        monkeypatch.setattr(ring_module, "MAX_SYMBOLS", 10)
+        monkeypatch.setattr(symbols_module, "MAX_SYMBOLS", 10)
+        assert lr_coefficient(lam, mu, nu) == want
 
     @pytest.mark.parametrize("lam,mu,nu,what", [
         ((1,), (-1,), (2,), "mu"),  # counted as 1 by the filler
