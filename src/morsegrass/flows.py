@@ -225,9 +225,7 @@ def integrate_flow(V: GrassmannPoint, a: HeightSpectrum, t: float, steps: int = 
     k2-k4 under np.linalg.solve's errstate, entered after their products so
     that overflow still reads as drift and only a zero pivot as singular.
     """
-    (steps,) = integers([steps], "step count")
-    if steps < 1:
-        raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
+    (steps,) = integers([steps], "step count", 1)
     (t,) = _check_flow_input(V, a, [t])
     d = np.array(a.a)[:, None]
     eye = np.eye(V.k)

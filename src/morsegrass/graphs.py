@@ -101,15 +101,14 @@ class FlowGraph(Frozen):
 
 
 class LabeledEnds(Frozen):
-    """Morse indices attached to the free ends, plus the ambient dimension."""
+    """Morse indices attached to the free ends, each in 0..dim_m, plus the ambient dimension dim_m >= 0."""
 
     __slots__ = ("incoming", "outgoing", "dim_m")
 
     def __init__(self, incoming: tuple[int, ...], outgoing: tuple[int, ...], dim_m: int):
-        self._init(integers(incoming, "Morse index"), integers(outgoing, "Morse index"), *integers([dim_m], "dim_m"))
-        for idx in self.incoming + self.outgoing:
-            if not 0 <= idx <= self.dim_m:
-                raise ValueError(f"index {idx} outside 0..dim M = {self.dim_m}")
+        ends = integers(incoming, "Morse index"), integers(outgoing, "Morse index")  # types first, then dim_m
+        (dim_m,) = integers([dim_m], "dim_m", 0)
+        self._init(*(integers(e, "Morse index", 0, dim_m) for e in ends), dim_m)
 
     @classmethod
     def from_json(cls, data: dict) -> "LabeledEnds":
@@ -151,8 +150,8 @@ def interval_graph() -> FlowGraph:
 
 
 def y_graph(n_in: int = 3) -> FlowGraph:
-    """Single vertex with n_in incoming ends (cup-product shape for n_in = 3)."""
-    (n_in,) = integers([n_in], "count of incoming ends")
+    """Single vertex with n_in >= 0 incoming ends (cup-product shape for n_in = 3)."""
+    (n_in,) = integers([n_in], "count of incoming ends", 0)
     return FlowGraph({"v"}, tuple(("v", None, INCOMING) for _ in range(n_in)))
 
 

@@ -97,6 +97,7 @@ class IntPolynomial(Frozen):
     def __mul__(self, other):
         if (other := _operand(other)) is NotImplemented:
             return other
+        _price_updates(self, other, "multiply")
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
@@ -108,9 +109,10 @@ class IntPolynomial(Frozen):
     __rmul__ = __mul__
 
     def divide_exact(self, divisor: "IntPolynomial") -> "IntPolynomial":
-        """Long division, raising ValueError unless the remainder is zero."""
+        """Long division, raising ValueError unless the remainder is zero; priced as a product is."""
         if not divisor.coeffs:
             raise ZeroDivisionError("division by zero polynomial")
+        _price_updates(self, divisor, "divide")
         rem = list(self.coeffs)
         dd = divisor.degree
         lead = divisor.coeffs[-1]
@@ -136,9 +138,7 @@ class IntPolynomial(Frozen):
 
     def substitute_power(self, p: int) -> "IntPolynomial":
         """Replace t by t^p, by from_terms; ValueError unless p is an integer >= 1."""
-        (p,) = integers([p], "power p")
-        if p < 1:
-            raise ValueError(f"substitute_power needs p >= 1, got {p}")
+        (p,) = integers([p], "power p", 1)
         return IntPolynomial.from_terms({p * d: c for d, c in enumerate(self.coeffs)})
 
     def is_zero(self) -> bool:
@@ -164,6 +164,12 @@ def _operand(other):
         return other if isinstance(other, IntPolynomial) else IntPolynomial([other])
     except ValueError:
         return NotImplemented
+
+
+def _price_updates(a: IntPolynomial, b: IntPolynomial, verb: str) -> None:
+    """CapacityError if len(a) len(b) coefficient updates, in tens, exceed the budget: past 10^6 updates."""
+    check_budget(len(a.coeffs) * len(b.coeffs) // 10,
+                 f"tens of coefficient updates to {verb} polynomials of degrees {a.degree} and {b.degree}")
 
 
 IntPolynomial.zero = IntPolynomial([])
@@ -197,11 +203,7 @@ def partition_count(d: int, k: int, cap: int) -> int:
     The t^d coefficient of [k + cap choose k]_t, k and cap clamped to d, by passes cut at degree d.
     CapacityError first if 2 min(k, cap)(d + 1) coefficient updates, in thousands of words, are over budget.
     """
-    (d,), (k,), (cap,) = integers([d], "size d"), integers([k], "part count k"), integers([cap], "part bound cap")
-    if d < 0:
-        raise ValueError("d must be nonnegative")
-    if k < 0 or cap < 0:
-        raise ValueError("k and cap must be nonnegative")
+    (d,), (k,), (cap,) = (integers([x], w, 0) for x, w in ((d, "size d"), (k, "part count k"), (cap, "part bound cap")))
     k, cap = min(k, d), min(cap, d)  # no part exceeds d and at most d parts are nonzero
     if d > k * cap:
         return 0
@@ -265,7 +267,7 @@ def poincare_closed(k: int, n: int) -> IntPolynomial:
 
 
 def mb_polynomial(cs: list[GeneralizedSchubertSymbol]) -> IntPolynomial:
-    """Morse-Bott polynomial: sum over critical manifolds of t^index * P(manifold), each t^index priced by from_terms."""
+    """Morse-Bott polynomial: sum over critical manifolds of t^index * P(manifold), each product priced by __mul__."""
     if not cs:
         return IntPolynomial.zero
     blocks = cs[0].blocks

@@ -96,11 +96,16 @@ def _lr_terms(mu: tuple[int, ...], nu: tuple[int, ...], rows: int, cols: int) ->
     so columns stay strict), shape_r + a_r <= cols, and a_1 + ... + a_r is at most the last
     strip's boxes in rows 1..r-1 (the reverse reading word stays a lattice word).  A strip's prefixes grow only
     at rows with room, up to the first empty row, and are padded with zeros once.  They are the engine's work:
-    CapacityError after a state whose prefixes take the count past the budget.
+    CapacityError after a state whose prefixes take the count past the budget.  A box with more rows than
+    columns is transposed first, as c^lam_{mu, nu} = c^lam'_{mu', nu'} for the conjugates, so no strip walks
+    more than min(rows, cols) rows.
     """
     mu, nu = sorted((tuple(p for p in parts if p) for parts in (mu, nu)), key=sum, reverse=True)  # mu the larger
     if any(len(p) > rows or p and p[0] > cols for p in (mu, nu)):
         return {}
+    if rows > cols:
+        terms = _lr_terms(_conjugate(mu, cols), _conjugate(nu, cols), cols, rows)
+        return {_conjugate(lam, rows): c for lam, c in terms.items()}
     states, built = {(mu + (0,) * (rows - len(mu)), None): 1}, 0
     for m in nu:
         grown = {}
@@ -125,6 +130,10 @@ def _lr_terms(mu: tuple[int, ...], nu: tuple[int, ...], rows: int, cols: int) ->
     for (shape, _), count in states.items():
         out[shape] = out.get(shape, 0) + count
     return out
+
+
+def _conjugate(parts: tuple[int, ...], length: int) -> tuple[int, ...]:  # the conjugate partition, length parts
+    return tuple(sum(p > j for p in parts) for j in range(length))
 
 
 def _partition(parts, what: str) -> tuple[int, ...]:
@@ -240,9 +249,7 @@ def special_symbol(k: int, n: int, i: int) -> SchubertSymbol:
     k, n = check_ambient(k, n)
     if k == n:
         raise ValueError(f"Gr({k},{n}) is a point and has no special classes: need k < n")
-    (i,) = integers([i], "special class index i")
-    if not 1 <= i <= k:
-        raise ValueError(f"need 1 <= i <= k = {k}, got i={i}")
+    (i,) = integers([i], "special class index i", 1, k)
     entries = tuple(range(n - k, n - k + i)) + tuple(range(n - k + i + 1, n + 1))
     return SchubertSymbol(entries, n)
 
@@ -255,9 +262,7 @@ def pieri_product(z: CohomologyClass, i: int) -> CohomologyClass:
     Independent of the LR engine.
     """
     k, n = z.k, z.n
-    (i,) = integers([i], "special class index i")
-    if not 1 <= i <= k:
-        raise ValueError(f"need 1 <= i <= k = {k}, got i={i}")
+    (i,) = integers([i], "special class index i", 1, k)
     check_budget(len(z.coefficients) * math.comb(k, i), f"Pieri row sets, C({k},{i}) per term of {len(z.coefficients)}")
     out: dict[SchubertSymbol, int] = {}
     for u, c in z.coefficients.items():

@@ -21,6 +21,8 @@ MAX_SYMBOLS = 100_000
 
 DEFAULT_TOL = 1e-9
 
+_INT = frozenset({int})  # built once: integers tests each call's value types against it
+
 
 def tolerance(value) -> float:
     """A numerical tolerance as a float; ValueError unless finite and positive.  A string, as --tol and
@@ -44,11 +46,8 @@ class AmbiguousCellError(ValueError):
 
 
 class Frozen:
-    """Immutable base of the value classes: each sets its __slots__ in __init__ or through _of.
-
-    The fields are the slot names without a leading _, as a _name slot holds derived state; ==, hash and repr
-    are a frozen dataclass's, over the field tuple, which one getter per class reads.
-    """
+    """Immutable base of the value classes, set in __init__ or by _of: the fields are the __slots__ without a
+    leading _, and ==, hash and repr are a frozen dataclass's over them."""
 
     __slots__ = ()
 
@@ -123,7 +122,7 @@ class GeneralizedSchubertSymbol(Frozen):
 
     def __init__(self, counts: tuple[int, ...], blocks: tuple[int, ...]):
         counts = integers(counts, "count")
-        blocks = _block_sizes(blocks)
+        blocks = integers(blocks, "block size", 1)
         if len(counts) != len(blocks):
             raise ValueError("counts and blocks must have equal length")
         if any(c < 0 or c > m for c, m in zip(counts, blocks)):
@@ -142,18 +141,19 @@ class GeneralizedSchubertSymbol(Frozen):
         return {"blocks": list(self.blocks), "counts": list(self.counts)}
 
 
-def integers(values, what: str) -> tuple[int, ...]:
-    """The values as a tuple of ints, the one rule for integer input: ValueError naming ``what`` unless each is one.
-
-    A value is an integer when its type has __index__ and is not bool: 2.0, Fraction(2), "2" and True are
-    refused, never truncated, and numpy integers become ints, which cannot wrap around.
-    """
+def integers(values, what: str, lo: int | None = None, hi: int | None = None) -> tuple[int, ...]:
+    """The values as a tuple of ints, the one rule for integer input: ValueError naming ``what`` unless each has a
+    type with __index__, not bool (2.0, Fraction(2), "2" and True are refused, numpy integers become ints), and
+    then unless each is at least lo and at most hi where given ("a step count must be at least 1, got 0")."""
     values = tuple(values)
-    if {int}.issuperset(map(type, values)):
+    if _INT.issuperset(map(type, values)) and lo is None and hi is None:
         return values
     for v in values:
         if isinstance(v, bool) or not hasattr(type(v), "__index__"):
             raise ValueError(f"a {what} of type {type(v).__name__} is not an integer")
+        if lo is not None and v < lo or hi is not None and v > hi:
+            span = f"at least {lo}" if hi is None else f"at most {hi}" if lo is None else f"from {lo} to {hi}"
+            raise ValueError(f"a {what} must be {span}, got {v}")
     return tuple(map(operator.index, values))
 
 
@@ -192,14 +192,6 @@ def check_ambient(k: int, n: int) -> tuple[int, int]:
     return k, n
 
 
-def _block_sizes(blocks) -> tuple[int, ...]:
-    """The eigenspace block sizes as ints; ValueError unless each is a positive integer."""
-    blocks = integers(blocks, "block size")
-    if any(m <= 0 for m in blocks):
-        raise ValueError(f"block sizes {blocks} must be positive")
-    return blocks
-
-
 def _combination(terms) -> str:
     """Text of an integer combination of (coefficient, basis name) pairs, the name "" for a constant: zero terms
     are dropped, a named term's coefficient 1 or -1 prints as its sign, "+ -" as "- " and no term as "0"."""
@@ -215,10 +207,8 @@ def check_budget(cost: int, what: str) -> None:
 
 
 def cell_count(k: int, n: int) -> int:
-    """C(n, k), the number of Schubert cells of Gr_k(C^n).
-
-    ValueError unless 0 <= k <= n; CapacityError if C(n, k) > MAX_SYMBOLS.
-    """
+    """C(n, k), the number of Schubert cells of Gr_k(C^n); ValueError unless 0 <= k <= n, CapacityError past the
+    budget."""
     k, n = check_ambient(k, n)
     # past min(k, n - k) = 20, C(n, k) >= C(n, 21) >= C(42, 21) > MAX_SYMBOLS: price C(n, 21)
     j = min(k, n - k, 21)
@@ -228,12 +218,8 @@ def cell_count(k: int, n: int) -> int:
 
 
 def enumerate_symbols(k: int, n: int) -> list[SchubertSymbol]:
-    """All C(n, k) Schubert symbols of Gr_k(C^n), in lexicographic order.
-
-    Raises CapacityError, before building any, if C(n, k) > MAX_SYMBOLS, or
-    if C(n, k) * (1 + k // 16) does: each symbol also builds k entries, and
-    16 entries cost about as much to build as one symbol.
-    """
+    """All C(n, k) Schubert symbols of Gr_k(C^n), in lexicographic order; CapacityError, before any is built, if
+    C(n, k) * (1 + k // 16), the symbols and their entries, exceeds the budget."""
     cells = cell_count(k, n)
     check_budget(cells * (1 + k // 16), f"Schubert symbols with their entries, C({n},{k})*(1+{k}//16)")
     return [SchubertSymbol(c, n) for c in itertools.combinations(range(1, n + 1), k)]
@@ -245,11 +231,8 @@ def cell_dimension(u: SchubertSymbol) -> int:
 
 
 def critical_index(u: SchubertSymbol, sign: str = "for_minus_f") -> int:
-    """Morse index of the critical point V_u, for the height function or its negative.
-
-    Indices are real (even) dimensions: twice the complex dimension of the
-    unstable manifold of the chosen function.
-    """
+    """Morse index of the critical point V_u for f ("for_f") or -f ("for_minus_f"): the real dimension of the
+    unstable manifold, twice its complex one."""
     d = cell_dimension(u)
     top = u.k * (u.n - u.k)
     if sign == "for_minus_f":
@@ -276,10 +259,7 @@ def _check_same_ambient(*ambients: tuple[int, int]) -> None:
 
 
 def bruhat_leq(u1: SchubertSymbol, u2: SchubertSymbol) -> bool:
-    """Closure order: u1 <= u2 iff the closure of S_{u1} contains S_{u2}.
-
-    Equivalently (componentwise form): (u2)_j <= (u1)_j for every j.
-    """
+    """Closure order: u1 <= u2 iff the closure of S_{u1} contains S_{u2}, iff (u2)_j <= (u1)_j for every j."""
     _check_same_ambient(u1.ambient, u2.ambient)
     return all(b <= a for a, b in zip(u1.entries, u2.entries))
 
@@ -292,15 +272,10 @@ def flow_line_exists(u_from: SchubertSymbol, u_to: SchubertSymbol) -> bool:
 def enumerate_generalized_symbols(
     blocks: tuple[int, ...] | list[int], k: int
 ) -> list[GeneralizedSchubertSymbol]:
-    """All occupancy vectors (c_1, ..., c_l) with 0 <= c_j <= m_j and sum k, in lexicographic order.
-
-    Raises CapacityError, before building any, if their count times (1 + l // 16)
-    exceeds MAX_SYMBOLS.  They are counted block by block over the window of
-    partial sums that can still reach k; each sum in it, and each prefix
-    counted, extends to a distinct vector, so both are priced before each step.
-    Each vector is stepped to from the one before, in O(l) steps.
-    """
-    blocks = _block_sizes(blocks)
+    """All occupancy vectors (c_1, ..., c_l) with 0 <= c_j <= m_j and sum k, in lexicographic order, each stepped
+    to from the one before.  CapacityError, before any is built, if their count times (1 + l // 16) exceeds the
+    budget; they are counted block by block over the partial sums that can still reach k, each priced first."""
+    blocks = integers(blocks, "block size", 1)
     k, _ = check_ambient(k, sum(blocks))
     tails = list(itertools.accumulate(reversed(blocks), initial=0))[::-1]  # tails[j] = sum(blocks[j:])
     what = f"occupancy vectors of {k} in {len(blocks)} blocks"
@@ -330,11 +305,8 @@ def enumerate_generalized_symbols(
 
 
 def generalized_index(c: GeneralizedSchubertSymbol) -> int:
-    """Morse-Bott index (for -f) of the critical manifold labelled by c.
-
-    Equals the minimum, over Morse refinements of c, of the Morse index for -f;
-    in closed form 2 * sum_{i<j} c_j (m_i - c_i).
-    """
+    """Morse-Bott index (for -f) of the critical manifold of c, the least Morse index of its refinements:
+    2 * sum_{i<j} c_j (m_i - c_i)."""
     total = above = 0  # above: sum of m_i - c_i over the blocks before j
     for cj, mj in zip(c.counts, c.blocks):
         total += cj * above
@@ -353,11 +325,8 @@ def ndcm_dimension(c: GeneralizedSchubertSymbol) -> int:
 
 
 def morse_refinements(c: GeneralizedSchubertSymbol) -> list[SchubertSymbol]:
-    """Schubert symbols compatible with c: pick c_j rows inside each block.
-
-    Raises CapacityError, before building any, if their number, the product of
-    the C(m_j, c_j), times (1 + k // 16) exceeds MAX_SYMBOLS, as in enumerate_symbols.
-    """
+    """Schubert symbols compatible with c, c_j rows picked inside each block; CapacityError, before any is built,
+    if the product of the C(m_j, c_j) times (1 + k // 16) exceeds the budget."""
     count = math.prod(cell_count(cj, mj) for cj, mj in zip(c.counts, c.blocks))
     check_budget(count * (1 + c.k // 16), f"Morse refinements of {c.counts} in blocks {c.blocks} "
                                           f"with their entries, prod C(m_j,c_j)*(1+{c.k}//16)")

@@ -323,9 +323,7 @@ def circle_complex(m: int) -> WittenComplex:
     With the clockwise orientation convention, maximum j bounds
     minimum j minus minimum j+1 (indices mod m).
     """
-    (m,) = integers([m], "maximum count m")
-    if m < 1:
-        raise ValueError("need at least one maximum/minimum")
+    (m,) = integers([m], "maximum count m", 1)
     check_budget(m * m, f"boundary entries of circle_complex({m})")
     minima = [f"A{j}" for j in range(m)]
     maxima = [f"M{j}" for j in range(m)]
@@ -338,9 +336,7 @@ def circle_complex(m: int) -> WittenComplex:
 
 def rp_complex(n: int) -> WittenComplex:
     """Real projective n-space: one generator per degree, d_i = (2) for even i."""
-    (n,) = integers([n], "dimension n")
-    if n < 1:
-        raise ValueError("need n >= 1")
+    (n,) = integers([n], "dimension n", 1)
     check_budget(n + 1, f"degrees of rp_complex({n})")
     gens = {i: [f"V{n - i}"] for i in range(n + 1)}
     bnds = {i: [[2 if i % 2 == 0 else 0]] for i in range(1, n + 1)}

@@ -453,6 +453,7 @@ class TestMalformedInput:
         ({"vertices": "vw", "edges": [["v", "w", "internal"]], "dim_m": 4}, "'vw'"),
         ({"vertices": ["v", "v"], "edges": [["v", None, "incoming"]],
           "incoming_indices": [2], "dim_m": 4}, "names vertex 'v' more than once"),
+        ({"vertices": ["v"], "edges": [], "dim_m": -4}, "a dim_m must be at least 0, got -4"),
     ])
     def test_graph_numbers_and_vertices_are_kept(self, capsys, tmp_path, doc, value):
         # these printed "moduli dimension: -4", read "vw" as {'v', 'w'} and ["v", "v"] as one

@@ -263,7 +263,7 @@ class TestIntegrateFlow:
     def test_steps_must_be_an_integer_of_at_least_one(self, steps):
         # True used to run one step and 2.5 escaped as a TypeError from range; refused before the time is read
         integer = type(steps) in (int, np.int64)
-        with pytest.raises(ValueError, match="steps must be an integer >= 1" if integer else "a step count of type"):
+        with pytest.raises(ValueError, match="step count must be at least 1" if integer else "a step count of type"):
             integrate_flow(coordinate((1, 2), 4), A4, np.nan, steps=steps)
 
     def test_numpy_integer_steps(self):

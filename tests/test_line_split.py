@@ -1,4 +1,5 @@
 import importlib.util
+import subprocess
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "line_split.py"
@@ -35,3 +36,30 @@ def test_main_prints_a_total_row(tmp_path, capsys):
     (tmp_path / "m.py").write_text(SOURCE)
     assert line_split.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out.splitlines()[-1].split() == ["total", "16", "6", "1", "4", "5"]
+
+
+def git(cwd, *args):
+    config = ["-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+    subprocess.run(["git", *config, *args], cwd=cwd, check=True, capture_output=True)
+
+
+def test_against_a_revision(tmp_path, capsys, monkeypatch):
+    # the totals at the revision come from git, not the working tree: a file changed, one deleted, one added
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "a.py").write_text(SOURCE)
+    (tmp_path / "src" / "gone.py").write_text("x = 1\n")
+    (tmp_path / "src" / "notes.txt").write_text("not python\n")
+    git(tmp_path, "init", "-q")
+    git(tmp_path, "add", ".")
+    git(tmp_path, "commit", "-q", "-m", "first")
+    (tmp_path / "src" / "a.py").write_text(SOURCE + "y = 2\n\n")
+    (tmp_path / "src" / "gone.py").unlink()
+    (tmp_path / "src" / "new.py").write_text('"""Doc."""\n')
+    monkeypatch.chdir(tmp_path)
+    assert line_split.main(["--against", "HEAD", "src"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert rows == [
+        ["at", "HEAD", "17", "6", "1", "4", "6"],
+        ["now", "19", "7", "1", "5", "6"],
+        ["change", "+2", "+1", "+0", "+1", "+0"],
+    ]

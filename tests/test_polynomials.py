@@ -72,7 +72,7 @@ class TestIntPolynomial:
         with pytest.raises(ValueError, match="a polynomial in t has no negative degrees, got -2"):
             IntPolynomial.monomial(-2)
         for p in (0, -1):
-            with pytest.raises(ValueError, match=f"substitute_power needs p >= 1, got {p}"):
+            with pytest.raises(ValueError, match=f"^a power p must be at least 1, got {p}$"):
                 IntPolynomial([1, 2]).substitute_power(p)
 
     def test_constants_hash_like_ints(self):
@@ -210,6 +210,38 @@ class TestFromTerms:
         for mode in ("integers", "mod2"):
             h = homology(c, mode)
             assert h.poincare_polynomial() == filled({i: r for i, r in h.ranks.items() if r})
+
+
+class TestProductPrice:
+    def test_priced_in_tens_of_updates(self, monkeypatch):
+        monkeypatch.setattr(symbols_module, "MAX_SYMBOLS", 100)
+        a, b, q = poly(*[1] * 40), poly(*[1] * 25), poly(*[1] * 16)
+        assert (a * b).degree == 63  # 1000 updates, 100 tens
+        assert (b * q).divide_exact(b) == q  # a dividend of 40 coefficients by 25
+        with pytest.raises(CapacityError, match="^tens of coefficient updates to multiply polynomials of degrees 39 "
+                                                "and 25: 104 exceeds"):
+            a * poly(*[1] * 26)
+        with pytest.raises(CapacityError, match="^tens of coefficient updates to divide polynomials of degrees 39 "
+                                                "and 25: 104 exceeds"):
+            (b * q).divide_exact(poly(*[1] * 26))
+
+    def test_morse_bott_products_priced(self, monkeypatch):
+        # t^58 times P(Gr_1(C^30)), 59 x 59 updates: with blocks (2000, 2000) this took 0.58 s unpriced
+        monkeypatch.setattr(symbols_module, "MAX_SYMBOLS", 100)
+        with pytest.raises(CapacityError, match="^tens of coefficient updates to multiply polynomials of degrees 58 "
+                                                "and 58: 348 exceeds"):
+            mb_polynomial([GeneralizedSchubertSymbol((1, 1), (30, 30))])
+
+    @pytest.mark.parametrize("verb,build", [
+        ("multiply", lambda: poly(*[1] * 4000) * poly(*[1] * 2000)),  # took 0.62 s
+        # that product divided back by its second factor took 0.69 s
+        ("divide", lambda: poly(*(min(d + 1, 2000, 5999 - d) for d in range(5999))).divide_exact(poly(*[1] * 2000))),
+    ])
+    def test_refused_before_the_loop(self, verb, build):
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match=f"^tens of coefficient updates to {verb} polynomials"):
+            build()
+        assert time.perf_counter() - start < 0.1
 
 
 class TestPoincareRoutes:

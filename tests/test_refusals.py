@@ -44,7 +44,7 @@ def test_generalized_symbol_length_and_range(counts, blocks, message):
 def test_homology_mode_and_rp_size():
     with pytest.raises(ValueError, match="mode must be 'integers' or 'mod2', got 'rationals'"):
         witten.homology(witten.torus_complex(), "rationals")
-    with pytest.raises(ValueError, match="need n >= 1"):
+    with pytest.raises(ValueError, match="^a dimension n must be at least 1, got 0$"):
         witten.rp_complex(0)
 
 
@@ -65,9 +65,9 @@ def test_divide_exact_refusals():
 
 
 @pytest.mark.parametrize("d,k,cap,message", [
-    (-1, 2, 2, "d must be nonnegative"),
-    (2, -1, 2, "k and cap must be nonnegative"),
-    (2, 2, -1, "k and cap must be nonnegative"),
+    (-1, 2, 2, "a size d must be at least 0, got -1"),
+    (2, -1, 2, "a part count k must be at least 0, got -1"),
+    (2, 2, -1, "a part bound cap must be at least 0, got -1"),
 ])
 def test_partition_count_negative_arguments(d, k, cap, message):
     with pytest.raises(ValueError, match=message):
@@ -76,7 +76,7 @@ def test_partition_count_negative_arguments(d, k, cap, message):
 
 @pytest.mark.parametrize("i", [0, 3])
 def test_special_symbol_index_range(i):
-    with pytest.raises(ValueError, match=f"need 1 <= i <= k = 2, got i={i}"):
+    with pytest.raises(ValueError, match=f"^a special class index i must be from 1 to 2, got {i}$"):
         special_symbol(2, 4, i)
 
 

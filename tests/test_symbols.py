@@ -338,11 +338,10 @@ class TestMorseBottPrices:
     @pytest.mark.parametrize("blocks,k", [((1,) * 100, 2), ((2, 3, 2, 4), 5), ((3,), 2), ((), 0)])
     def test_blocks_checked_once_per_enumeration(self, monkeypatch, blocks, k):
         # a check per vector cost more than the rest of the enumeration on (1,)*100 with k = 2
-        calls = []
-        check = symbols_module._block_sizes
-        monkeypatch.setattr(symbols_module, "_block_sizes", lambda b: calls.append(b) or check(b))
+        whats, check = [], symbols_module.integers
+        monkeypatch.setattr(symbols_module, "integers", lambda v, what, *lh: whats.append(what) or check(v, what, *lh))
         out = enumerate_generalized_symbols(blocks, k)
-        assert len(calls) == 1
+        assert whats.count("block size") == 1
         assert out == [GeneralizedSchubertSymbol(c.counts, list(blocks)) for c in out]
         assert all(type(c.counts) is tuple and c.blocks == blocks for c in out)
 
@@ -426,12 +425,20 @@ class TestOneRulePerInput:
         ("need 0 <= k <= n", ("symbols.py", "check_ambient")),
         ("spectrum length does not match ambient dimension", ("flows.py", "_check_flow_input")),
         ("{what} must be finite", ("symbols.py", "reals")),
-        ("must be positive", ("symbols.py", "_block_sizes")),
         ("is not an integer", ("symbols.py", "integers")),
+        ("must be {span}", ("symbols.py", "integers")),
         ("is not a real number", ("symbols.py", "reals")),
     ])
     def test_each_message_from_one_function(self, text, site):
         assert _raise_sites(text=text) == [site]
+
+    @pytest.mark.parametrize("text", [
+        "must be an integer >= 1", "needs p >= 1", "d must be nonnegative", "k and cap must be nonnegative",
+        "need 1 <= i <= k", "need at least one maximum", "need n >= 1", "outside 0..dim M", "must be positive",
+    ])
+    def test_integer_ranges_judged_only_by_integers(self, text):
+        # the hand-written range checks that integers(values, what, lo, hi) replaced
+        assert _raise_sites(text=text) == []
 
 
 U24 = SchubertSymbol((1, 2), 4)
@@ -528,6 +535,54 @@ REPROS = [
     pytest.param(lambda: poincare_closed(2.0, 4), "a dimension k of type float",
                  id="poincare_closed-float"),  # a TypeError from deep inside
 ]
+
+# every integer input with a range: (the field the refusal names, a call that puts x there, the least and the
+# greatest value allowed, None for no greatest); the call is valid at each value in the range
+INTEGER_RANGES = [
+    pytest.param("step count", _rk4_frame, 1, None, id="integrate_flow-steps"),
+    pytest.param("power p", lambda x: IntPolynomial([1, 2]).substitute_power(x).coeffs, 1, None, id="substitute_power"),
+    pytest.param("size d", lambda x: partition_count(x, 2, 2), 0, None, id="partition_count-d"),
+    pytest.param("part count k", lambda x: partition_count(2, x, 2), 0, None, id="partition_count-k"),
+    pytest.param("part bound cap", lambda x: partition_count(2, 2, x), 0, None, id="partition_count-cap"),
+    pytest.param("special class index i", lambda x: special_symbol(2, 4, x).entries, 1, 2, id="special_symbol-i"),
+    pytest.param("special class index i", lambda x: pieri_product(CohomologyClass.unit(2, 4), x), 1, 2,
+                 id="pieri_product"),
+    pytest.param("maximum count m", lambda x: len(circle_complex(x).generators[0]), 1, None, id="circle_complex"),
+    pytest.param("dimension n", lambda x: len(rp_complex(x).generators), 1, None, id="rp_complex"),
+    pytest.param("Morse index", lambda x: LabeledEnds((x,), (), 4).incoming[0], 0, 4, id="LabeledEnds-incoming"),
+    pytest.param("Morse index", lambda x: LabeledEnds((), (x,), 4).outgoing[0], 0, 4, id="LabeledEnds-outgoing"),
+    pytest.param("block size", lambda x: GeneralizedSchubertSymbol((0, 0), (x, 1)).blocks[0], 1, None,
+                 id="Generalized-blocks"),
+    pytest.param("block size", lambda x: enumerate_generalized_symbols((x, 1), 1)[0].blocks[0], 1, None,
+                 id="enumerate_generalized_symbols-blocks"),
+    # these two took any integer: y_graph(-1) was a graph with no ends and dim_m = -4 a moduli dimension of -4
+    pytest.param("dim_m", lambda x: LabeledEnds((), (), x).dim_m, 0, None, id="LabeledEnds-dim_m"),
+    pytest.param("count of incoming ends", lambda x: y_graph(x).n_incoming, 0, None, id="y_graph"),
+]
+
+
+class TestIntegerRanges:
+    @pytest.mark.parametrize("field,build,lo,hi", INTEGER_RANGES)
+    def test_refused_outside_and_kept_inside(self, field, build, lo, hi):
+        span = f"at least {lo}" if hi is None else f"from {lo} to {hi}"
+        for x in (lo - 1, *([hi + 1] if hi is not None else [])):
+            with pytest.raises(ValueError, match=f"^a {field} must be {span}, got {x}$"):
+                build(x)
+        for x in (lo, lo + 1, *([hi - 1, hi] if hi is not None else [])):
+            assert build(x) == build(np.int64(x))
+
+    @pytest.mark.parametrize("field,build,lo,hi", INTEGER_RANGES)
+    def test_type_judged_before_range(self, field, build, lo, hi):
+        for bad in (float(lo - 1), True, False):
+            with pytest.raises(ValueError, match=f"^a {field} of type {type(bad).__name__} is not an integer$"):
+                build(bad)
+
+    def test_bounds_may_be_given_alone(self):
+        assert symbols_module.integers((0, 5), "value", hi=5) == (0, 5)
+        with pytest.raises(ValueError, match=r"^a value must be at most 5, got 6$"):
+            symbols_module.integers((0, 6), "value", hi=5)
+        with pytest.raises(ValueError, match=r"^a value must be from -1 to 1, got -2$"):
+            symbols_module.integers(iter([np.int8(-2)]), "value", -1, 1)
 
 
 class TestIntegerRule:
