@@ -97,7 +97,7 @@ class IntPolynomial(Frozen):
     def __mul__(self, other):
         if (other := _operand(other)) is NotImplemented:
             return other
-        _price_updates(self, other, "multiply")
+        _price_updates(sum(map(bool, self.coeffs)) * len(other.coeffs), "multiply", self, other)
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
@@ -109,10 +109,11 @@ class IntPolynomial(Frozen):
     __rmul__ = __mul__
 
     def divide_exact(self, divisor: "IntPolynomial") -> "IntPolynomial":
-        """Long division, raising ValueError unless the remainder is zero; priced as a product is."""
+        """Long division, raising ValueError unless the remainder is zero; priced at most as many updates as each
+        quotient term times each divisor coefficient."""
         if not divisor.coeffs:
             raise ZeroDivisionError("division by zero polynomial")
-        _price_updates(self, divisor, "divide")
+        _price_updates(max(len(self.coeffs) - divisor.degree, 0) * len(divisor.coeffs), "divide", self, divisor)
         rem = list(self.coeffs)
         dd = divisor.degree
         lead = divisor.coeffs[-1]
@@ -166,9 +167,9 @@ def _operand(other):
         return NotImplemented
 
 
-def _price_updates(a: IntPolynomial, b: IntPolynomial, verb: str) -> None:
-    """CapacityError if len(a) len(b) coefficient updates, in tens, exceed the budget: past 10^6 updates."""
-    check_budget(len(a.coeffs) * len(b.coeffs) // 10,
+def _price_updates(updates: int, verb: str, a: IntPolynomial, b: IntPolynomial) -> None:
+    """CapacityError if the coefficient updates, in tens, exceed the budget: past 10^6 updates."""
+    check_budget(updates // 10,
                  f"tens of coefficient updates to {verb} polynomials of degrees {a.degree} and {b.degree}")
 
 

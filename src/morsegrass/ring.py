@@ -97,15 +97,14 @@ def _lr_terms(mu: tuple[int, ...], nu: tuple[int, ...], rows: int, cols: int) ->
     strip's boxes in rows 1..r-1 (the reverse reading word stays a lattice word).  A strip's prefixes grow only
     at rows with room, up to the first empty row, and are padded with zeros once.  They are the engine's work:
     CapacityError after a state whose prefixes take the count past the budget.  A box with more rows than
-    columns is transposed first, as c^lam_{mu, nu} = c^lam'_{mu', nu'} for the conjugates, so no strip walks
-    more than min(rows, cols) rows.
+    columns is transposed, as c^lam_{mu, nu} = c^lam'_{mu', nu'} for the conjugates, and the shapes are
+    conjugated back at the end, so no strip walks more than min(rows, cols) rows.
     """
     mu, nu = sorted((tuple(p for p in parts if p) for parts in (mu, nu)), key=sum, reverse=True)  # mu the larger
     if any(len(p) > rows or p and p[0] > cols for p in (mu, nu)):
         return {}
-    if rows > cols:
-        terms = _lr_terms(_conjugate(mu, cols), _conjugate(nu, cols), cols, rows)
-        return {_conjugate(lam, rows): c for lam, c in terms.items()}
+    if flip := rows > cols:
+        mu, nu, rows, cols = _conjugate(mu, sum(mu[:1])), _conjugate(nu, sum(nu[:1])), cols, rows
     states, built = {(mu + (0,) * (rows - len(mu)), None): 1}, 0
     for m in nu:
         grown = {}
@@ -128,12 +127,19 @@ def _lr_terms(mu: tuple[int, ...], nu: tuple[int, ...], rows: int, cols: int) ->
         states = grown
     out = {}
     for (shape, _), count in states.items():
+        shape = _conjugate(shape, cols) if flip else shape
         out[shape] = out.get(shape, 0) + count
     return out
 
 
-def _conjugate(parts: tuple[int, ...], length: int) -> tuple[int, ...]:  # the conjugate partition, length parts
-    return tuple(sum(p > j for p in parts) for j in range(length))
+def _conjugate(parts: tuple[int, ...], length: int) -> tuple[int, ...]:
+    """The first length parts of the conjugate of a weakly decreasing partition: part j counts the parts > j."""
+    out, i = [], len(parts)
+    for j in range(length):
+        while i and parts[i - 1] <= j:
+            i -= 1
+        out.append(i)
+    return tuple(out)
 
 
 def _partition(parts, what: str) -> tuple[int, ...]:

@@ -143,18 +143,22 @@ class GeneralizedSchubertSymbol(Frozen):
 
 def integers(values, what: str, lo: int | None = None, hi: int | None = None) -> tuple[int, ...]:
     """The values as a tuple of ints, the one rule for integer input: ValueError naming ``what`` unless each has a
-    type with __index__, not bool (2.0, Fraction(2), "2" and True are refused, numpy integers become ints), and
-    then unless each is at least lo and at most hi where given ("a step count must be at least 1, got 0")."""
+    type with __index__, not bool (2.0, Fraction(2), "2" and True are refused, numpy integers become ints), and,
+    every type judged first, unless each is at least lo and at most hi where given ("a step count must be at least
+    1, got 0")."""
     values = tuple(values)
-    if _INT.issuperset(map(type, values)) and lo is None and hi is None:
+    if not _INT.issuperset(map(type, values)):
+        for v in values:
+            if isinstance(v, bool) or not hasattr(type(v), "__index__"):
+                raise ValueError(f"a {what} of type {type(v).__name__} is not an integer")
+        values = tuple(map(operator.index, values))
+    if lo is None and hi is None:
         return values
     for v in values:
-        if isinstance(v, bool) or not hasattr(type(v), "__index__"):
-            raise ValueError(f"a {what} of type {type(v).__name__} is not an integer")
         if lo is not None and v < lo or hi is not None and v > hi:
             span = f"at least {lo}" if hi is None else f"at most {hi}" if lo is None else f"from {lo} to {hi}"
             raise ValueError(f"a {what} must be {span}, got {v}")
-    return tuple(map(operator.index, values))
+    return values
 
 
 def reals(values, what: str) -> tuple:

@@ -215,22 +215,39 @@ class TestFromTerms:
 class TestProductPrice:
     def test_priced_in_tens_of_updates(self, monkeypatch):
         monkeypatch.setattr(symbols_module, "MAX_SYMBOLS", 100)
-        a, b, q = poly(*[1] * 40), poly(*[1] * 25), poly(*[1] * 16)
-        assert (a * b).degree == 63  # 1000 updates, 100 tens
-        assert (b * q).divide_exact(b) == q  # a dividend of 40 coefficients by 25
+        a, b = poly(*[1] * 40), poly(*[1] * 25)
+        assert (a * b).degree == 63  # 40 x 25 updates, 100 tens
+        assert (a * b).divide_exact(b) == a  # 40 quotient terms x 25 divisor coefficients
         with pytest.raises(CapacityError, match="^tens of coefficient updates to multiply polynomials of degrees 39 "
                                                 "and 25: 104 exceeds"):
             a * poly(*[1] * 26)
-        with pytest.raises(CapacityError, match="^tens of coefficient updates to divide polynomials of degrees 39 "
-                                                "and 25: 104 exceeds"):
-            (b * q).divide_exact(poly(*[1] * 26))
+        with pytest.raises(CapacityError, match="^tens of coefficient updates to divide polynomials of degrees 64 "
+                                                "and 24: 102 exceeds"):
+            poly(*[1] * 65).divide_exact(b)  # 41 quotient terms x 25
+
+    def test_zero_coefficients_of_the_left_factor_are_free(self, monkeypatch):
+        # the loop skips them: t^1000 times b runs 25 updates, while b times t^39 runs 25 x 40
+        monkeypatch.setattr(symbols_module, "MAX_SYMBOLS", 100)
+        b = poly(*[1] * 25)
+        assert (IntPolynomial.monomial(1000) * b).degree == 1024
+        assert (b * IntPolynomial.monomial(39)).degree == 63
+        with pytest.raises(CapacityError, match="^tens of coefficient updates to multiply polynomials of degrees 24 "
+                                                "and 40: 102 exceeds"):
+            b * IntPolynomial.monomial(40)
 
     def test_morse_bott_products_priced(self, monkeypatch):
-        # t^58 times P(Gr_1(C^30)), 59 x 59 updates: with blocks (2000, 2000) this took 0.58 s unpriced
+        # t^58 P(Gr_1(C^30)), 30 nonzero terms, times P(Gr_1(C^30)), 59 terms: with blocks (2000, 2000) this
+        # took 0.58 s unpriced
         monkeypatch.setattr(symbols_module, "MAX_SYMBOLS", 100)
-        with pytest.raises(CapacityError, match="^tens of coefficient updates to multiply polynomials of degrees 58 "
-                                                "and 58: 348 exceeds"):
+        with pytest.raises(CapacityError, match="^tens of coefficient updates to multiply polynomials of degrees 116 "
+                                                "and 58: 177 exceeds"):
             mb_polynomial([GeneralizedSchubertSymbol((1, 1), (30, 30))])
+
+    def test_morse_bott_shift_costs_one_row(self):
+        # t^1200 times P(Gr_1(C^600)) runs 1199 updates, where a price on the monomial's length, 1201 x 1199 in
+        # tens, is past the budget
+        got = mb_polynomial([GeneralizedSchubertSymbol((0, 1), (600, 600))])
+        assert got == IntPolynomial.from_terms({d: 1 for d in range(1200, 2399, 2)})
 
     @pytest.mark.parametrize("verb,build", [
         ("multiply", lambda: poly(*[1] * 4000) * poly(*[1] * 2000)),  # took 0.62 s

@@ -577,6 +577,13 @@ class TestIntegerRanges:
             with pytest.raises(ValueError, match=f"^a {field} of type {type(bad).__name__} is not an integer$"):
                 build(bad)
 
+    def test_every_type_judged_before_any_bound(self):
+        # judging each value's range before the next value's type named the 0 here, not the float
+        with pytest.raises(ValueError, match=r"^a block size of type float is not an integer$"):
+            symbols_module.integers((0, 2.5), "block size", 1)
+        with pytest.raises(ValueError, match=r"^a block size of type float is not an integer$"):
+            GeneralizedSchubertSymbol((0, 0), (0, 2.5))
+
     def test_bounds_may_be_given_alone(self):
         assert symbols_module.integers((0, 5), "value", hi=5) == (0, 5)
         with pytest.raises(ValueError, match=r"^a value must be at most 5, got 6$"):
