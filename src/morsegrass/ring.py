@@ -156,8 +156,17 @@ def lr_coefficient(lam: tuple[int, ...], mu: tuple[int, ...], nu: tuple[int, ...
     return _lr_terms(mu, nu, len(lam), lam[0] if lam else 0).get(lam, 0)
 
 
+def _nonzero(terms) -> MappingProxyType:
+    """A read-only mapping of the (symbol, coefficient) terms whose coefficient is not 0, in their order."""
+    return MappingProxyType({u: c for u, c in terms if c})
+
+
 class CohomologyClass(Frozen):
-    """Integer combination of Schubert basis classes of a fixed Gr_k(C^n); coefficients is a read-only mapping."""
+    """Integer combination of Schubert basis classes of a fixed Gr_k(C^n); coefficients is a read-only mapping.
+
+    The constructor checks every key and coefficient.  A class the ring derives from checked classes (a sum,
+    a multiple or a cup product) is built unchecked through _of with the same contract: keys are SchubertSymbols
+    of Gr_k(C^n), coefficients are nonzero ints, and the keys keep their order of first appearance."""
 
     __slots__ = ("k", "n", "coefficients")
 
@@ -169,7 +178,7 @@ class CohomologyClass(Frozen):
             raise ValueError(f"a key of type {type(bad).__name__} is not a SchubertSymbol")
         _check_same_ambient((k, n), *(u.ambient for u in coefficients))
         values = integers(coefficients.values(), "coefficient")
-        self._init(k, n, MappingProxyType({u: c for u, c in zip(coefficients, values) if c}))
+        self._init(k, n, _nonzero(zip(coefficients, values)))
 
     def __reduce__(self):  # a mappingproxy cannot be pickled: copy and pickle go through a plain dict
         return CohomologyClass, (self.k, self.n, dict(self.coefficients))
@@ -206,7 +215,7 @@ class CohomologyClass(Frozen):
         out = dict(self.coefficients)
         for u, c in other.coefficients.items():
             out[u] = out.get(u, 0) + c
-        return CohomologyClass(self.k, self.n, out)
+        return CohomologyClass._of(self.k, self.n, _nonzero(out.items()))
 
     def __sub__(self, other):
         self._check(other)
@@ -214,7 +223,7 @@ class CohomologyClass(Frozen):
 
     def scale(self, c: int) -> "CohomologyClass":
         (c,) = integers([c], "scale factor")
-        return CohomologyClass(self.k, self.n, {u: c * x for u, x in self.coefficients.items()})
+        return CohomologyClass._of(self.k, self.n, _nonzero((u, c * x) for u, x in self.coefficients.items()))
 
     def _check(self, other):
         if not isinstance(other, CohomologyClass):
@@ -232,22 +241,27 @@ class CohomologyClass(Frozen):
 
 
 def cup_product(z1: CohomologyClass, z2: CohomologyClass) -> CohomologyClass:
-    """Cup product via Littlewood-Richardson numbers on partition shapes."""
+    """Cup product via Littlewood-Richardson numbers on partition shapes; CapacityError first, when both classes
+    have terms, for a Grassmannian with more cells than the budget.  The product's coefficients are nonzero, in
+    order of first appearance over the pairs of terms (z1's outer, z2's inner), in lexicographic symbol order
+    within a pair's product."""
     z1._check(z2)
     out: dict[SchubertSymbol, int] = {}
+    if z1.coefficients and z2.coefficients:
+        cell_count(z1.k, z1.n)
     for u1, c1 in z1.coefficients.items():
         for u2, c2 in z2.coefficients.items():
             for u, c in _basis_product(u1, u2).items():
                 out[u] = out.get(u, 0) + c1 * c2 * c
-    return CohomologyClass(z1.k, z1.n, out)
+    return CohomologyClass._of(z1.k, z1.n, _nonzero(out.items()))
 
 
 def _basis_product(u1: SchubertSymbol, u2: SchubertSymbol) -> dict[SchubertSymbol, int]:
-    """The nonzero coefficients of z_u1 z_u2 in the Schubert basis, in lexicographic symbol order."""
+    """The nonzero coefficients of z_u1 z_u2 in the Schubert basis, in lexicographic symbol order; the engine's
+    shapes fit the box, so their symbols are built unchecked."""
     k, n = u1.ambient
-    cell_count(k, n)  # CapacityError for a Grassmannian with more cells than the budget
     terms = _lr_terms(_parts(u1), _parts(u2), k, n - k)
-    return {SchubertSymbol(e, n): c for e, c in sorted((_entries(lam, n), c) for lam, c in terms.items())}
+    return {SchubertSymbol._of(e, n): c for e, c in sorted((_entries(lam, n), c) for lam, c in terms.items())}
 
 
 def special_symbol(k: int, n: int, i: int) -> SchubertSymbol:
@@ -293,7 +307,8 @@ def triple_product(u: SchubertSymbol, v: SchubertSymbol, w: SchubertSymbol) -> i
     if degree(u) + degree(v) + degree(w) != 2 * k * (n - k):
         raise ValueError("degrees do not sum to the top degree")
     cell_count(k, n)  # CapacityError for a Grassmannian with more cells than the budget
-    return _lr_terms(_parts(u), _parts(v), k, n - k).get(_parts(complement(w)), 0)
+    dual = tuple(n - k - p for p in reversed(_parts(w)))  # w^c's partition: lambda_j = (n - k) - lambda(w)_{k+1-j}
+    return _lr_terms(_parts(u), _parts(v), k, n - k).get(dual, 0)
 
 
 def chern_presentation_check(k: int, n: int) -> bool:

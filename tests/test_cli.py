@@ -289,6 +289,17 @@ class TestCup:
         code, _, _ = run_json(capsys, "cup", "2", "4", "(4,5)")
         assert code == 2
 
+    @pytest.mark.parametrize("argv,text,json_text", [
+        (["3", "6", "(2,4,6)", "(1,4,6)", "(2,3,6)"], "z(2,4,6)z(1,4,6)z(2,3,6) = 0\n",
+         '{\n  "status": "ok",\n  "payload": {\n    "product": {}\n  }\n}\n'),
+        (["2", "5", "(2,5)", "(3,5)", "(3,5)"], "z(2,5)z(3,5)z(3,5) = 2z(1,4) + z(2,3)\n",
+         '{\n  "status": "ok",\n  "payload": {\n    "product": {\n      "(1,4)": 2,\n      "(2,3)": 1\n    }\n  }\n}\n'),
+    ], ids=["gr36-zero", "gr25-two-terms"])
+    def test_output_pinned(self, capsys, argv, text, json_text):
+        # byte-exact: a product that leaves the box, and one whose terms and their order come from two products
+        assert run(capsys, "cup", *argv) == (0, text, "")
+        assert run(capsys, "--json", "cup", *argv) == (0, json_text, "")
+
 
 class TestPolytope:
     def test_octahedron(self, capsys):

@@ -1,6 +1,9 @@
+import copy
 import itertools
+import pickle
 import random
 import time
+from types import MappingProxyType
 
 import pytest
 
@@ -353,16 +356,85 @@ class TestCupProduct:
                 want = want + cup_product(basis(u.entries, 5), basis(v.entries, 5)).scale(c * d)
         pieri_want = [sum((pieri_product(basis(u.entries, 5), i).scale(c) for u, c in a.coefficients.items()),
                           CohomologyClass.zero(2, 5)) for i in (1, 2)]
-        built = []
-        init = CohomologyClass.__init__
+        built = []  # classes built through the checking __init__ or, for derived ones, through _of
+        init, of = CohomologyClass.__init__, CohomologyClass._of
         monkeypatch.setattr(CohomologyClass, "__init__", lambda self, *args: built.append(1) or init(self, *args))
+        monkeypatch.setattr(CohomologyClass, "_of", classmethod(lambda cls, *values: built.append(1) or of(*values)))
         assert cup_product(a, b) == want and len(built) == 1
         assert cup_product(a, a - a).is_zero()
         built.clear()
         assert [pieri_product(a, i) for i in (1, 2)] == pieri_want and len(built) == 2
+        # a product of basis classes derives its symbols and its class from checked ones: no constructor re-checks
+        x, y = basis((2, 4), 5), basis((3, 5), 5)
+        monkeypatch.setattr(SchubertSymbol, "__init__", lambda self, *args: pytest.fail("symbol re-checked"))
+        monkeypatch.setattr(CohomologyClass, "__init__", lambda self, *args: pytest.fail("class re-checked"))
+        assert cup_product(x, y).to_json() == {"(1,4)": 1, "(2,3)": 1}
+
+
+def assert_checked_form(z):
+    """z is a class the checking constructor would build from z's own terms, in the same order: symbols of z's
+    Grassmannian as keys, nonzero ints as values, a read-only mapping, and pickle and copy round-trip."""
+    again = CohomologyClass(z.k, z.n, dict(z.coefficients))
+    assert again == z and list(again.coefficients.items()) == list(z.coefficients.items())
+    assert type(z.coefficients) is MappingProxyType
+    for u, c in z.coefficients.items():
+        assert type(u) is SchubertSymbol and type(u.entries) is tuple and u.ambient == (z.k, z.n)
+        assert {int} == set(map(type, u.entries)) and 1 <= u.entries[0] and u.entries[-1] <= z.n
+        assert all(a < b for a, b in zip(u.entries, u.entries[1:]))
+        assert type(c) is int and c != 0
+    with pytest.raises(TypeError):
+        z.coefficients[SchubertSymbol(tuple(range(1, z.k + 1)), z.n)] = 1
+    for twin in (pickle.loads(pickle.dumps(z)), copy.copy(z), copy.deepcopy(z)):
+        assert twin == z and list(twin.coefficients.items()) == list(z.coefficients.items())
+
+
+class TestDerivedClasses:
+    """Sums, multiples and products are built unchecked; each must be what the checking constructor builds."""
+
+    @staticmethod
+    def pairs():
+        for k, n in [(2, 5), (2, 6), (3, 6)]:
+            yield from itertools.product(enumerate_symbols(k, n), repeat=2)
+        rng = random.Random(29)
+        for k, n in [(4, 9), (5, 10)]:
+            syms = enumerate_symbols(k, n)
+            yield from ((rng.choice(syms), rng.choice(syms)) for _ in range(200))
+
+    def test_products_sums_and_multiples(self):
+        prev = None
+        for u, v in self.pairs():
+            z = cup_product(CohomologyClass.basis(u), CohomologyClass.basis(v))
+            assert_checked_form(z)
+            if prev is not None and prev.k == z.k and prev.n == z.n:
+                for w in (z + prev, z - prev, z + prev.scale(-2), cup_product(z + prev, z - prev.scale(3))):
+                    assert_checked_form(w)
+            prev = z
+
+    def test_zero_results_are_empty(self):
+        a = basis((2, 4), 5) + basis((1, 5), 5).scale(-3) + basis((3, 5), 5)
+        point, top = basis((1, 2), 5), basis((4, 5), 5)
+        for z in (a - a, a.scale(0), cup_product(point, a), cup_product(a - a, a), a + a.scale(-1)):
+            assert z.coefficients == {} and z == CohomologyClass.zero(2, 5)
+            assert_checked_form(z)
+        assert cup_product(top, a) == a and list(cup_product(a, top).coefficients) == list(a.coefficients)
+        assert_checked_form(cup_product(a, a))
 
 
 class TestTripleProduct:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_the_complement_route(self, n):
+        # every top-degree triple through Gr(3, 7): w^c's partition read from w's against the symbol complement(w)
+        for k in range(min(n, 3) + 1):
+            by_weight = {}
+            for w in enumerate_symbols(k, n):
+                by_weight.setdefault(symbol_to_partition(w).weight, []).append(w)
+            for u, v in itertools.product(enumerate_symbols(k, n), repeat=2):
+                rest = k * (n - k) - symbol_to_partition(u).weight - symbol_to_partition(v).weight
+                for w in by_weight.get(rest, ()):
+                    want = lr_coefficient(symbol_to_partition(complement(w)).parts, symbol_to_partition(u).parts,
+                                          symbol_to_partition(v).parts)
+                    assert triple_product(u, v, w) == want, (u, v, w)
+
     def test_paper_values(self):
         assert triple_product(sym((1, 4), 4), sym((2, 4), 4), sym((2, 4), 4)) == 1
         assert triple_product(sym((2, 3), 4), sym((2, 4), 4), sym((2, 4), 4)) == 1
