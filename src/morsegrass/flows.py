@@ -1,16 +1,9 @@
 """Gradient flow of diagonal height functions on Gr_k(C^n).
 
-A point of the Grassmannian is a full-rank n x k complex frame; the plane is
-its column span, and span equality is measured by projector distance.  The
-height function f(V) = trace(pi_V D) with D = diag(a_1, ..., a_n) has
-negative gradient flow given in closed form by V -> e^{-tD} V; an RK4
-integrator of the same vector field acts as an independent numerical oracle.
-On frames that field is Y' = -(I - pi_Y) D Y, which keeps the Gram matrix
-Y^H Y fixed (a quadratic first integral) and commutes with Y -> YA, so the
-integrator steps unnormalized frames at k x k cost and takes one QR at the
-end, which gives the same spans as a QR after every step; Gram drift above
-0.1 raises DivergenceError (Hairer, Lubich and Wanner, Geometric Numerical
-Integration, ch. IV).
+A point of the Grassmannian is a full-rank n x k complex frame, standing for
+its column span.  The height f(V) = trace(pi_V D), D = diag(a_1, ..., a_n),
+has the negative gradient flow V -> e^{-tD} V in closed form; an RK4
+integrator of the same field on frames is its independent oracle.
 
 This is the only floating-point module in the package.
 """
@@ -35,6 +28,8 @@ from .symbols import (DEFAULT_TOL, AmbiguousCellError, Frozen, SchubertSymbol, c
 MAX_EXPONENT = 700.0
 # GrassmannPoint refuses frames with sigma_min <= RANK_FLOOR * max(1, largest |entry|)
 RANK_FLOOR = 1e-12
+# _complex_array refuses larger entries: the norms and QR factors built from them must stay finite
+MAX_ENTRY = 1e150
 
 
 class DegenerateInputError(ValueError):
@@ -82,17 +77,11 @@ class GrassmannPoint(Frozen):
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, matrix):
-        m = np.asarray(matrix)
-        if m.ndim != 2 or m.dtype.kind in "USb":  # a cast to complex would parse strings and take True as 1
-            raise ValueError(f"expected a 2-d matrix of numbers, got a {m.ndim}-d array of dtype {m.dtype}")
-        m = _complex_array(matrix, "frame entry")
+        m = _complex_array(matrix, "frame", 2)
         check_ambient(m.shape[1], m.shape[0])
         if m.shape[1] > 0:
-            scale = float(np.abs(m).max())  # NaN or inf if any entry is
-            if not math.isfinite(scale):
-                raise ValueError(f"frame entries must be finite, got {m[~np.isfinite(m)][0]}")
             smin = np.linalg.svd(m, compute_uv=False)[-1]
-            if smin <= RANK_FLOOR * max(1.0, scale):
+            if smin <= RANK_FLOOR * max(1.0, float(np.abs(m).max())):
                 raise DegenerateInputError(f"columns are rank deficient (sigma_min={smin:.3e})")
         m.setflags(write=False)
         self._init(m)
@@ -110,7 +99,8 @@ class GrassmannPoint(Frozen):
         m = np.zeros((u.n, u.k), dtype=complex)
         for col, row in enumerate(u.entries):
             m[row - 1, col] = 1.0
-        return cls(m)
+        m.setflags(write=False)
+        return cls._of(m)
 
     def orthonormal_frame(self) -> np.ndarray:
         q, _ = np.linalg.qr(self.matrix)
@@ -121,23 +111,33 @@ class GrassmannPoint(Frozen):
 
     @classmethod
     def from_json(cls, data) -> "GrassmannPoint":
-        """Frame from a list of rows of [re, im] pairs; ValueError on any other shape."""
-        try:
-            m = [[complex(re, im) for re, im in row] for row in data]
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"a frame must be a list of rows of [re, im] number pairs ({exc})") from None
-        return cls(m)
+        """Frame from a list of lists of [re, im] pairs, each through symbols.floats; ValueError on any other shape."""
+        if not isinstance(data, list) or not all(
+                isinstance(row, list) and all(isinstance(p, list) and len(p) == 2 for p in row) for row in data):
+            raise ValueError("a frame must be a list of rows of [re, im] number pairs")
+        return cls([[complex(*floats(pair, "frame entry")) for pair in row] for row in data])
 
 
-def _complex_array(x, what: str) -> np.ndarray:
-    """x as a complex ndarray; ValueError naming ``what`` for a string or bool entry, which the cast would parse or
-    take as 1.  Entries are judged by type, once per type, unless x is a numeric ndarray, the hot case."""
+def _complex_array(x, what: str, ndim: int) -> np.ndarray:
+    """x as a new complex ndarray, the one rule for complex input: ValueError naming ``what`` unless each entry is a
+    numbers.Complex, not bool (strings are never parsed, True never taken as 1), judged once per type and not at all
+    in a numeric ndarray, the hot case; then unless x has ndim dimensions; then unless every entry is finite, of
+    modulus at most MAX_ENTRY."""
     m = np.asarray(x)
     if m is not x or m.dtype.kind not in "iufc":  # a list turns True into 1 before the cast: judge x itself
         for t in set(map(type, np.asarray(x, dtype=object).flat)):
             if t is bool or not issubclass(t, numbers.Complex):
-                raise ValueError(f"a {what} of type {t.__name__} is not a number")
-    return m.astype(complex)
+                raise ValueError(f"a {what} entry of type {t.__name__} is not a number")
+    if m.ndim != ndim:
+        raise ValueError(f"a {what} must be a {ndim}-d array, got a {m.ndim}-d one")
+    try:
+        m = m.astype(complex)
+    except OverflowError:  # an exact entry past the float range, such as 10**400
+        raise ValueError(f"a {what} entry is too large to be a complex float") from None
+    big = ~(np.abs(m) <= MAX_ENTRY)  # NaN too
+    if big.any():
+        raise ValueError(f"a {what} entry must be finite and of modulus at most {MAX_ENTRY:g}, got {m[big][0]}")
+    return m
 
 
 class TangentVector(Frozen):
@@ -186,14 +186,12 @@ def gradient(V: GrassmannPoint, a: HeightSpectrum) -> TangentVector:
 
 
 def _flow_frames(V: GrassmannPoint, a: HeightSpectrum, ts) -> np.ndarray:
-    """Orthonormal frames of e^{-tD} V for each t in ts, stacked (len(ts), n, k) by one QR.
+    """Read-only orthonormal frames of e^{-tD} V for each t in ts, stacked (len(ts), n, k) by one QR; ValueError as
+    _check_flow_input.
 
-    The exponent is recentered per time (an overall scalar does not change
-    the span) and clamped to avoid overflow.  Row i is scaled by e^{-t a_i},
-    so for t > 0 the rows grow downwards; those slices are factored with
-    their rows reversed, because Householder QR is row-wise stable on rows
-    sorted by decreasing size (Powell and Reid 1969; Cox and Higham 1998),
-    and the rows of Q are reversed back.
+    The exponent is recentered per time and clamped at -MAX_EXPONENT.  For t > 0 the rows grow downwards and are
+    factored in reverse, as Householder QR is row-wise stable on rows sorted by decreasing size (Powell and Reid
+    1969; Cox and Higham 1998).
     """
     ts = _check_flow_input(V, a, ts)
     ta = np.multiply.outer(ts, a.a)
@@ -203,27 +201,21 @@ def _flow_frames(V: GrassmannPoint, a: HeightSpectrum, ts) -> np.ndarray:
     m[late] = m[late, ::-1]
     q, _ = np.linalg.qr(m)
     q[late] = q[late, ::-1]
+    q.setflags(write=False)
     return q
 
 
 def flow(V: GrassmannPoint, a: HeightSpectrum, t: float) -> GrassmannPoint:
     """Closed-form gradient flow: column span of e^{-tD} V, re-orthonormalized (see _flow_frames)."""
-    return GrassmannPoint(_flow_frames(V, a, [t])[0])
+    return GrassmannPoint._of(_flow_frames(V, a, [t])[0])
 
 
 def integrate_flow(V: GrassmannPoint, a: HeightSpectrum, t: float, steps: int = 100) -> GrassmannPoint:
-    """RK4 oracle for the same flow, integrating Y' = -(I - pi_Y) D Y on frames.
+    """RK4 oracle for flow, in steps >= 1 steps of Y' = -(I - pi_Y) D Y on frames, pi_Y = Y (Y^H Y)^{-1} Y^H.
 
-    pi_Y = Y (Y^H Y)^{-1} Y^H, so the velocity costs k x k algebra.  The field
-    keeps Y^H Y fixed and commutes with Y -> YA, so RK4 from an orthonormal
-    frame needs no per-step QR: one QR at the end gives the same span.  A
-    step whose Y^H Y drifts more than 0.1 from I (Frobenius) or whose stage
-    Gram matrix is singular raises DivergenceError; exact flow keeps Y^H Y = I.
-    steps is an integer >= 1, not a bool.  Each k x k solve calls zgesv, the
-    LAPACK gufunc behind np.linalg.solve, on the same arguments: k1 bare, as
-    the Gram matrix that passed the drift check (or Q^H Q) is nonsingular;
-    k2-k4 under np.linalg.solve's errstate, entered after their products so
-    that overflow still reads as drift and only a zero pivot as singular.
+    The field keeps Y^H Y fixed and commutes with Y -> YA, so the steps start from an orthonormal frame and one QR
+    at the end gives the span (Hairer, Lubich and Wanner, Geometric Numerical Integration, ch. IV).
+    DivergenceError if a step's Y^H Y drifts more than 0.1 from I (Frobenius) or a stage's is singular.
     """
     (steps,) = integers([steps], "step count", 1)
     (t,) = _check_flow_input(V, a, [t])
@@ -236,7 +228,7 @@ def integrate_flow(V: GrassmannPoint, a: HeightSpectrum, t: float, steps: int = 
         r = yh @ dy
         if gram is not None:
             return y @ _gesv(gram, r, signature="DD->D") - dy
-        g = yh @ y
+        g = yh @ y  # errstate around the solve alone: overflow above reads as drift, a zero pivot as singular
         with np.errstate(call=_singular_stage, invalid="call", over="ignore", divide="ignore", under="ignore"):
             x = _gesv(g, r, signature="DD->D")
         return y @ x - dy
@@ -256,7 +248,8 @@ def integrate_flow(V: GrassmannPoint, a: HeightSpectrum, t: float, steps: int = 
         if not drift <= 0.1:  # NaN fails too
             raise DivergenceError(f"Gram matrix drifted {drift:.3g} from the identity; reduce the step size")
     q, _ = np.linalg.qr(y)
-    return GrassmannPoint(q)
+    q.setflags(write=False)
+    return GrassmannPoint._of(q)
 
 
 def limit_symbol(
@@ -312,7 +305,7 @@ def limit_symbol(
         free.remove(col)
     if free:
         raise AmbiguousCellError("could not locate pivots for every column")
-    return SchubertSymbol(tuple(sorted(pivots)), n)
+    return SchubertSymbol._of(tuple(sorted(pivots)), n)
 
 
 def plucker_embed(V: GrassmannPoint) -> np.ndarray:
@@ -334,15 +327,13 @@ def plucker_weights(a: HeightSpectrum, k: int) -> list[float]:
 
 
 def projective_distance(x: np.ndarray, y: np.ndarray) -> float:
-    """Distance between lines through x and y: norm of the difference after
-    normalizing and aligning phases via the largest coordinate of x; ValueError if either is zero or has an entry
-    that is a string or bool."""
-    x, y = (_complex_array(v, "vector entry") for v in (x, y))
+    """Distance between the lines through x and y: norm of the difference after normalizing and aligning phases via
+    the largest coordinate of x.  ValueError unless both pass the complex rule as vectors of one length, nonzero."""
+    x, y = (_complex_array(v, "vector", 1) for v in (x, y))
     nx, ny = np.linalg.norm(x), np.linalg.norm(y)
-    if nx == 0 or ny == 0:
-        raise ValueError("projective_distance needs nonzero vectors: a zero vector spans no line")
-    xn = x / nx
-    yn = y / ny
+    if nx == 0 or ny == 0 or len(x) != len(y):
+        raise ValueError("projective_distance needs nonzero vectors of one length (a zero vector spans no line)")
+    xn, yn = x / nx, y / ny
     pivot = int(np.argmax(np.abs(xn)))
     xn = xn * (np.abs(xn[pivot]) / xn[pivot])
     if yn[pivot] != 0:

@@ -91,7 +91,7 @@ def _indicator(entries, n: int) -> tuple[int, ...]:
 
 def moment_map(V: GrassmannPoint) -> MomentPoint:
     """mu(V) = diagonal of the orthogonal projector onto V: the squared row norms of an orthonormal frame."""
-    return MomentPoint(tuple(float(x) for x in (abs(V.orthonormal_frame()) ** 2).sum(axis=1)))
+    return MomentPoint._of(tuple((abs(V.orthonormal_frame()) ** 2).sum(axis=1).tolist()))
 
 
 def grassmannian_polytope(k: int, n: int) -> VertexPolytope:
@@ -258,7 +258,7 @@ def flow_moment_trace(
     from .flows import _flow_frames
 
     mus = (abs(_flow_frames(V, a, ts)) ** 2).sum(axis=2)
-    return [MomentPoint(tuple(float(x) for x in mu)) for mu in mus]
+    return [MomentPoint._of(tuple(mu)) for mu in mus.tolist()]
 
 
 def moment_height(x: MomentPoint, a: HeightSpectrum) -> float:

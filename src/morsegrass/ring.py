@@ -60,7 +60,7 @@ def degree(u: SchubertSymbol) -> int:
 
 def symbol_to_partition(u: SchubertSymbol) -> PartitionShape:
     """Codimension partition lambda_j = (n - k) + j - u_j."""
-    return PartitionShape(_parts(u), u.k, u.n)
+    return PartitionShape._of(_parts(u), u.k, u.n)
 
 
 def _entries(parts: tuple[int, ...], n: int) -> tuple[int, ...]:  # symbol entries of k parts in the k x (n-k) box
@@ -72,7 +72,7 @@ def _parts(u: SchubertSymbol) -> tuple[int, ...]:  # u's codimension partition, 
 
 
 def partition_to_symbol(lam: PartitionShape) -> SchubertSymbol:
-    return SchubertSymbol(_entries(lam.parts, lam.n), lam.n)
+    return SchubertSymbol._of(_entries(lam.parts, lam.n), lam.n)
 
 
 def duality_pairing(u: SchubertSymbol, v: SchubertSymbol) -> int:
@@ -270,8 +270,7 @@ def special_symbol(k: int, n: int, i: int) -> SchubertSymbol:
     if k == n:
         raise ValueError(f"Gr({k},{n}) is a point and has no special classes: need k < n")
     (i,) = integers([i], "special class index i", 1, k)
-    entries = tuple(range(n - k, n - k + i)) + tuple(range(n - k + i + 1, n + 1))
-    return SchubertSymbol(entries, n)
+    return SchubertSymbol._of(tuple(range(n - k, n - k + i)) + tuple(range(n - k + i + 1, n + 1)), n)
 
 
 def pieri_product(z: CohomologyClass, i: int) -> CohomologyClass:
@@ -323,9 +322,9 @@ def chern_presentation_check(k: int, n: int) -> bool:
     cells = cell_count(k, n)
     check_budget(k * (n - k) * cells, f"product terms for the Chern check of Gr({k},{n}), {k * (n - k)}*{cells}")
     d = {i: CohomologyClass.basis(special_symbol(k, n, i)) for i in range(1, k + 1) if k < n}
-    c: dict[int, CohomologyClass] = {}
+    c, zero = {}, CohomologyClass.zero(k, n)
     for m in range(1, n + 1):
-        acc = d.get(m, CohomologyClass.zero(k, n))
+        acc = d.get(m, zero)
         for i in range(1, m):
             if i in c and m - i in d:
                 acc = acc + cup_product(c[i], d[m - i])

@@ -217,16 +217,17 @@ def cell_count(k: int, n: int) -> int:
     # past min(k, n - k) = 20, C(n, k) >= C(n, 21) >= C(42, 21) > MAX_SYMBOLS: price C(n, 21)
     j = min(k, n - k, 21)
     cells = math.comb(n, j)
-    check_budget(cells, f"Schubert cells of Gr({k},{n}), {'at least ' * (j == 21)}C({n},{j})")
+    if cells > MAX_SYMBOLS:  # the message is built only for a refusal
+        check_budget(cells, f"Schubert cells of Gr({k},{n}), {'at least ' * (j == 21)}C({n},{j})")
     return cells
 
 
 def enumerate_symbols(k: int, n: int) -> list[SchubertSymbol]:
     """All C(n, k) Schubert symbols of Gr_k(C^n), in lexicographic order; CapacityError, before any is built, if
     C(n, k) * (1 + k // 16), the symbols and their entries, exceeds the budget."""
-    cells = cell_count(k, n)
-    check_budget(cells * (1 + k // 16), f"Schubert symbols with their entries, C({n},{k})*(1+{k}//16)")
-    return [SchubertSymbol(c, n) for c in itertools.combinations(range(1, n + 1), k)]
+    k, n = check_ambient(k, n)
+    check_budget(cell_count(k, n) * (1 + k // 16), f"Schubert symbols with their entries, C({n},{k})*(1+{k}//16)")
+    return [SchubertSymbol._of(c, n) for c in itertools.combinations(range(1, n + 1), k)]
 
 
 def cell_dimension(u: SchubertSymbol) -> int:
@@ -253,7 +254,7 @@ def schubert_conditions(u: SchubertSymbol) -> tuple[int, ...]:
 
 def complement(u: SchubertSymbol) -> SchubertSymbol:
     """Dual symbol u^c = (n - u_k + 1, ..., n - u_1 + 1)."""
-    return SchubertSymbol(tuple(u.n - e + 1 for e in reversed(u.entries)), u.n)
+    return SchubertSymbol._of(tuple(u.n - e + 1 for e in reversed(u.entries)), u.n)
 
 
 def _check_same_ambient(*ambients: tuple[int, int]) -> None:
@@ -334,12 +335,7 @@ def morse_refinements(c: GeneralizedSchubertSymbol) -> list[SchubertSymbol]:
     count = math.prod(cell_count(cj, mj) for cj, mj in zip(c.counts, c.blocks))
     check_budget(count * (1 + c.k // 16), f"Morse refinements of {c.counts} in blocks {c.blocks} "
                                           f"with their entries, prod C(m_j,c_j)*(1+{c.k}//16)")
-    offsets = list(itertools.accumulate(c.blocks, initial=0))
-    per_block = [
-        list(itertools.combinations(range(offsets[j] + 1, offsets[j + 1] + 1), c.counts[j]))
-        for j in range(len(c.blocks))
-    ]
-    return [
-        SchubertSymbol(tuple(itertools.chain.from_iterable(choice)), c.n)
-        for choice in itertools.product(*per_block)
-    ]
+    offsets = itertools.accumulate(c.blocks, initial=0)
+    per_block = [itertools.combinations(range(o + 1, o + m + 1), cj) for o, m, cj in zip(offsets, c.blocks, c.counts)]
+    return [SchubertSymbol._of(tuple(itertools.chain.from_iterable(choice)), c.n)
+            for choice in itertools.product(*per_block)]

@@ -501,6 +501,15 @@ class TestMalformedInput:
         assert code == 2
         assert data["code"] == "usage"
 
+    @pytest.mark.parametrize("argv", [["limit", "{p}", "2,1", "down"], ["flow", "{p}", "2,1", "1.0"]])
+    def test_bool_in_a_frame_pair(self, capsys, tmp_path, argv):
+        # a JSON true was read as 1: limit answered (1) with exit 0
+        path = tmp_path / "b.json"
+        path.write_text("[[[true, false]], [[0, 0]]]")
+        code, data, err = run_json(capsys, *[a.format(p=path) for a in argv])
+        assert (code, data["code"]) == (2, "usage") and "Traceback" not in err
+        assert data["diagnostics"] == "a frame entry of type bool is not a real number"
+
     def test_nan_frame(self, capsys, tmp_path):
         path = tmp_path / "nan.json"
         path.write_text("[[[NaN, 0], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 0]]]")

@@ -556,6 +556,9 @@ class TestPlucker:
             assert time.perf_counter() - start < 1.0
 
 
+TOO_BIG = r"a vector entry must be finite and of modulus at most 1e\+150, got"
+
+
 class TestProjectiveDistance:
     def test_lines_not_vectors(self):
         x = np.array([1 + 2j, 3.0, -1j])
@@ -569,6 +572,26 @@ class TestProjectiveDistance:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="spans no line"):
                 projective_distance(np.array(x), np.array(y))
+
+    @pytest.mark.parametrize("x,message", [
+        ([1, np.nan], rf"^{TOO_BIG} \(nan\+0j\)$"),
+        ([1, np.inf], rf"^{TOO_BIG} \(inf\+0j\)$"),
+        (np.array([1, complex(0, -np.inf)]), f"^{TOO_BIG} -infj$"),
+        ([1e200, 1], rf"^{TOO_BIG} \(1e\+200\+0j\)$"),
+        ([[1, 0]], "^a vector must be a 1-d array, got a 2-d one$"),
+        (1.0, "^a vector must be a 1-d array, got a 0-d one$"),
+        ([10 ** 400, 0], "^a vector entry is too large to be a complex float$"),
+        ([1, 0, 0], "^projective_distance needs nonzero vectors of one length"),
+        ([1], "^projective_distance needs nonzero vectors of one length"),
+    ], ids=["nan", "inf", "complex-inf", "past-MAX_ENTRY", "2-d", "0-d", "huge", "longer", "shorter"])
+    def test_vectors_pass_the_complex_rule(self, x, message):
+        # nan and 1e200 (whose norm overflows) gave nan with RuntimeWarnings; [1] was broadcast against [1, 0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                projective_distance(x, [1, 0])
+            with pytest.raises(ValueError, match=message):
+                projective_distance([1, 0], x)
 
 
 class TestIndexConsistency:
@@ -613,14 +636,14 @@ class TestNonFiniteInput:
             GrassmannPoint(m)
         assert "SVD" not in str(err.value)
 
-    @pytest.mark.parametrize("frame", [
-        [["1", "0"], ["0", "1"], ["0", "0"]],
-        np.array([[b"1", b"0"], [b"0", b"1"], [b"0", b"0"]]),
-        [[True, False], [False, True], [False, False]],
+    @pytest.mark.parametrize("frame,kind", [
+        ([["1", "0"], ["0", "1"], ["0", "0"]], "str"),
+        (np.array([[b"1", b"0"], [b"0", b"1"], [b"0", b"0"]]), "bytes"),
+        ([[True, False], [False, True], [False, False]], "bool"),
     ], ids=["str", "bytes", "bool"])
-    def test_frame_of_non_numbers_refuses(self, frame):
+    def test_frame_of_non_numbers_refuses(self, frame, kind):
         # the cast to complex parsed the strings and took True as 1, building the plane span(e1, e2)
-        with pytest.raises(ValueError, match="^expected a 2-d matrix of numbers, got a 2-d array of dtype"):
+        with pytest.raises(ValueError, match=f"^a frame entry of type {kind} is not a number$"):
             GrassmannPoint(frame)
 
     @pytest.mark.parametrize("frame,kind", [
@@ -641,6 +664,19 @@ class TestNonFiniteInput:
             projective_distance(x, [1, 0])
         with pytest.raises(ValueError, match=f"^a vector entry of type {kind} is not a number$"):
             projective_distance([1, 0], x)
+
+    @pytest.mark.parametrize("frame,message", [
+        ([[10 ** 400, 0], [0, 1]], "^a frame entry is too large to be a complex float$"),
+        ([[1, 0, 0], [0, 1, 0]], r"^need 0 <= k <= n, got k=3, n=2$"),
+        (np.ones((2, 2, 1)), "^a frame must be a 2-d array, got a 3-d one$"),
+        ([[1.7e308 + 1.7e308j], [0]], r"^a frame entry must be finite and of modulus at most 1e\+150, got"),
+        ([[1e308], [1e308]], r"^a frame entry must be finite and of modulus at most 1e\+150, got"),
+    ], ids=["huge-int", "wide", "3-d", "modulus-past-the-float-range", "QR-overflows"])
+    def test_frame_shape_and_size(self, frame, message):
+        # the huge int raised OverflowError, the huge modulus IndexError from the finite scan, and the last
+        # frame was built, but its orthonormal frame, flow and moment map are NaN
+        with pytest.raises(ValueError, match=message):
+            GrassmannPoint(frame)
 
     def test_numeric_arrays_are_not_scanned(self, monkeypatch):
         # the hot case: a scan of the entries' types would need flows.numbers
@@ -672,10 +708,21 @@ class TestNonFiniteInput:
 class TestFrameJson:
     @pytest.mark.parametrize("data", [
         [1, 2], [[1]], [[[1, 2, 3]]], [[["a", 0]]], "ab", None, 5, {"rows": []},
-        [[[1, 0]], [[0, 1], [1, 1]]], [[[10 ** 400, 0]]],
+        [[[1, 0]], [[0, 1], [1, 1]]], [[[10 ** 400, 0]]], {"": False}, ["", ""], [[(1, 0)]],
     ])
     def test_wrong_shape_is_value_error(self, data):
+        # {"": False} and ["", ""] were read as frames of Gr(0, 1) and Gr(0, 2): a key or string was an empty row
         with pytest.raises(ValueError):
+            GrassmannPoint.from_json(data)
+
+    @pytest.mark.parametrize("data", [
+        [[[True, False]], [[0, 0]]],
+        [[[1, 0]], [[0, False]]],
+        [[[1.0, 0.0], [0, np.bool_(True)]], [[0, 0], [1, 0]]],
+    ], ids=["re", "im", "numpy-bool"])
+    def test_bool_in_a_pair_is_refused(self, data):
+        # complex(True, False) built span(e1): the pair's parts go through symbols.floats
+        with pytest.raises(ValueError, match="^a frame entry of type bool_? is not a real number$"):
             GrassmannPoint.from_json(data)
 
     def test_k_zero_round_trip(self):

@@ -26,17 +26,25 @@ json_values = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
     max_leaves=12,
 )
-frames = st.lists(st.lists(st.lists(numbers, min_size=2, max_size=2), min_size=1, max_size=3),
+frames = st.lists(st.lists(st.lists(numbers | st.booleans(), min_size=2, max_size=2), min_size=1, max_size=3),
                   min_size=1, max_size=4)
+
+
+def has_bool(data):
+    if isinstance(data, dict):
+        data = list(data.values())
+    return isinstance(data, bool) or isinstance(data, list) and any(map(has_bool, data))
 
 
 @FUZZ
 @given(st.one_of(frames, json_values))
+@example([[[True, False]], [[0, 0]]])
 def test_frame_json_is_a_point_or_a_value_error(data):
     try:
         V = GrassmannPoint.from_json(data)
     except ValueError:
         return
+    assert not has_bool(data), "a frame holding a bool was accepted"
     assert np.isfinite(V.matrix).all()
 
 

@@ -568,6 +568,17 @@ class TestChernPresentation:
         with pytest.raises(CapacityError, match=r"product terms for the Chern check of Gr\(7,14\), 49\*3432"):
             chern_presentation_check(7, 14)
 
+    def test_every_grassmannian_through_n_8_builds_one_zero_class(self, monkeypatch):
+        # the zero class went through the checking constructor once per degree m, also where d had the key
+        built = []
+        init = CohomologyClass.__init__
+        monkeypatch.setattr(CohomologyClass, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+        for n in range(9):
+            for k in range(n + 1):
+                built.clear()
+                assert chern_presentation_check(k, n)
+                assert len(built) == (k if k < n else 0) + 1  # the special classes d_1..d_k and one zero class
+
     def test_one_basis_product_per_pair(self, monkeypatch):
         # each c_i is one Schubert class up to sign, so c_i d_j is one basis product
         calls = []

@@ -1,5 +1,7 @@
 import ast
 import itertools
+import math
+import re
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -415,6 +417,21 @@ class TestOneBudget:
         assert _raise_sites("CapacityError") == [("symbols.py", "check_budget")]
 
 
+class TestCellCount:
+    @pytest.mark.parametrize("k,n,text", [
+        (10, 20, "Schubert cells of Gr(10,20), C(20,10): 184756"),
+        (30, 60, f"Schubert cells of Gr(30,60), at least C(60,21): {math.comb(60, 21)}"),
+    ])
+    def test_refusal_text(self, k, n, text):
+        with pytest.raises(CapacityError, match=f"^{re.escape(text)} exceeds the budget MAX_SYMBOLS = 100000$"):
+            cell_count(k, n)
+
+    def test_no_message_within_the_budget(self, monkeypatch):
+        # the refusal text was formatted on every call: 0.75 us against 0.05 us for math.comb(9, 4)
+        monkeypatch.setattr(symbols_module, "check_budget", lambda cost, what: pytest.fail("message built"))
+        assert cell_count(4, 9) == 126 and cell_count(0, 0) == 1 and cell_count(9, 18) == 48620
+
+
 class TestOneRulePerInput:
     def test_one_mixing_error(self):
         # every "objects from different Grassmannians" refusal goes through _check_same_ambient
@@ -428,9 +445,22 @@ class TestOneRulePerInput:
         ("is not an integer", ("symbols.py", "integers")),
         ("must be {span}", ("symbols.py", "integers")),
         ("is not a real number", ("symbols.py", "reals")),
+        ("entry of type {t.__name__} is not a number", ("flows.py", "_complex_array")),
+        ("-d array, got a", ("flows.py", "_complex_array")),
+        ("too large to be a complex float", ("flows.py", "_complex_array")),
+        ("entry must be finite and of modulus", ("flows.py", "_complex_array")),
     ])
     def test_each_message_from_one_function(self, text, site):
         assert _raise_sites(text=text) == [site]
+
+    def test_a_frame_keeps_only_its_rank_floor(self):
+        # GrassmannPoint judges no entry type or finiteness of its own: _complex_array does
+        tree = ast.parse(Path(symbols_module.__file__).with_name("flows.py").read_text())
+        cls = next(c for c in ast.walk(tree) if isinstance(c, ast.ClassDef) and c.name == "GrassmannPoint")
+        init = next(f for f in cls.body if isinstance(f, ast.FunctionDef) and f.name == "__init__")
+        assert [exc for _, exc, _ in _raises(init, None)] == ["DegenerateInputError"]
+        finite = [site for site in _raise_sites(text="finite") if site[0] == "flows.py"]
+        assert finite == [("flows.py", "_complex_array")]
 
     @pytest.mark.parametrize("text", [
         "must be an integer >= 1", "needs p >= 1", "d must be nonnegative", "k and cap must be nonnegative",

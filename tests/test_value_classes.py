@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import morsegrass
-from morsegrass import polytopes
+from morsegrass import flows, polytopes, ring, symbols
 from morsegrass.flows import GrassmannPoint, HeightSpectrum, TangentVector
 from morsegrass.graphs import FlowGraph, LabeledEnds
 from morsegrass.polynomials import IntPolynomial, MorseViolation
@@ -226,3 +226,52 @@ def test_package_imports_neither_dataclasses_nor_inspect():
                 [node.module or ""] if isinstance(node, ast.ImportFrom) else []
             found += [(path.name, node.lineno, m) for m in names if m.split(".")[0] in ("dataclasses", "inspect")]
     assert found == []
+
+
+V36 = flows.random_point(3, 6, rng=3)
+A6 = HeightSpectrum((6.0, 5.0, 4.0, 3.0, 2.0, 1.0))
+U36 = SchubertSymbol((1, 3, 6), 6)
+LAM36, C33 = PartitionShape((3, 1, 0), 3, 6), GeneralizedSchubertSymbol((1, 2), (3, 3))
+# every value the package derives from parts already checked: (the call, the input rules it applies, by what)
+DERIVED = {
+    "flow": (lambda: [flows.flow(V36, A6, 0.5)], ["flow time"]),
+    "integrate_flow": (lambda: [flows.integrate_flow(V36, A6, 0.5, 4)], ["step count", "flow time"]),
+    "coordinate_plane": (lambda: [GrassmannPoint.coordinate_plane(U36)], []),
+    "limit_symbol": (lambda: [flows.limit_symbol(V36, "up")], ["tolerance"]),
+    "enumerate_symbols": (lambda: symbols.enumerate_symbols(3, 6), []),
+    "morse_refinements": (lambda: symbols.morse_refinements(C33), []),
+    "complement": (lambda: [symbols.complement(U36)], []),
+    "special_symbol": (lambda: [ring.special_symbol(3, 6, 2)], ["special class index i"]),
+    "symbol_to_partition": (lambda: [ring.symbol_to_partition(U36)], []),
+    "partition_to_symbol": (lambda: [ring.partition_to_symbol(LAM36)], []),
+    "moment_map": (lambda: [polytopes.moment_map(V36)], []),
+    "flow_moment_trace": (lambda: polytopes.flow_moment_trace(V36, A6, [0.0, 0.5, 2.0]), ["flow time"]),
+}
+
+
+@pytest.mark.parametrize("site", DERIVED)
+def test_derived_values_skip_the_input_rules(site, monkeypatch):
+    # a derived value is built through Frozen._of: no constructor runs, and the rules for integer, real and
+    # complex input judge only what the call was given, never the parts of its result
+    call, inputs = DERIVED[site]
+    judged, built = [], []
+    for module in (symbols, flows, ring, polytopes):
+        for name in ("integers", "reals", "_complex_array"):
+            if hasattr(module, name):
+                rule = getattr(module, name)
+                counted = lambda x, what, *a, rule=rule: judged.append(what) or rule(x, what, *a)  # noqa: E731
+                monkeypatch.setattr(module, name, counted)
+    for cls in (SchubertSymbol, PartitionShape, GrassmannPoint, MomentPoint):
+        init = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *a, cls=cls, init=init: built.append(cls) or init(self, *a))
+    values = call()
+    assert values and (judged, built) == (inputs, [])
+    monkeypatch.undo()
+    for x in values:
+        twin = type(x)(*type(x)._fields(x))  # the checked construction
+        assert repr(twin) == repr(x)
+        if type(x) is GrassmannPoint:
+            assert np.array_equal(twin.matrix, x.matrix) and x.matrix.dtype == complex
+            assert not x.matrix.flags.writeable
+        else:
+            assert twin == x and hash(twin) == hash(x)
