@@ -22,14 +22,12 @@ _EXPORTS = {
         "GeneralizedSchubertSymbol", "SchubertSymbol", "bruhat_leq",
         "cell_dimension", "check_ambient", "complement", "critical_index",
         "enumerate_generalized_symbols", "enumerate_symbols", "flow_line_exists",
-        "generalized_index", "morse_refinements", "ndcm_dimension", "ndcm_shape",
-        "schubert_conditions",
+        "generalized_index", "morse_refinements", "ndcm_dimension", "schubert_conditions",
     ),
     "polynomials": (
         "IntPolynomial", "MorseViolation", "euler_characteristic", "gaussian_generating",
         "is_lacunary_perfect", "mb_polynomial", "morse_inequalities",
-        "morse_polynomial_by_cells", "partition_count", "poincare_closed",
-        "poincare_recurrence",
+        "morse_polynomial_by_cells", "poincare_closed", "poincare_recurrence",
     ),
     "flows": (
         "DegenerateInputError", "DivergenceError", "GrassmannPoint", "HeightSpectrum",
@@ -46,12 +44,10 @@ _EXPORTS = {
         "ComplexValidationError", "HomologyResult", "WittenComplex", "circle_complex",
         "dump_complex", "elementary_divisors", "grassmannian_complex", "homology",
         "load_complex", "rp_complex", "smith_normal_form", "torus_complex",
-        "validate_complex",
     ),
     "ring": (
-        "CohomologyClass", "PartitionShape", "chern_presentation_check", "cup_product",
-        "degree", "duality_pairing", "lr_coefficient", "partition_to_symbol",
-        "pieri_product", "special_symbol", "symbol_to_partition", "triple_product",
+        "CohomologyClass", "chern_presentation_check", "cup_product", "degree",
+        "duality_pairing", "lr_coefficient", "pieri_product", "special_symbol", "triple_product",
     ),
     "graphs": (
         "FlowGraph", "LabeledEnds", "cup_product_instance", "graph_first_betti",

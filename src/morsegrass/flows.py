@@ -77,11 +77,11 @@ class GrassmannPoint(Frozen):
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, matrix):
-        m = _complex_array(matrix, "frame", 2)
+        m, top = _complex_array(matrix, "frame", 2)
         check_ambient(m.shape[1], m.shape[0])
         if m.shape[1] > 0:
             smin = np.linalg.svd(m, compute_uv=False)[-1]
-            if smin <= RANK_FLOOR * max(1.0, float(np.abs(m).max())):
+            if smin <= RANK_FLOOR * max(1.0, top):
                 raise DegenerateInputError(f"columns are rank deficient (sigma_min={smin:.3e})")
         m.setflags(write=False)
         self._init(m)
@@ -118,12 +118,15 @@ class GrassmannPoint(Frozen):
         return cls([[complex(*floats(pair, "frame entry")) for pair in row] for row in data])
 
 
-def _complex_array(x, what: str, ndim: int) -> np.ndarray:
-    """x as a new complex ndarray, the one rule for complex input: ValueError naming ``what`` unless each entry is a
-    numbers.Complex, not bool (strings are never parsed, True never taken as 1), judged once per type and not at all
-    in a numeric ndarray, the hot case; then unless x has ndim dimensions; then unless every entry is finite, of
-    modulus at most MAX_ENTRY."""
-    m = np.asarray(x)
+def _complex_array(x, what: str, ndim: int) -> tuple[np.ndarray, float]:
+    """x as a new complex ndarray and its largest entry modulus (0 if empty), the one rule for complex input:
+    ValueError naming ``what`` unless x has rows of one length; then unless each entry is a numbers.Complex, not bool
+    (strings are never parsed, True never taken as 1), judged once per type and not at all in a numeric ndarray, the
+    hot case; then unless x has ndim dimensions; then unless every entry is finite, of modulus at most MAX_ENTRY."""
+    try:
+        m = np.asarray(x)
+    except ValueError:  # numpy's "inhomogeneous shape": a ragged nested list
+        raise ValueError(f"a {what} must have rows of one length") from None
     if m is not x or m.dtype.kind not in "iufc":  # a list turns True into 1 before the cast: judge x itself
         for t in set(map(type, np.asarray(x, dtype=object).flat)):
             if t is bool or not issubclass(t, numbers.Complex):
@@ -134,10 +137,12 @@ def _complex_array(x, what: str, ndim: int) -> np.ndarray:
         m = m.astype(complex)
     except OverflowError:  # an exact entry past the float range, such as 10**400
         raise ValueError(f"a {what} entry is too large to be a complex float") from None
-    big = ~(np.abs(m) <= MAX_ENTRY)  # NaN too
-    if big.any():
-        raise ValueError(f"a {what} entry must be finite and of modulus at most {MAX_ENTRY:g}, got {m[big][0]}")
-    return m
+    modulus = np.abs(m)
+    top = float(modulus.max(initial=0.0))  # NaN if any entry is NaN
+    if not top <= MAX_ENTRY:
+        raise ValueError(f"a {what} entry must be finite and of modulus at most {MAX_ENTRY:g}, "
+                         f"got {m[~(modulus <= MAX_ENTRY)][0]}")
+    return m, top
 
 
 class TangentVector(Frozen):
@@ -329,7 +334,7 @@ def plucker_weights(a: HeightSpectrum, k: int) -> list[float]:
 def projective_distance(x: np.ndarray, y: np.ndarray) -> float:
     """Distance between the lines through x and y: norm of the difference after normalizing and aligning phases via
     the largest coordinate of x.  ValueError unless both pass the complex rule as vectors of one length, nonzero."""
-    x, y = (_complex_array(v, "vector", 1) for v in (x, y))
+    (x, _), (y, _) = (_complex_array(v, "vector", 1) for v in (x, y))
     nx, ny = np.linalg.norm(x), np.linalg.norm(y)
     if nx == 0 or ny == 0 or len(x) != len(y):
         raise ValueError("projective_distance needs nonzero vectors of one length (a zero vector spans no line)")

@@ -198,48 +198,26 @@ def morse_polynomial_by_cells(k: int, n: int) -> IntPolynomial:
     return IntPolynomial.from_terms(Counter(2 * cell_dimension(u) for u in enumerate_symbols(k, n)))
 
 
-def partition_count(d: int, k: int, cap: int) -> int:
-    """Partitions of d into at most k parts, each part at most cap.
-
-    The t^d coefficient of [k + cap choose k]_t, k and cap clamped to d, by passes cut at degree d.
-    CapacityError first if 2 min(k, cap)(d + 1) coefficient updates, in thousands of words, are over budget.
-    """
-    (d,), (k,), (cap,) = (integers([x], w, 0) for x, w in ((d, "size d"), (k, "part count k"), (cap, "part bound cap")))
-    k, cap = min(k, d), min(cap, d)  # no part exceeds d and at most d parts are nonzero
-    if d > k * cap:
-        return 0
-    n, k = k + cap, min(k, cap)  # [n choose k]_t = [n choose n - k]_t
-    check_budget(2 * k * (d + 1) * (1 + n // 64) // 1000, f"thousands of word updates for the partitions of {d}")
-    return _gaussian_passes(k, n, d)[d]
-
-
 def gaussian_generating(k: int, n: int) -> IntPolynomial:
     """Gaussian binomial [n choose k]_t by k = min(k, n - k) passes over one coefficient list.
 
-    CapacityError first if the passes' 2k(k(n - k) + 1) coefficient updates, counted in 64-bit
-    words (every coefficient is below 2^n), exceed the budget.
+    Pass i turns [n-k+i-1 choose i-1]_t into [n-k+i choose i]_t: multiply by 1 - t^(n-k+i), then divide
+    exactly by 1 - t^i.  CapacityError first if the passes' 2k(k(n - k) + 1) coefficient updates, counted
+    in 64-bit words (every coefficient is below 2^n), exceed the budget.
     """
     k, n = check_ambient(k, n)
     what = f"thousands of word updates for the closed form of Gr({k},{n})"
     k = min(k, n - k)  # [n choose k]_t = [n choose n - k]_t
     check_budget(2 * k * (k * (n - k) + 1) * (1 + n // 64) // 1000, what)
-    return IntPolynomial(_gaussian_passes(k, n, k * (n - k)))
-
-
-def _gaussian_passes(k: int, n: int, cut: int) -> list[int]:
-    """Coefficients of t^0, ..., t^cut in [n choose k]_t, for k <= n - k, by k passes over one list.
-
-    Pass i turns [n-k+i-1 choose i-1]_t into [n-k+i choose i]_t: multiply by 1 - t^(n-k+i), then
-    divide exactly by 1 - t^i.  Neither step moves a term down, so cutting each at degree cut is exact.
-    """
+    cut = k * (n - k)
     c = [1] + [0] * cut
     for i in range(1, k + 1):
-        a, top = n - k + i, min(cut, i * (n - k) + i)  # top: degree after the multiply
+        a, top = n - k + i, min(cut, i * (n - k) + i)  # top: degree after the multiply, cut at the last pass
         for d in range(top, a - 1, -1):
             c[d] -= c[d - a]
         for d in range(i, top + 1):
             c[d] += c[d - i]
-    return c
+    return IntPolynomial(c)
 
 
 def poincare_recurrence(k: int, n: int) -> IntPolynomial:

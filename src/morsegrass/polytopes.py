@@ -17,7 +17,6 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import TYPE_CHECKING
 
-from .symbols import CapacityError  # noqa: F401 (re-exported)
 from .symbols import (DEFAULT_TOL, MAX_SYMBOLS, Frozen, SchubertSymbol, cell_count, check_ambient, check_budget, floats,
                       reals, tolerance)
 

@@ -32,35 +32,9 @@ from .symbols import (
 )
 
 
-class PartitionShape(Frozen):
-    """Weakly decreasing partition fitting in the k x (n-k) box."""
-
-    __slots__ = ("parts", "k", "n")
-
-    def __init__(self, parts: tuple[int, ...], k: int, n: int):
-        parts = integers(parts, "part")
-        k, n = check_ambient(k, n)
-        if len(parts) != k:
-            raise ValueError(f"expected {k} parts, got {parts}")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ValueError(f"parts {parts} not weakly decreasing")
-        if parts and (parts[0] > n - k or parts[-1] < 0):
-            raise ValueError(f"parts {parts} leave the {k}x{n - k} box")
-        self._init(parts, k, n)
-
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
-
-
 def degree(u: SchubertSymbol) -> int:
     """Real cohomological degree of z_u."""
     return 2 * (u.k * (u.n - u.k) - cell_dimension(u))
-
-
-def symbol_to_partition(u: SchubertSymbol) -> PartitionShape:
-    """Codimension partition lambda_j = (n - k) + j - u_j."""
-    return PartitionShape._of(_parts(u), u.k, u.n)
 
 
 def _entries(parts: tuple[int, ...], n: int) -> tuple[int, ...]:  # symbol entries of k parts in the k x (n-k) box
@@ -69,10 +43,6 @@ def _entries(parts: tuple[int, ...], n: int) -> tuple[int, ...]:  # symbol entri
 
 def _parts(u: SchubertSymbol) -> tuple[int, ...]:  # u's codimension partition, k parts: _entries is its own inverse
     return _entries(u.entries, u.n)
-
-
-def partition_to_symbol(lam: PartitionShape) -> SchubertSymbol:
-    return SchubertSymbol._of(_entries(lam.parts, lam.n), lam.n)
 
 
 def duality_pairing(u: SchubertSymbol, v: SchubertSymbol) -> int:

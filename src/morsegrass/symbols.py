@@ -319,13 +319,8 @@ def generalized_index(c: GeneralizedSchubertSymbol) -> int:
     return 2 * total
 
 
-def ndcm_shape(c: GeneralizedSchubertSymbol) -> list[tuple[int, int]]:
-    """Factors (c_j, m_j) of the critical manifold Gr_{c_1}(E_1) x ... x Gr_{c_l}(E_l)."""
-    return list(zip(c.counts, c.blocks))
-
-
 def ndcm_dimension(c: GeneralizedSchubertSymbol) -> int:
-    """Complex dimension of the critical manifold of c."""
+    """Complex dimension of the critical manifold Gr_{c_1}(C^{m_1}) x ... x Gr_{c_l}(C^{m_l}) of c."""
     return sum(cj * (mj - cj) for cj, mj in zip(c.counts, c.blocks))
 
 

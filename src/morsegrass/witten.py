@@ -23,7 +23,6 @@ import math
 from collections import Counter
 from itertools import chain
 
-from .symbols import MAX_SYMBOLS  # noqa: F401 (re-exported)
 from .symbols import Frozen, cell_dimension, check_budget, enumerate_symbols, integers
 
 
@@ -281,14 +280,6 @@ def _dd_failure(c: WittenComplex) -> int | None:
         if i + 1 in nonzero and any(map(any, _mat_mul(c.boundaries[i], c.boundaries[i + 1]))):
             return i
     return None
-
-
-def validate_complex(c: WittenComplex) -> bool:
-    """True iff all shapes are consistent and every composite dd is zero, as checked when built."""
-    try:
-        return _dd_failure(c) is None
-    except ComplexValidationError:  # a boundary whose shape does not fit the ranks
-        return False
 
 
 def homology(c: WittenComplex, mode: str = "integers") -> HomologyResult:

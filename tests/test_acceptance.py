@@ -10,6 +10,7 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
+import pytest
 
 from morsegrass import (
     CohomologyClass,
@@ -221,13 +222,14 @@ def test_criterion_7_moment_polytope():
 def test_criterion_8_witten_homology():
     with criterion(8, "circle and RP^n homology, mod-2 perfection, dd = 0, Q >= 0"):
         from morsegrass import (
+            ComplexValidationError,
+            WittenComplex,
             circle_complex,
             grassmannian_complex,
             homology,
             morse_inequalities,
             rp_complex,
             torus_complex,
-            validate_complex,
         )
 
         for m in range(1, 7):
@@ -250,7 +252,10 @@ def test_criterion_8_witten_homology():
             + [torus_complex(), grassmannian_complex(2, 4)]
         )
         for c in builtins:
-            assert validate_complex(c)
+            # built, so shapes and dd = 0 were checked; a copy with a row too many in d_1 is refused
+            assert isinstance(c, WittenComplex) and WittenComplex(c.generators, c.boundaries) == c
+            with pytest.raises(ComplexValidationError, match="boundary d_1 has shape"):
+                WittenComplex(c.generators, {**c.boundaries, 1: c.boundary(1) + [[0] * c.rank(1)]})
             q = morse_inequalities(
                 c.morse_polynomial(), homology(c).poincare_polynomial()
             )
@@ -261,7 +266,8 @@ def test_criterion_8_witten_homology():
 def test_criterion_9_cohomology_ring():
     with criterion(9, "ring table, LR vs Pieri for k(n-k) <= 9, Chern check, < 30 s"):
         t0 = time.monotonic()
-        from morsegrass import chern_presentation_check, symbol_to_partition
+        from morsegrass import chern_presentation_check
+        from morsegrass.ring import _parts
         from test_ring import jacobi_trudi_product
 
         z24 = CohomologyClass.basis(sym((2, 4), 4))
@@ -286,7 +292,7 @@ def test_criterion_9_cohomology_ring():
         for k, n in configs:
             for u, v in itertools.product(enumerate_symbols(k, n), repeat=2):
                 zu = CohomologyClass.basis(u)
-                nu = [p for p in symbol_to_partition(v).parts if p]
+                nu = [p for p in _parts(v) if p]
                 want = cup_product(zu, CohomologyClass.basis(v))
                 assert jacobi_trudi_product(zu, nu, k, n) == want
         for k, n in [(1, 2), (2, 4), (2, 5)]:

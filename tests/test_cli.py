@@ -510,6 +510,14 @@ class TestMalformedInput:
         assert (code, data["code"]) == (2, "usage") and "Traceback" not in err
         assert data["diagnostics"] == "a frame entry of type bool is not a real number"
 
+    def test_ragged_frame(self, capsys, tmp_path):
+        # this printed numpy's "setting an array element with a sequence"
+        path = tmp_path / "ragged.json"
+        path.write_text("[[[1, 0]], [[0, 1], [1, 1]]]")
+        code, data, err = run_json(capsys, "limit", str(path), "2,1", "down")
+        assert (code, data["code"]) == (2, "usage") and "Traceback" not in err
+        assert data["diagnostics"] == "a frame must have rows of one length"
+
     def test_nan_frame(self, capsys, tmp_path):
         path = tmp_path / "nan.json"
         path.write_text("[[[NaN, 0], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 0]]]")
@@ -696,3 +704,41 @@ class TestPackageExports:
         assert flows.AmbiguousCellError is symbols.AmbiguousCellError
         assert flows.tolerance is symbols.tolerance is polytopes.tolerance
         assert flows.DEFAULT_TOL == symbols.DEFAULT_TOL == 1e-9
+
+    @pytest.mark.parametrize("module,name", [
+        ("ring", "PartitionShape"), ("ring", "symbol_to_partition"), ("ring", "partition_to_symbol"),
+        ("witten", "validate_complex"), ("polynomials", "partition_count"), ("symbols", "ndcm_shape"),
+        ("polytopes", "CapacityError"), ("witten", "MAX_SYMBOLS"),
+    ])
+    def test_removed_names(self, module, name):
+        # second copies of what the package already does: ring._parts, the checks WittenComplex runs when it is
+        # built, gaussian_generating's coefficients, zip(c.counts, c.blocks), and symbols' own names
+        import importlib
+
+        import morsegrass
+
+        assert not hasattr(importlib.import_module(f"morsegrass.{module}"), name)
+        if name not in ("CapacityError", "MAX_SYMBOLS"):  # both are still exported, from symbols
+            with pytest.raises(AttributeError, match=name):
+                getattr(morsegrass, name)
+            assert name not in dir(morsegrass) and name not in morsegrass.__all__
+
+    def test_every_import_is_used(self):
+        # each name a module of the package imports is read in that module; ring imports enumerate_symbols unused
+        # because bench/selftest.py checks that its tracer wraps ring.enumerate_symbols
+        import ast
+
+        import morsegrass
+
+        unused = []
+        for path in sorted(Path(morsegrass.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            unused += [
+                (path.name, bound)
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+                for alias in node.names
+                if (bound := (alias.asname or alias.name).split(".")[0]) not in read
+            ]
+        assert unused == [("ring.py", "enumerate_symbols")]

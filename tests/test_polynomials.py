@@ -16,7 +16,6 @@ from morsegrass.polynomials import (
     mb_polynomial,
     morse_inequalities,
     morse_polynomial_by_cells,
-    partition_count,
     poincare_closed,
     poincare_recurrence,
 )
@@ -332,10 +331,11 @@ class TestGaussianGenerating:
 
 
 class TestPartitionCount:
+    # the t^d coefficient of [k + cap choose k]_t counts the partitions of d into at most k parts, each at most cap
     def test_examples(self):
-        assert partition_count(4, 2, 2) == 1
-        assert partition_count(0, 3, 5) == 1
-        assert partition_count(7, 2, 3) == 0
+        assert gaussian_generating(2, 4).coefficient(4) == 1
+        assert gaussian_generating(3, 8).coefficient(0) == 1
+        assert gaussian_generating(2, 5).coefficient(7) == 0
 
     def test_brute_force_oracle(self):
         def brute(d, k, cap):
@@ -345,30 +345,19 @@ class TestPartitionCount:
                 if sum(parts) == d and all(a >= b for a, b in zip(parts, parts[1:]))
             )
 
-        for k, cap in [(2, 2), (3, 3), (2, 4)]:
+        for k, cap in [(2, 2), (3, 3), (2, 4), (3, 2), (2, 3)]:
+            g = gaussian_generating(k, k + cap)
             for d in range(k * cap + 2):
-                assert partition_count(d, k, cap) == brute(d, k, cap)
+                assert g.coefficient(d) == brute(d, k, cap)
 
-    def test_no_recursion_limit(self):
-        # the former recursion raised RecursionError at d = 350; with k, cap >= d
-        # the count is p(d), here from the coin-change recurrence over parts 1..d
-        d = 350
+    def test_partition_numbers(self):
+        # with k, cap >= d the count is p(d), here from the coin-change recurrence over parts 1..d
+        d = 60
         ways = [1] + [0] * d
         for part in range(1, d + 1):
             for total in range(part, d + 1):
                 ways[total] += ways[total - part]
-        assert partition_count(d, d, d) == ways[d] == partition_count(d, 10**9, 10**9)
-        assert partition_count(10**8, 1, 1) == 0  # more than k * cap boxes, nothing to compute
-
-    def test_priced_by_the_budget(self):
-        with pytest.raises(CapacityError, match="word updates for the partitions of 1000000"):
-            partition_count(10**6, 10**6, 10**6)
-
-    def test_matches_gaussian_coefficients(self):
-        for k, cap in [(2, 2), (3, 2), (2, 3)]:
-            g = gaussian_generating(k, k + cap)
-            for d in range(g.degree + 1):
-                assert partition_count(d, k, cap) == g.coefficient(d)
+        assert gaussian_generating(d, 2 * d).coefficient(d) == ways[d]
 
 
 class TestMorseBott:

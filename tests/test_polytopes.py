@@ -11,7 +11,6 @@ from scipy.optimize import linprog
 from morsegrass import polytopes, symbols
 from morsegrass.flows import GrassmannPoint, HeightSpectrum, flow, height_value, random_point
 from morsegrass.polytopes import (
-    CapacityError,
     MomentPoint,
     VertexPolytope,
     face_counts,
@@ -24,6 +23,7 @@ from morsegrass.polytopes import (
     symbol_vertex,
 )
 from morsegrass.symbols import (
+    CapacityError,
     SchubertSymbol,
     bruhat_leq,
     check_budget,

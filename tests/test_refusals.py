@@ -5,8 +5,8 @@ import pytest
 from morsegrass import polynomials, witten
 from morsegrass.cli import EXIT_CONSISTENCY, main
 from morsegrass.flows import GrassmannPoint, limit_symbol
-from morsegrass.polynomials import IntPolynomial, mb_polynomial, partition_count
-from morsegrass.ring import PartitionShape, special_symbol
+from morsegrass.polynomials import IntPolynomial, mb_polynomial
+from morsegrass.ring import special_symbol
 from morsegrass.symbols import GeneralizedSchubertSymbol, SchubertSymbol, critical_index
 
 
@@ -64,25 +64,10 @@ def test_divide_exact_refusals():
         IntPolynomial([1, 1]).divide_exact(IntPolynomial([1, 2]))
 
 
-@pytest.mark.parametrize("d,k,cap,message", [
-    (-1, 2, 2, "a size d must be at least 0, got -1"),
-    (2, -1, 2, "a part count k must be at least 0, got -1"),
-    (2, 2, -1, "a part bound cap must be at least 0, got -1"),
-])
-def test_partition_count_negative_arguments(d, k, cap, message):
-    with pytest.raises(ValueError, match=message):
-        partition_count(d, k, cap)
-
-
 @pytest.mark.parametrize("i", [0, 3])
 def test_special_symbol_index_range(i):
     with pytest.raises(ValueError, match=f"^a special class index i must be from 1 to 2, got {i}$"):
         special_symbol(2, 4, i)
-
-
-def test_partition_shape_part_count():
-    with pytest.raises(ValueError, match=r"expected 2 parts, got \(1,\)"):
-        PartitionShape((1,), 2, 4)
 
 
 def test_mb_polynomial_of_no_manifold_is_zero():

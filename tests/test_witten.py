@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from morsegrass import witten
 from morsegrass.polynomials import IntPolynomial, morse_inequalities
-from morsegrass.symbols import CapacityError
+from morsegrass.symbols import MAX_SYMBOLS, CapacityError
 from morsegrass.witten import (
     ComplexValidationError,
     WittenComplex,
@@ -26,7 +26,6 @@ from morsegrass.witten import (
     rp_complex,
     smith_normal_form,
     torus_complex,
-    validate_complex,
 )
 
 
@@ -371,8 +370,8 @@ class TestCapacity:
         assert time.perf_counter() - start < 1.0
 
     def test_widest_span_allowed(self):
-        h = homology(WittenComplex(generators={0: ["a"], witten.MAX_SYMBOLS - 1: ["b"]}))
-        assert len(h.ranks) == witten.MAX_SYMBOLS
+        h = homology(WittenComplex(generators={0: ["a"], MAX_SYMBOLS - 1: ["b"]}))
+        assert len(h.ranks) == MAX_SYMBOLS
 
     @pytest.mark.parametrize("build", [lambda: circle_complex(10**6), lambda: rp_complex(10**6)])
     def test_builtins_refused_before_building(self, build):
@@ -383,27 +382,25 @@ class TestCapacity:
 
     def test_morse_polynomial_of_the_largest_rp(self):
         # linear in the degrees, not quadratic
-        c = rp_complex(witten.MAX_SYMBOLS - 1)
+        c = rp_complex(MAX_SYMBOLS - 1)
         start = time.perf_counter()
         m = c.morse_polynomial()
         assert time.perf_counter() - start < 1.0
-        assert m.coeffs == (1,) * witten.MAX_SYMBOLS
+        assert m.coeffs == (1,) * MAX_SYMBOLS
 
     def test_largest_builtins_allowed(self):
         assert circle_complex(316).rank(1) == 316
         with pytest.raises(CapacityError):
             circle_complex(317)
-        assert rp_complex(witten.MAX_SYMBOLS - 1).rank(0) == 1
+        assert rp_complex(MAX_SYMBOLS - 1).rank(0) == 1
         with pytest.raises(CapacityError):
-            rp_complex(witten.MAX_SYMBOLS)
+            rp_complex(MAX_SYMBOLS)
 
 
 class TestValidation:
     def test_builtins_valid(self):
-        assert validate_complex(circle_complex(3))
-        assert validate_complex(rp_complex(5))
-        assert validate_complex(torus_complex())
-        assert validate_complex(grassmannian_complex(2, 4))
+        for c in (circle_complex(3), rp_complex(5), torus_complex(), grassmannian_complex(2, 4)):
+            assert WittenComplex(c.generators, c.boundaries) == c
 
     def test_nonzero_composition_rejected(self):
         with pytest.raises(ComplexValidationError, match="between degrees 2 and 0"):
@@ -464,15 +461,10 @@ class TestValidation:
             assert h.torsion == {0: [2], 1: []} and h.ranks == {0: 0, 1: 0}
             assert json.dumps(h.to_json()) == '{"mode": "integers", "ranks": {"0": 0, "1": 0}, "torsion": {"0": [2], "1": []}}'
 
-    def test_fields_are_frozen_and_validate_complex_rechecks(self):
+    def test_fields_are_frozen(self):
         c = WittenComplex(generators={0: ["a"], 1: ["b"], 2: ["c"]}, boundaries={1: [[0]], 2: [[1]]})
         with pytest.raises(AttributeError, match="cannot assign to or delete field 'boundaries' of a frozen WittenComplex"):
             c.boundaries = {}
-        c.boundaries[1][0][0] = 1  # unsupported, but validate_complex re-runs the check
-        assert not validate_complex(c)
-        c = circle_complex(3)
-        c.boundaries[1].append([0, 0, 0])  # a 4x3 d_1: validate_complex raised ComplexValidationError
-        assert validate_complex(c) is False
 
 
 def _mat_mul_sites(node, where):
