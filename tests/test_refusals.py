@@ -64,6 +64,17 @@ def test_divide_exact_refusals():
         IntPolynomial([1, 1]).divide_exact(IntPolynomial([1, 2]))
 
 
+@pytest.mark.parametrize("k,n,message", [
+    (-1, 2, "need 0 <= k <= n, got k=-1, n=2"),
+    (2, -1, "need 0 <= k <= n, got k=2, n=-1"),
+    (3, 2, "need 0 <= k <= n, got k=3, n=2"),
+])
+def test_gaussian_generating_box_refused(k, n, message):
+    # a box of k parts, each at most n - k: no negative count and no negative bound
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        polynomials.gaussian_generating(k, n)
+
+
 @pytest.mark.parametrize("i", [0, 3])
 def test_special_symbol_index_range(i):
     with pytest.raises(ValueError, match=f"^a special class index i must be from 1 to 2, got {i}$"):

@@ -509,6 +509,14 @@ INTEGER_INPUTS = [
     pytest.param("dimension k", lambda x: gaussian_generating(x, 3).coeffs, id="gaussian_generating"),
     pytest.param("dimension k", lambda x: poincare_closed(x, 4).coeffs, id="poincare_closed"),
     pytest.param("dimension k", lambda x: poincare_recurrence(x, 4).coeffs, id="poincare_recurrence"),
+    # the t^d coefficient of gaussian_generating(k, k + cap) is the count of partitions of d in a k x cap box
+    pytest.param("dimension n", lambda x: gaussian_generating(1, x).coeffs, id="gaussian_generating-n"),
+    pytest.param("dimension n", lambda x: poincare_closed(1, x).coeffs, id="poincare_closed-n"),
+    pytest.param("dimension n", lambda x: poincare_recurrence(1, x).coeffs, id="poincare_recurrence-n"),
+    pytest.param("dimension n", lambda x: cell_count(1, x), id="cell_count-n"),
+    pytest.param("dimension n", lambda x: special_symbol(1, x, 1).entries, id="special_symbol-n"),
+    pytest.param("dimension k", lambda x: grassmannian_polytope(x, 3).vertices, id="grassmannian_polytope-k"),
+    pytest.param("dimension n", lambda x: grassmannian_polytope(1, x).vertices, id="grassmannian_polytope-n"),
     pytest.param("coefficient", lambda x: IntPolynomial([1, x]).coeffs[1], id="IntPolynomial"),
     pytest.param("degree", lambda x: [*WittenComplex({x: ["a"]}).generators][0], id="WittenComplex-degree"),
     pytest.param("boundary entry", lambda x: WittenComplex({0: ["a"], 1: ["b"]}, {1: [[x]]}).boundaries[1][0][0],
