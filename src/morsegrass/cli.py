@@ -64,7 +64,13 @@ def _fail(args, code: int, error_code: str, message: str) -> int:
 
 
 def _parse_symbol(text: str, k: int, n: int) -> symbols.SchubertSymbol:
-    entries = tuple(int(x) for x in text.strip("()").split(",") if x)
+    """The symbol of Gr(k, n) written as ASCII decimal entries separated by single commas, in at most one pair of
+    parentheses ("()" or "" for k = 0); ValueError naming the text for any other spelling."""
+    inner = text[1:-1] if text[:1] == "(" and text[-1:] == ")" else text
+    items = inner.split(",") if inner else []
+    if not all(x.isascii() and x.isdigit() for x in items):
+        raise ValueError(f"malformed symbol {text!r}: expected decimal entries separated by single commas, as (2,4)")
+    entries = tuple(map(int, items))
     u = symbols.SchubertSymbol(entries, n)
     if u.k != k:
         raise ValueError(f"symbol {u} has k={u.k}, expected {k}")

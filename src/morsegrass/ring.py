@@ -181,24 +181,19 @@ class CohomologyClass(Frozen):
         return hash(((self.k, self.n), frozenset(self.coefficients.items())))
 
     def __add__(self, other):
-        self._check(other)
+        _check_classes(self, other)
         out = dict(self.coefficients)
         for u, c in other.coefficients.items():
             out[u] = out.get(u, 0) + c
         return CohomologyClass._of(self.k, self.n, _nonzero(out.items()))
 
     def __sub__(self, other):
-        self._check(other)
+        _check_classes(self, other)
         return self + other.scale(-1)
 
     def scale(self, c: int) -> "CohomologyClass":
         (c,) = integers([c], "scale factor")
         return CohomologyClass._of(self.k, self.n, _nonzero((u, c * x) for u, x in self.coefficients.items()))
-
-    def _check(self, other):
-        if not isinstance(other, CohomologyClass):
-            raise ValueError(f"expected a CohomologyClass, got {type(other).__name__}")
-        _check_same_ambient((self.k, self.n), (other.k, other.n))
 
     def __str__(self):
         order = sorted(self.coefficients, key=lambda s: (degree(s), s.entries))
@@ -210,28 +205,39 @@ class CohomologyClass(Frozen):
         return {str(u): c for u, c in self.coefficients.items()}
 
 
+def _check_classes(z1, z2):
+    """The (k, n) of two classes, the one operand rule of +, - and cup_product: ValueError unless both are
+    CohomologyClasses, z1 judged first, then AmbientMismatchError unless they share a Grassmannian."""
+    for z in (z1, z2):
+        if not isinstance(z, CohomologyClass):
+            raise ValueError(f"expected a CohomologyClass, got {type(z).__name__}")
+    _check_same_ambient((z1.k, z1.n), (z2.k, z2.n))
+    return z1.k, z1.n
+
+
 def cup_product(z1: CohomologyClass, z2: CohomologyClass) -> CohomologyClass:
-    """Cup product via Littlewood-Richardson numbers on partition shapes; CapacityError first, when both classes
-    have terms, for a Grassmannian with more cells than the budget.  The product's coefficients are nonzero, in
-    order of first appearance over the pairs of terms (z1's outer, z2's inner), in lexicographic symbol order
-    within a pair's product."""
-    z1._check(z2)
-    out: dict[SchubertSymbol, int] = {}
+    """The cup product z1 z2 in the Schubert basis: its nonzero coefficients, in order of first appearance over the
+    pairs of terms (z1's outer, z2's inner), in lexicographic symbol order within a pair's product.  ValueError
+    unless both are classes, AmbientMismatchError unless they share a Grassmannian, then CapacityError, when both
+    have terms, for a Grassmannian with more cells than the budget."""
+    k, n = _check_classes(z1, z2)
     if z1.coefficients and z2.coefficients:
-        cell_count(z1.k, z1.n)
-    for u1, c1 in z1.coefficients.items():
-        for u2, c2 in z2.coefficients.items():
-            for u, c in _basis_product(u1, u2).items():
-                out[u] = out.get(u, 0) + c1 * c2 * c
-    return CohomologyClass._of(z1.k, z1.n, _nonzero(out.items()))
+        cell_count(k, n)
+    a, b = {_parts(u): c for u, c in z1.coefficients.items()}, {_parts(u): c for u, c in z2.coefficients.items()}
+    return CohomologyClass._of(k, n, MappingProxyType({SchubertSymbol._of(_entries(lam, n), n): c
+                                                      for lam, c in _product(a, b, k, n - k).items()}))
 
 
-def _basis_product(u1: SchubertSymbol, u2: SchubertSymbol) -> dict[SchubertSymbol, int]:
-    """The nonzero coefficients of z_u1 z_u2 in the Schubert basis, in lexicographic symbol order; the engine's
-    shapes fit the box, so their symbols are built unchecked."""
-    k, n = u1.ambient
-    terms = _lr_terms(_parts(u1), _parts(u2), k, n - k)
-    return {SchubertSymbol._of(e, n): c for e, c in sorted((_entries(lam, n), c) for lam, c in terms.items())}
+def _product(a: dict, b: dict, rows: int, cols: int) -> dict[tuple[int, ...], int]:
+    """The product of two combinations of partitions in the rows x cols box, each a {parts: coefficient} dict of
+    rows-part tuples: the nonzero coefficients, in order of first appearance over the pairs of terms (a's outer,
+    b's inner), and within a pair's product in decreasing lexicographic order of parts, one engine run a pair."""
+    out: dict[tuple[int, ...], int] = {}
+    for mu, c1 in a.items():
+        for nu, c2 in b.items():
+            for lam, c in sorted(_lr_terms(mu, nu, rows, cols).items(), reverse=True):
+                out[lam] = out.get(lam, 0) + c1 * c2 * c
+    return {lam: c for lam, c in out.items() if c}
 
 
 def special_symbol(k: int, n: int, i: int) -> SchubertSymbol:
@@ -281,25 +287,22 @@ def triple_product(u: SchubertSymbol, v: SchubertSymbol, w: SchubertSymbol) -> i
 
 
 def chern_presentation_check(k: int, n: int) -> bool:
-    """Verify the relation (1 + c_1 + ... + c_{n-k})(1 + d_1 + ... + d_k) = 1.
-
-    The d_i are the special classes; the c_i are solved degree by degree from
-    the relation, and the remaining degrees n-k+1..n must then close to zero
-    in the Schubert basis (on Gr(n, n), a point, every d_i vanishes).  Each
-    c_i is one Schubert class up to sign, so there are k(n-k) basis products,
-    each of at most C(n, k) terms; CapacityError first if they exceed the budget.
-    """
+    """Whether (1 + c_1 + ... + c_{n-k})(1 + d_1 + ... + d_k) = 1 holds in H*(Gr_k(C^n)), with the d_i the special
+    classes (none on Gr(n, n), a point) and each c_m solved from the relation in degree m <= n-k; the degrees
+    n-k+1..n must then close to zero.  Works on combinations of partitions, d_i = (1^i), through ``_product``: each
+    c_m is one Schubert class up to sign, so there are k(n-k) engine runs of at most C(n, k) terms each, priced
+    first (CapacityError over the budget)."""
     cells = cell_count(k, n)
     check_budget(k * (n - k) * cells, f"product terms for the Chern check of Gr({k},{n}), {k * (n - k)}*{cells}")
-    d = {i: CohomologyClass.basis(special_symbol(k, n, i)) for i in range(1, k + 1) if k < n}
-    c, zero = {}, CohomologyClass.zero(k, n)
+    d = {i: {(1,) * i + (0,) * (k - i): 1} for i in range(1, k + 1) if k < n}
+    c = {}
     for m in range(1, n + 1):
-        acc = d.get(m, zero)
-        for i in range(1, m):
-            if i in c and m - i in d:
-                acc = acc + cup_product(c[i], d[m - i])
+        acc = dict(d.get(m, {}))
+        for i in range(max(1, m - k), min(m, n - k + 1)):  # the c_i d_{m-i} with both defined
+            for lam, x in _product(c[i], d[m - i], k, n - k).items():
+                acc[lam] = acc.get(lam, 0) + x
         if m <= n - k:
-            c[m] = acc.scale(-1)
-        elif not acc.is_zero():
+            c[m] = {lam: -x for lam, x in acc.items() if x}
+        elif any(acc.values()):
             return False
     return True

@@ -300,6 +300,27 @@ class TestCup:
         assert run(capsys, "cup", *argv) == (0, text, "")
         assert run(capsys, "--json", "cup", *argv) == (0, json_text, "")
 
+    @pytest.mark.parametrize("command", [["cup", "2", "4"], ["polytope", "2", "4"]], ids=["cup", "polytope"])
+    @pytest.mark.parametrize("text", ["(2,,4)", "(2,4,)", "((2,4))", "(+2,4)", "(2_4)", "(2, 4)", "(2,4", "2,4)",
+                                      "(,)", ",", "(-1,4)", "(\uff12,4)", "(2.0,4)"])
+    def test_malformed_symbol_is_a_usage_error(self, capsys, command, text):
+        # these were read as (2,4), or (2_4) as 24, by stripping parentheses and empty items and calling int()
+        message = f"malformed symbol {text!r}: expected decimal entries separated by single commas, as (2,4)"
+        assert run(capsys, *command, text) == (2, "", f"error (usage): {message}\n")
+        assert run_json(capsys, *command, text) == (2, {"status": "error", "code": "usage", "diagnostics": message}, "")
+
+    @pytest.mark.parametrize("argv,same_as", [
+        (["cup", "2", "4", "2,4", "(2,4)"], ["cup", "2", "4", "(2,4)", "(2,4)"]),
+        (["cup", "0", "3", "", "()"], ["cup", "0", "3", "()", "()"]),
+        (["cup", "3", "6", "(02,4,06)"], ["cup", "3", "6", "(2,4,6)"]),
+        (["polytope", "2", "4", "2,4"], ["polytope", "2", "4", "(2,4)"]),
+    ], ids=["bare", "empty", "leading-zeros", "polytope-bare"])
+    def test_well_formed_spellings(self, capsys, argv, same_as):
+        # one optional pair of parentheses, and nothing or () for k = 0; leading zeros are decimal
+        for flags in ([], ["--json"]):
+            code, out, err = run(capsys, *flags, *same_as)
+            assert (code, err) == (0, "") and run(capsys, *flags, *argv) == (0, out, "")
+
 
 class TestPolytope:
     def test_octahedron(self, capsys):

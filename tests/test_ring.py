@@ -95,6 +95,26 @@ def filler_product(u, v):
     return out
 
 
+def per_pair_product(z1, z2):
+    """z1 z2 as the ring once summed it, the oracle of the partition-dict product: one engine run per pair of terms
+    (z1's outer, z2's inner), its shapes turned into checked symbols in lexicographic order, accumulated per symbol;
+    the nonzero coefficients, in order of first appearance."""
+    k, n = z1.k, z1.n
+    out = {}
+    for u1, c1 in z1.coefficients.items():
+        for u2, c2 in z2.coefficients.items():
+            terms = ring_module._lr_terms(parts(u1), parts(u2), k, n - k)
+            pair = {sym((n - k + j - p for j, p in enumerate(lam, 1)), n): c for lam, c in terms.items()}
+            for u in sorted(pair, key=lambda u: u.entries):
+                out[u] = out.get(u, 0) + c1 * c2 * pair[u]
+    return {u: c for u, c in out.items() if c}
+
+
+def random_class(rng, k, n, terms):
+    syms = enumerate_symbols(k, n)
+    return CohomologyClass(k, n, {rng.choice(syms): rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(terms)})
+
+
 class TestDegreeAndPartitions:
     def test_degrees_gr24(self):
         degs = {s.entries: degree(s) for s in enumerate_symbols(2, 4)}
@@ -255,6 +275,48 @@ class TestCupProduct:
             assert list(got.coefficients.items()) == list(want.items()), (u, v)
             mu, nu = parts(u), parts(v)
             assert all(lr_coefficient(parts(w), mu, nu) == c for w, c in want.items())
+
+    @pytest.mark.parametrize("k,n", [(0, 0), (0, 5), (5, 5), (1, 4), (2, 5), (3, 6), (4, 7), (6, 8), (2, 8),
+                                     (4, 8), (3, 9), (5, 10)])
+    def test_matches_the_per_pair_oracle(self, k, n):
+        # random mixed-sign classes of up to four terms, and (z_a + z_b)(z_b - z_a), whose z_a z_b terms come
+        # first and cancel: equal in value and in the order of the coefficients
+        rng = random.Random(k * 100 + n)
+        cases = [(random_class(rng, k, n, rng.randint(1, 4)), random_class(rng, k, n, rng.randint(1, 4)))
+                 for _ in range(6)]
+        syms = enumerate_symbols(k, n)
+        a, b = (CohomologyClass.basis(u) for u in (rng.sample(syms, 2) if len(syms) > 1 else syms * 2))
+        cases.append((a + b, b - a))
+        for z1, z2 in cases:
+            got = cup_product(z1, z2)
+            assert list(got.coefficients.items()) == list(per_pair_product(z1, z2).items()), (z1, z2)
+        assert cup_product(a + b, b - a) == cup_product(b, b) - cup_product(a, a)
+
+    def test_builds_one_symbol_per_output_term(self, monkeypatch):
+        # the product derives one symbol per term it returns and one class, none through a checking constructor
+        rng = random.Random(5)
+        cases = [(random_class(rng, 3, 7, 4), random_class(rng, 3, 7, 3)) for _ in range(5)]
+        a, b = basis((2, 5, 7), 7), basis((3, 6, 7), 7)
+        cases.append((a + b, b - a))
+        counts = {}
+        for cls in (CohomologyClass, SchubertSymbol):
+            of = cls._of
+            monkeypatch.setattr(cls, "__init__", lambda self, *a: pytest.fail("checking constructor"))
+            monkeypatch.setattr(cls, "_of", classmethod(
+                lambda c, *v, of=of: counts.__setitem__(c, counts.get(c, 0) + 1) or of(*v)))
+        for z1, z2 in cases:
+            counts.clear()
+            out = cup_product(z1, z2)
+            assert counts == {SchubertSymbol: len(out.coefficients), CohomologyClass: 1}, (z1, z2)
+
+    @pytest.mark.parametrize("first", [True, False], ids=["left", "right"])
+    @pytest.mark.parametrize("other", [1, None, "(2,4)", SchubertSymbol((2, 4), 4)],
+                             ids=lambda x: type(x).__name__)
+    def test_operands_judged_alike(self, other, first):
+        # a non-class on the left used to escape as AttributeError: 'int' object has no attribute '_check'
+        z = basis((2, 4), 4)
+        with pytest.raises(ValueError, match=rf"^expected a CohomologyClass, got {type(other).__name__}$"):
+            cup_product(*((other, z) if first else (z, other)))
 
     def test_no_shape_is_searched(self, monkeypatch):
         # the product grows strips onto one partition: no symbol list, no coefficient per candidate shape
@@ -555,28 +617,29 @@ class TestChernPresentation:
         assert chern_presentation_check(3, 6)
 
     def test_capacity(self, monkeypatch):
-        # priced by the one budget: Gr(4, 8) answers, Gr(7, 14) is refused before any product
+        # priced by the one budget: Gr(4, 8) answers, Gr(7, 14) is refused before any engine run
         assert chern_presentation_check(4, 8)
-        monkeypatch.setattr(ring_module, "_basis_product", lambda u1, u2: pytest.fail("product made"))
+        monkeypatch.setattr(ring_module, "_lr_terms", lambda *args: pytest.fail("engine run"))
         with pytest.raises(CapacityError, match=r"product terms for the Chern check of Gr\(7,14\), 49\*3432"):
             chern_presentation_check(7, 14)
 
-    def test_every_grassmannian_through_n_8_builds_one_zero_class(self, monkeypatch):
-        # the zero class went through the checking constructor once per degree m, also where d had the key
+    def test_every_grassmannian_through_n_8_builds_no_class(self, monkeypatch):
+        # the check works on partition dicts: neither the checking constructors nor _of build a class or a symbol
         built = []
-        init = CohomologyClass.__init__
-        monkeypatch.setattr(CohomologyClass, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+        for cls in (CohomologyClass, SchubertSymbol):
+            init, of = cls.__init__, cls._of
+            monkeypatch.setattr(cls, "__init__", lambda self, *a, init=init: built.append(a) or init(self, *a))
+            monkeypatch.setattr(cls, "_of", classmethod(lambda c, *v, of=of: built.append(v) or of(*v)))
         for n in range(9):
             for k in range(n + 1):
-                built.clear()
                 assert chern_presentation_check(k, n)
-                assert len(built) == (k if k < n else 0) + 1  # the special classes d_1..d_k and one zero class
+                assert built == [], (k, n)
 
     def test_one_basis_product_per_pair(self, monkeypatch):
-        # each c_i is one Schubert class up to sign, so c_i d_j is one basis product
+        # each c_i is one Schubert class up to sign, so c_i d_j is one engine run
         calls = []
-        product = ring_module._basis_product
-        monkeypatch.setattr(ring_module, "_basis_product", lambda u1, u2: calls.append(1) or product(u1, u2))
+        engine = ring_module._lr_terms
+        monkeypatch.setattr(ring_module, "_lr_terms", lambda *args: calls.append(1) or engine(*args))
         for n in range(1, 9):
             for k in range(n + 1):
                 calls.clear()
@@ -585,9 +648,17 @@ class TestChernPresentation:
 
     def test_detects_a_wrong_product(self, monkeypatch):
         # with every product zero, degree n-k+1 <= k keeps d_{n-k+1} and cannot close
-        monkeypatch.setattr(ring_module, "cup_product", lambda z1, z2: CohomologyClass.zero(z1.k, z1.n))
+        monkeypatch.setattr(ring_module, "_lr_terms", lambda *args: {})
         assert not chern_presentation_check(2, 3)
         assert not chern_presentation_check(3, 5)
+
+    def test_detects_coefficients_off_by_one(self, monkeypatch):
+        # an engine that adds 1 to every coefficient it returns
+        engine = ring_module._lr_terms
+        monkeypatch.setattr(ring_module, "_lr_terms", lambda *args: {lam: c + 1 for lam, c in engine(*args).items()})
+        for n in range(3, 9):
+            for k in range(2, n):
+                assert not chern_presentation_check(k, n), (k, n)
 
 
 def test_class_serialization():
