@@ -44,6 +44,13 @@ def _singular_stage(err, flag):  # np.errstate call: zgesv met a zero pivot in a
     raise DivergenceError("a stage's Gram matrix is singular; reduce the step size")
 
 
+@np.errstate(call=_singular_stage, invalid="call", over="ignore", divide="ignore", under="ignore")
+def _stage_solve(g: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """X with g X = r for an RK4 stage's Gram matrix g, under one errstate built at import that covers the solve
+    alone: overflow in the products around it reads as drift, a zero pivot raises DivergenceError."""
+    return _gesv(g, r, signature="DD->D")
+
+
 class HeightSpectrum(Frozen):
     """Diagonal entries a_1 >= ... >= a_n >= 0 of the height function, as floats once symbols.reals passes each."""
 
@@ -70,9 +77,12 @@ class HeightSpectrum(Frozen):
 
 
 class GrassmannPoint(Frozen):
-    """Immutable full-rank n x k complex frame representing its column span."""
+    """Immutable full-rank n x k complex frame representing its column span.
 
-    __slots__ = ("matrix",)
+    Its orthonormal frame is computed once per point, on first use, and is read-only; it is kept in the private
+    _frame slot, outside ==, hash, repr and pickle."""
+
+    __slots__ = ("matrix", "_frame")
     # identity ==: a frame is not a canonical form of its plane, and span_distance compares planes
     __eq__, __hash__ = object.__eq__, object.__hash__
 
@@ -84,7 +94,7 @@ class GrassmannPoint(Frozen):
             if smin <= RANK_FLOOR * max(1.0, top):
                 raise DegenerateInputError(f"columns are rank deficient (sigma_min={smin:.3e})")
         m.setflags(write=False)
-        self._init(m)
+        self._init(m, None)
 
     @property
     def n(self) -> int:
@@ -100,10 +110,15 @@ class GrassmannPoint(Frozen):
         for col, row in enumerate(u.entries):
             m[row - 1, col] = 1.0
         m.setflags(write=False)
-        return cls._of(m)
+        return cls._of(m, None)
 
     def orthonormal_frame(self) -> np.ndarray:
-        q, _ = np.linalg.qr(self.matrix)
+        """Q of the reduced QR of the frame, the same read-only array on every call."""
+        q = self._frame
+        if q is None:
+            q, _ = np.linalg.qr(self.matrix)
+            q.setflags(write=False)
+            self._init(self.matrix, q)
         return q
 
     def to_json(self) -> list:
@@ -212,7 +227,7 @@ def _flow_frames(V: GrassmannPoint, a: HeightSpectrum, ts) -> np.ndarray:
 
 def flow(V: GrassmannPoint, a: HeightSpectrum, t: float) -> GrassmannPoint:
     """Closed-form gradient flow: column span of e^{-tD} V, re-orthonormalized (see _flow_frames)."""
-    return GrassmannPoint._of(_flow_frames(V, a, [t])[0])
+    return GrassmannPoint._of(_flow_frames(V, a, [t])[0], None)
 
 
 def integrate_flow(V: GrassmannPoint, a: HeightSpectrum, t: float, steps: int = 100) -> GrassmannPoint:
@@ -224,37 +239,33 @@ def integrate_flow(V: GrassmannPoint, a: HeightSpectrum, t: float, steps: int = 
     """
     (steps,) = integers([steps], "step count", 1)
     (t,) = _check_flow_input(V, a, [t])
-    d = np.array(a.a)[:, None]
+    d = np.array(a.a, dtype=complex)[:, None]
     eye = np.eye(V.k)
 
-    def vel(y, gram=None):
-        yh = y.conj().T
-        dy = d * y
-        r = yh @ dy
-        if gram is not None:
-            return y @ _gesv(gram, r, signature="DD->D") - dy
-        g = yh @ y  # errstate around the solve alone: overflow above reads as drift, a zero pivot as singular
-        with np.errstate(call=_singular_stage, invalid="call", over="ignore", divide="ignore", under="ignore"):
-            x = _gesv(g, r, signature="DD->D")
-        return y @ x - dy
+    def stage(y):  # the field at a stage's frame, from its own Gram matrix
+        yh, dy = y.conj().T, d * y
+        return y @ _stage_solve(yh @ y, yh @ dy) - dy
 
     h = t / steps
     y = V.orthonormal_frame()
-    gram = y.conj().T @ y
+    yh = y.conj().T
+    gram = yh @ y
     for _ in range(steps):
-        k1 = vel(y, gram)  # the Gram matrix the drift check computed
-        k2 = vel(y + (h / 2) * k1)
-        k3 = vel(y + (h / 2) * k2)
-        k4 = vel(y + h * k3)
+        dy = d * y
+        k1 = y @ _gesv(gram, yh @ dy, signature="DD->D") - dy  # Y^H and the Gram matrix of the drift check
+        k2 = stage(y + (h / 2) * k1)
+        k3 = stage(y + (h / 2) * k2)
+        k4 = stage(y + h * k3)
         y = y + (h / 6) * (k1 + k4) + (h / 3) * (k2 + k3)
-        gram = y.conj().T @ y
+        yh = y.conj().T
+        gram = yh @ y
         err = gram - eye
         drift = math.sqrt(np.vdot(err, err).real)
         if not drift <= 0.1:  # NaN fails too
             raise DivergenceError(f"Gram matrix drifted {drift:.3g} from the identity; reduce the step size")
     q, _ = np.linalg.qr(y)
     q.setflags(write=False)
-    return GrassmannPoint._of(q)
+    return GrassmannPoint._of(q, None)
 
 
 def limit_symbol(
@@ -281,18 +292,19 @@ def limit_symbol(
                 "limit_symbol needs a strict (Morse) spectrum; tied values give "
                 "Morse-Bott limits on critical manifolds"
             )
-    m = V.orthonormal_frame().copy()
-    n, k = m.shape
+    cols = V.orthonormal_frame().T.tolist()  # the columns as lists of Python complex numbers
+    n = V.n
     rows = range(n - 1, -1, -1) if direction == "down" else range(n)
-    free = list(range(k))
+    free = list(range(V.k))
     pivots = []
     for row in rows:
         if not free:
             break
-        mags = [abs(m[row, c]) for c in free]
-        best = int(np.argmax(mags))
+        mags = [abs(cols[c][row]) for c in free]
+        best = mags.index(max(mags))
         col = free[best]
-        colnorm = max(float(np.linalg.norm(m[:, col])), 1e-300)
+        pivot = cols[col]
+        colnorm = max(math.hypot(*map(abs, pivot)), 1e-300)
         if mags[best] <= tol * colnorm:
             # no pivot in this row; error out if the value is marginal rather
             # than clean numerical noise (point near a cell boundary)
@@ -306,7 +318,8 @@ def limit_symbol(
         # eliminate this row from the other free columns
         for c in free:
             if c != col:
-                m[:, c] -= (m[row, c] / m[row, col]) * m[:, col]
+                f = cols[c][row] / pivot[row]
+                cols[c] = [z - f * p for z, p in zip(cols[c], pivot)]
         free.remove(col)
     if free:
         raise AmbiguousCellError("could not locate pivots for every column")

@@ -1,5 +1,9 @@
+import copy
 import itertools
 import math
+import pickle
+import re
+import sys
 import time
 import warnings
 from fractions import Fraction
@@ -90,6 +94,62 @@ class TestTypes:
         V = random_point(2, 4, RNG)
         W = GrassmannPoint.from_json(V.to_json())
         assert span_distance(V, W) < 1e-12
+
+
+class TestOrthonormalFrame:
+    # the frame's QR runs once per point; the result is read-only and outside ==, hash, repr and pickle
+
+    def test_one_qr_per_point(self, monkeypatch):
+        from morsegrass.polytopes import moment_map
+
+        calls = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda m, *args, **kw: calls.append(m.shape) or qr(m, *args, **kw))
+        V, a = random_point(3, 7, RNG), HeightSpectrum(tuple(float(x) for x in range(6, -1, -1)))
+        limit_symbol(V, "down"), limit_symbol(V, "up")
+        integrate_flow(V, a, 0.5, steps=20)
+        moment_map(V), height_value(V, a), projector(V)
+        assert calls == [(7, 3), (7, 3)]  # the frame's, then the RK4 end-of-run QR
+
+    def test_same_read_only_array(self):
+        V = random_point(2, 5, RNG)
+        q = V.orthonormal_frame()
+        assert V.orthonormal_frame() is q and not q.flags.writeable
+        np.testing.assert_array_equal(q, np.linalg.qr(V.matrix)[0])
+        with pytest.raises(ValueError):
+            q[0, 0] = 0
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda V: pickle.loads(pickle.dumps(V))])
+    def test_clone_recomputes_an_equal_frame(self, clone):
+        V = random_point(3, 6, RNG)
+        q = V.orthonormal_frame()
+        W = clone(V)
+        assert W._frame is None and W is not V and W != V
+        assert W.orthonormal_frame() is not q and np.array_equal(W.orthonormal_frame(), q)
+
+    def test_identity_eq_hash_and_repr_unchanged(self):
+        V = GrassmannPoint([[1, 0], [0, 1], [0, 0]])
+        text, h = repr(V), hash(V)
+        V.orthonormal_frame()
+        assert repr(V) == text and hash(V) == h == object.__hash__(V) and GrassmannPoint._names == ("matrix",)
+        assert text.startswith("GrassmannPoint(matrix=array(") and "_frame" not in text
+        assert V == V and V != GrassmannPoint(V.matrix)
+
+    def test_first_call_raises_nothing_internally(self):
+        V = random_point(2, 4, RNG)
+        raised = []
+
+        def tracer(frame, event, arg):
+            if event == "exception":
+                raised.append(arg[0])
+            return tracer
+
+        sys.settrace(tracer)
+        try:
+            V.orthonormal_frame()
+        finally:
+            sys.settrace(None)
+        assert raised == [] and V._frame is not None
 
 
 class TestProjector:
@@ -365,6 +425,32 @@ class TestLinalgSolveOracle:
         assert any("singular" in m for m in messages) and any("drifted nan" in m for m in messages)
 
 
+class TestStageErrstate:
+    def test_built_once_not_per_step(self, monkeypatch):
+        # the stage solve's errstate is made at import; a 40-step run constructs none
+        built = []
+
+        class Counting(np.errstate):
+            def __init__(self, **kw):
+                built.append(kw)
+                super().__init__(**kw)
+
+        monkeypatch.setattr(np, "errstate", Counting)
+        V, a = random_point(3, 6, np.random.default_rng(33)), HeightSpectrum((5.0, 4.0, 3.0, 2.0, 1.0, 0.0))
+        W = integrate_flow(V, a, 1.0, steps=40)
+        assert built == [] and span_distance(W, flow(V, a, 1.0)) < 1e-6
+        with np.errstate(over="ignore"):  # the patch counts
+            pass
+        assert built == [{"over": "ignore"}]
+
+    def test_errstate_covers_the_solve_alone(self):
+        # outside the stage solve numpy's own settings hold again
+        before = np.geterr()
+        with pytest.raises(DivergenceError, match="singular"):
+            integrate_flow(random_point(2, 4, np.random.default_rng(3)), HeightSpectrum((1e100, 0, 0, 0)), 1.0, steps=1)
+        assert np.geterr() == before and np.geterrcall() is None
+
+
 class TestDivergence:
     # frames whose single RK4 step over t = 1 under A4 (h * spread = 3) moves
     # Y^H Y by 1.05 and 0.31 in Frobenius norm; two steps move it by 0.027 and 0.014
@@ -485,6 +571,71 @@ class TestLimitSymbol:
         m = np.array([[1.0, 0], [0, 1.0], [0, 1e-10], [0, 0]], dtype=complex)
         with pytest.raises(AmbiguousCellError):
             limit_symbol(GrassmannPoint(m), "down")
+
+
+def limit_symbol_by_numpy(V, direction, tol):
+    """limit_symbol's column elimination as it was on numpy scalar indexing, kept as the oracle of the list form."""
+    m = V.orthonormal_frame().copy()
+    n, k = m.shape
+    rows = range(n - 1, -1, -1) if direction == "down" else range(n)
+    free = list(range(k))
+    pivots = []
+    for row in rows:
+        if not free:
+            break
+        mags = [abs(m[row, c]) for c in free]
+        best = int(np.argmax(mags))
+        col = free[best]
+        colnorm = max(float(np.linalg.norm(m[:, col])), 1e-300)
+        if mags[best] <= tol * colnorm:
+            if mags[best] > 0.01 * tol * colnorm:
+                raise AmbiguousCellError(
+                    f"pivot candidate in row {row + 1} has marginal magnitude "
+                    f"{mags[best]:.3e}; point is numerically on a cell boundary"
+                )
+            continue
+        pivots.append(row + 1)
+        for c in free:
+            if c != col:
+                m[:, c] -= (m[row, c] / m[row, col]) * m[:, col]
+        free.remove(col)
+    if free:
+        raise AmbiguousCellError("could not locate pivots for every column")
+    return SchubertSymbol(tuple(sorted(pivots)), n)
+
+
+def limit_outcome(limit, V, direction, tol=1e-6):
+    """The symbol, or the row an AmbiguousCellError names (its message if it names none)."""
+    try:
+        return limit(V, direction, tol)
+    except AmbiguousCellError as exc:
+        row = re.search(r"row (\d+)", str(exc))
+        return ("ambiguous", int(row.group(1)) if row else str(exc))
+
+
+class TestEchelonOracle:
+    EPS = (0.0, 1e-16, 1e-13, 1e-11, 1e-10, 3e-10, 1e-9, 1e-8, 1e-6)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_planted_cells_match_numpy_elimination(self, n):
+        # column j on rows <= u_j, mixed by a random k x k matrix, perturbed at eps: every cell, both directions
+        rng = np.random.default_rng(3300 + n)
+        outcomes = {"symbol": 0, "ambiguous": 0}
+        for k in range(n + 1):
+            for u in enumerate_symbols(k, n):
+                planted = np.zeros((n, k), dtype=complex)
+                for j, uj in enumerate(u.entries):
+                    planted[:uj, j] = rng.standard_normal(uj) + 1j * rng.standard_normal(uj)
+                mixed = planted @ (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+                for eps in self.EPS:
+                    V = GrassmannPoint(mixed + eps * (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))))
+                    for direction in ("down", "up"):
+                        new = limit_outcome(limit_symbol, V, direction)
+                        assert new == limit_outcome(limit_symbol_by_numpy, V, direction)
+                        outcomes["ambiguous" if isinstance(new, tuple) else "symbol"] += 1
+                    if eps == 0.0:
+                        assert limit_symbol(V, "down") == u
+        assert outcomes["symbol"] > 0 and (n < 3 or outcomes["ambiguous"] > 0)
 
 
 def plucker_by_minor(V):
