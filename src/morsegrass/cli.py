@@ -1,10 +1,13 @@
 """Command-line interface.
 
-Subcommand-per-module layout; ``--json`` switches every command from pretty
-text to machine-readable JSON.  The default tolerance comes from ``--tol``
-or the MORSEGRASS_TOL environment variable.  ``main`` is the one place that
-turns exceptions into exit codes; errors carry an error code, reported as
-"code" in JSON and as "error (<code>): ..." on stderr in text mode:
+Subcommand-per-module layout; each ``cmd_*`` returns its answer as (JSON
+payload, text) and prints nothing.  ``main`` is the one place that prints an
+outcome, answer or error, and the one place that maps an exception to its
+exit code, the consistency error of exit 3 included, by the ``_ERRORS``
+table.  ``--json`` switches every outcome from pretty text to
+machine-readable JSON.  The default tolerance comes from ``--tol`` or the
+MORSEGRASS_TOL environment variable.  Errors carry an error code, reported
+as "code" in JSON and as "error (<code>): ..." on stderr in text mode:
 
   0  success, also when the reader of stdout closes it early
   2  usage: bad arguments or input files
@@ -41,26 +44,20 @@ EXIT_CONSISTENCY = 3
 EXIT_AMBIGUOUS = 4
 
 
-def _emit(args, payload: dict, text: str) -> int:
+class ConsistencyError(Exception):
+    """Routes that must give the same answer gave different ones."""
+
+
+def _print(args, document: dict, text: str = "") -> None:
+    """Print one outcome: with --json its document on stdout; otherwise an answer's text on stdout, or an error's
+    "error (<code>): <diagnostics>" on stderr.  Streams are looked up at call time, so redirections see them."""
     if args.json:
-        json.dump({"status": "ok", "payload": payload}, sys.stdout, indent=2)
+        json.dump(document, sys.stdout, indent=2)
         print()
-    else:
+    elif document["status"] == "ok":
         print(text)
-    return EXIT_OK
-
-
-def _fail(args, code: int, error_code: str, message: str) -> int:
-    if args.json:
-        json.dump(
-            {"status": "error", "code": error_code, "diagnostics": message},
-            sys.stdout,
-            indent=2,
-        )
-        print()
     else:
-        print(f"error ({error_code}): {message}", file=sys.stderr)
-    return code
+        print(f"error ({document['code']}): {document['diagnostics']}", file=sys.stderr)
 
 
 def _parse_symbol(text: str, k: int, n: int) -> symbols.SchubertSymbol:
@@ -87,7 +84,7 @@ def _frame_and_spectrum(args) -> tuple[flows.GrassmannPoint, flows.HeightSpectru
     return flows.GrassmannPoint.from_json(data), flows.HeightSpectrum(spectrum)
 
 
-def cmd_cells(args) -> int:
+def cmd_cells(args) -> tuple[dict, str]:
     k, n = args.k, args.n
     # each cell prints n condition entries
     symbols.check_budget(symbols.cell_count(k, n) * n, f"Schubert condition entries of Gr({k},{n}), C({n},{k})*{n}")
@@ -108,10 +105,10 @@ def cmd_cells(args) -> int:
             f"{r['symbol']:<10}{r['dim']:>4}{r['index_minus_f']:>9}{r['index_f']:>8}  "
             + ",".join(str(v) for v in r["conditions"])
         )
-    return _emit(args, {"cells": rows}, "\n".join(lines))
+    return {"cells": rows}, "\n".join(lines)
 
 
-def cmd_poincare(args) -> int:
+def cmd_poincare(args) -> tuple[dict, str]:
     from . import polynomials
 
     routes = {"cells": polynomials.morse_polynomial_by_cells, "recurrence": polynomials.poincare_recurrence,
@@ -120,24 +117,17 @@ def cmd_poincare(args) -> int:
     # cells runs last: the other routes refuse on arithmetic alone, before any cell is built
     for name in sorted(results, key="cells".__eq__):
         results[name] = routes[name](args.k, args.n)
-    agreement = len(set(results.values())) == 1
-    if args.method == "all" and not agreement:
-        return _fail(
-            args,
-            EXIT_CONSISTENCY,
-            "consistency",
-            "the three Poincare polynomial routes disagree: "
-            + "; ".join(f"{k0}: {v}" for k0, v in results.items()),
-        )
+    if args.method == "all" and len(set(results.values())) != 1:
+        raise ConsistencyError("the three Poincare polynomial routes disagree: "
+                               + "; ".join(f"{k0}: {v}" for k0, v in results.items()))
     payload = {name: p.to_json() for name, p in results.items()}
     if args.method == "all":
         payload["agreement"] = True
     poly = next(iter(results.values()))
-    text = str(poly) + ("   (agreement=true)" if args.method == "all" else "")
-    return _emit(args, payload, text)
+    return payload, str(poly) + ("   (agreement=true)" if args.method == "all" else "")
 
 
-def cmd_flow(args) -> int:
+def cmd_flow(args) -> tuple[dict, str]:
     V, a = _frame_and_spectrum(args)
     from . import flows, polytopes
 
@@ -148,14 +138,10 @@ def cmd_flow(args) -> int:
         "height": flows.height_value(W, a),
         "moment": mu.to_json(),
     }
-    return _emit(
-        args,
-        payload,
-        f"height={payload['height']:.6g}\nmoment={mu.to_json()}",
-    )
+    return payload, f"height={payload['height']:.6g}\nmoment={mu.to_json()}"
 
 
-def cmd_limit(args) -> int:
+def cmd_limit(args) -> tuple[dict, str]:
     V, a = _frame_and_spectrum(args)
     from . import flows, polytopes
 
@@ -165,10 +151,10 @@ def cmd_limit(args) -> int:
         "symbol": u.to_json(),
         "moment_trace": [p.to_json() for p in trace],
     }
-    return _emit(args, payload, f"limit symbol: {u}")
+    return payload, f"limit symbol: {u}"
 
 
-def cmd_witten(args) -> int:
+def cmd_witten(args) -> tuple[dict, str]:
     from . import witten
 
     # builtin -> (builder, number of integer parameters); a file takes none
@@ -190,10 +176,10 @@ def cmd_witten(args) -> int:
             c = witten.load_complex(fh.read())
     h = witten.homology(c, mode)
     lines = [f"H_{i} = {h.group_str(i)}" for i in h.ranks]
-    return _emit(args, {"homology": h.to_json()}, "\n".join(lines))
+    return {"homology": h.to_json()}, "\n".join(lines)
 
 
-def cmd_cup(args) -> int:
+def cmd_cup(args) -> tuple[dict, str]:
     from . import ring
 
     syms = [_parse_symbol(s, args.k, args.n) for s in args.symbols]
@@ -201,10 +187,10 @@ def cmd_cup(args) -> int:
     for u in syms[1:]:
         out = ring.cup_product(out, ring.CohomologyClass.basis(u))
     lhs = "".join(f"z{u}" for u in syms)
-    return _emit(args, {"product": out.to_json()}, f"{lhs} = {out}")
+    return {"product": out.to_json()}, f"{lhs} = {out}"
 
 
-def cmd_polytope(args) -> int:
+def cmd_polytope(args) -> tuple[dict, str]:
     from . import polytopes
 
     if args.symbol:
@@ -215,26 +201,26 @@ def cmd_polytope(args) -> int:
     payload = {"polytope": P.to_json(), "f_vector": list(f)}
     text = f"vertices: {len(P.vertices)}\nf-vector: {f}"
     if args.plot_data:
-        coords = _octahedron_projection(P)
         with open(args.plot_data, "w") as fh:
-            json.dump(coords, fh)
+            fh.write(json.dumps(_octahedron_projection(P)))
         text += f"\nplot data written to {args.plot_data}"
         payload["plot_data"] = args.plot_data
-    return _emit(args, payload, text)
+    return payload, text
 
 
 def _octahedron_projection(P: polytopes.VertexPolytope) -> list:
-    """Vertex coordinates projected to the first three principal directions."""
+    """Vertex coordinates projected to the first three principal directions, one row of 3 per vertex: zero columns
+    stand in for the directions that fewer than 3 vertices or coordinates lack."""
     import numpy as np
 
     verts = np.array(P.vertices, dtype=float)
     centered = verts - verts.mean(axis=0)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     proj = centered @ vt[:3].T
-    return proj.tolist()
+    return np.pad(proj, ((0, 0), (0, 3 - proj.shape[1]))).tolist()
 
 
-def cmd_moduli_dim(args) -> int:
+def cmd_moduli_dim(args) -> tuple[dict, str]:
     from . import graphs
 
     with open(args.graph) as fh:
@@ -242,7 +228,7 @@ def cmd_moduli_dim(args) -> int:
     g = graphs.FlowGraph.from_json(data)
     dim = graphs.moduli_dimension(g, graphs.LabeledEnds.from_json(data))
     payload = {"dimension": dim, "first_betti": graphs.graph_first_betti(g)}
-    return _emit(args, payload, f"moduli dimension: {dim}")
+    return payload, f"moduli dimension: {dim}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -308,6 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 _ERRORS = (
     (symbols.CapacityError, EXIT_USAGE, "capacity"),
     (symbols.AmbiguousCellError, EXIT_AMBIGUOUS, "ambiguous-cell"),
+    (ConsistencyError, EXIT_CONSISTENCY, "consistency"),
     ((OSError, ValueError, KeyError, IndexError), EXIT_USAGE, "usage"),
 )
 
@@ -315,9 +302,10 @@ _ERRORS = (
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        payload, text = args.func(args)
+        _print(args, {"status": "ok", "payload": payload}, text)
         sys.stdout.flush()  # a reader that closed early shows up here, not at exit
-        return code
+        return EXIT_OK
     except BrokenPipeError:
         # nobody reads stdout any more: send the interpreter's final flush to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -325,7 +313,8 @@ def main(argv=None) -> int:
     except Exception as exc:
         for kinds, code, error_code in _ERRORS:
             if isinstance(exc, kinds):
-                return _fail(args, code, error_code, str(exc))
+                _print(args, {"status": "error", "code": error_code, "diagnostics": str(exc)})
+                return code
         raise
 
 

@@ -333,12 +333,22 @@ class TestPolytope:
         assert code == 0
         assert len(data["payload"]["polytope"]["vertices"]) == 5
 
-    def test_plot_data(self, capsys, tmp_path):
+    @pytest.mark.parametrize("argv,zero_columns", [
+        (["2", "4"], 0), (["1", "2"], 1), (["2", "4", "(1,2)"], 3), (["0", "3"], 3), (["0", "0"], 3),
+    ])
+    def test_plot_data(self, capsys, tmp_path, argv, zero_columns):
+        # the projection keeps the vertices' distances; directions that fewer than 3 vertices or coordinates lack
+        # are written as zero columns (these were rows of 2, [[0.0]] and [[]])
         out_path = tmp_path / "coords.json"
-        code, data, _ = run_json(capsys, "polytope", "2", "4", "--plot-data", str(out_path))
-        assert code == 0
-        coords = json.loads(out_path.read_text())
-        assert len(coords) == 6 and len(coords[0]) == 3
+        code, data, _ = run_json(capsys, "polytope", *argv, "--plot-data", str(out_path))
+        listed = data["payload"]["polytope"]["vertices"]
+        vertices = np.array(listed, dtype=float).reshape(len(listed), int(argv[1]))
+        coords = np.array(json.loads(out_path.read_text()))
+        assert code == 0 and coords.shape == (len(vertices), 3)
+        assert np.allclose(coords.sum(axis=0), 0, atol=1e-12)
+        distances = np.linalg.norm(vertices[:, None] - vertices[None], axis=-1)
+        assert np.allclose(np.linalg.norm(coords[:, None] - coords[None], axis=-1), distances, atol=1e-12)
+        assert (coords[:, 3 - zero_columns:] == 0.0).all()
 
     def test_capacity_exit(self, capsys):
         code, data, _ = run_json(capsys, "polytope", "3", "9")
@@ -442,6 +452,28 @@ class TestCapacity:
         code, out, err = run(capsys, "cells", "300", "600")
         assert code == 2 and out == ""
         assert err.startswith("error (capacity): ")
+
+
+class TestOnePrinter:
+    def test_main_alone_prints_and_picks_the_exit_code(self):
+        # each cmd_* returns (payload, text); _print is the one printer, main its one caller and _ERRORS the one
+        # table of exit codes, so no command prints or names an exit code
+        import ast
+
+        import morsegrass.cli
+
+        tree = ast.parse(Path(morsegrass.cli.__file__).read_text())
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+
+        def calls(function):
+            return {ast.unparse(node.func) for node in ast.walk(function) if isinstance(node, ast.Call)}
+
+        assert {f.name for f in functions if calls(f) & {"print", "json.dump"}} == {"_print"}
+        assert {f.name for f in functions if "_print" in calls(f)} == {"main"}
+        commands = [f for f in functions if f.name.startswith("cmd_")]
+        assert len(commands) == 8
+        assert not [(f.name, node.id) for f in commands for node in ast.walk(f)
+                    if isinstance(node, ast.Name) and node.id.startswith("EXIT_")]
 
 
 class TestBrokenPipe:

@@ -1,6 +1,10 @@
 import importlib.util
+import os
 import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "line_split.py"
 spec = importlib.util.spec_from_file_location("line_split", TOOL)
@@ -63,3 +67,18 @@ def test_against_a_revision(tmp_path, capsys, monkeypatch):
         ["now", "19", "7", "1", "5", "6"],
         ["change", "+2", "+1", "+0", "+1", "+0"],
     ]
+
+
+@pytest.mark.parametrize("repository", [False, True], ids=["no-checkout", "unknown-revision"])
+def test_against_a_revision_git_cannot_read(tmp_path, repository):
+    # git's own message, as a usage error: this was a CalledProcessError traceback with exit 1
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "a.py").write_text(SOURCE)
+    if repository:
+        git(tmp_path, "init", "-q")
+    env = dict(os.environ, GIT_CEILING_DIRECTORIES=str(tmp_path.parent))
+    proc = subprocess.run([sys.executable, str(TOOL), "--against", "nope"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    message = "Not a valid object name nope" if repository else "not a git repository"
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert message in proc.stderr.splitlines()[-1] and "Traceback" not in proc.stderr

@@ -1,5 +1,7 @@
 """Refusal branches that the module tests do not reach: each input here must raise, with its own message."""
 
+import json
+
 import pytest
 
 from morsegrass import polynomials, witten
@@ -10,12 +12,19 @@ from morsegrass.ring import special_symbol
 from morsegrass.symbols import GeneralizedSchubertSymbol, SchubertSymbol, critical_index
 
 
-def test_cli_exit_3_when_the_poincare_routes_disagree(capsys, monkeypatch):
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_cli_exit_3_when_the_poincare_routes_disagree(capsys, monkeypatch, flags):
     # the only documented exit code that no other test reaches: one route made to answer wrong
     monkeypatch.setattr(polynomials, "poincare_recurrence", lambda k, n: IntPolynomial([1, 1]))
-    assert main(["poincare", "2", "4"]) == EXIT_CONSISTENCY
-    err = capsys.readouterr().err
-    assert "the three Poincare polynomial routes disagree" in err and "recurrence: 1 + t" in err
+    assert main([*flags, "poincare", "2", "4"]) == EXIT_CONSISTENCY
+    message = ("the three Poincare polynomial routes disagree: "
+               "cells: 1 + t^2 + 2t^4 + t^6 + t^8; recurrence: 1 + t; closed: 1 + t^2 + 2t^4 + t^6 + t^8")
+    out, err = capsys.readouterr()
+    if flags:
+        document = {"status": "error", "code": "consistency", "diagnostics": message}
+        assert (out, err) == (json.dumps(document, indent=2) + "\n", "")
+    else:
+        assert (out, err) == ("", f"error (consistency): {message}\n")
 
 
 def test_limit_symbol_refusals():

@@ -9,7 +9,8 @@ nothing; every other line is code.  Usage:
 
 The first prints one row per file and a total row.  The second reads the
 files under PATH at REV with ``git show``, run from the current directory,
-and prints the total at REV, the total now and the change, kind by kind.
+and prints the total at REV, the total now and the change, kind by kind; an
+unknown REV, or no git checkout, is a usage error (exit 2) that quotes git.
 """
 
 from __future__ import annotations
@@ -69,10 +70,14 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--against", metavar="REV", help="also count the files at this git revision")
     parser.add_argument("paths", nargs="*", default=["src"])
     args = parser.parse_args(argv)
+    try:
+        before = args.against and total(sources_at(args.against, args.paths))
+    except subprocess.CalledProcessError as exc:  # an unknown revision, or no git checkout here
+        parser.error(f"git {exc.cmd[1]}: {exc.stderr.strip()}")
     now = sources_now(args.paths)
     print(f"{'file':<40}{'total':>7}" + "".join(f"{k:>12}" for k in KINDS))
     if args.against:
-        before, after = total(sources_at(args.against, args.paths)), total(now)
+        after = total(now)
         print(row(f"at {args.against}"[:39], before))
         print(row("now", after))
         print(row("change", {k: after[k] - before[k] for k in KINDS}, "+"))
