@@ -9,7 +9,7 @@ machine-readable JSON.  The default tolerance comes from ``--tol`` or the
 MORSEGRASS_TOL environment variable.  Errors carry an error code, reported
 as "code" in JSON and as "error (<code>): ..." on stderr in text mode:
 
-  0  success, also when the reader of stdout closes it early
+  0  success (a reader that closes stdout early changes no exit code)
   2  usage: bad arguments or input files
   2  capacity: a cost over the one work budget MAX_SYMBOLS = 100000, stated
      before the work in each engine's unit: Schubert cells, cells-table
@@ -303,19 +303,21 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         payload, text = args.func(args)
-        _print(args, {"status": "ok", "payload": payload}, text)
-        sys.stdout.flush()  # a reader that closed early shows up here, not at exit
-        return EXIT_OK
-    except BrokenPipeError:
-        # nobody reads stdout any more: send the interpreter's final flush to devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_OK
+        document, code = {"status": "ok", "payload": payload}, EXIT_OK
     except Exception as exc:
         for kinds, code, error_code in _ERRORS:
             if isinstance(exc, kinds):
-                _print(args, {"status": "error", "code": error_code, "diagnostics": str(exc)})
-                return code
-        raise
+                document, text = {"status": "error", "code": error_code, "diagnostics": str(exc)}, ""
+                break
+        else:
+            raise
+    try:
+        _print(args, document, text)
+        sys.stdout.flush()  # a reader that closed early shows up here, not at exit
+    except BrokenPipeError:
+        # nobody reads stdout any more: send the interpreter's final flush to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

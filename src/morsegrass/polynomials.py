@@ -11,6 +11,7 @@ dimensions are doubled by the callers in the symbol layer, never here.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import accumulate
 
 from .symbols import (
     Frozen,
@@ -97,7 +98,9 @@ class IntPolynomial(Frozen):
     def __mul__(self, other):
         if (other := _operand(other)) is NotImplemented:
             return other
-        _price_updates(sum(map(bool, self.coeffs)) * len(other.coeffs), "multiply", self, other)
+        # CapacityError past 10^6 coefficient updates, counted in tens: the loop skips self's zero coefficients
+        check_budget(sum(map(bool, self.coeffs)) * len(other.coeffs) // 10,
+                     f"tens of coefficient updates to multiply polynomials of degrees {self.degree} and {other.degree}")
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
@@ -107,29 +110,6 @@ class IntPolynomial(Frozen):
         return IntPolynomial(out)
 
     __rmul__ = __mul__
-
-    def divide_exact(self, divisor: "IntPolynomial") -> "IntPolynomial":
-        """Long division, raising ValueError unless the remainder is zero; priced at most as many updates as each
-        quotient term times each divisor coefficient."""
-        if not divisor.coeffs:
-            raise ZeroDivisionError("division by zero polynomial")
-        _price_updates(max(len(self.coeffs) - divisor.degree, 0) * len(divisor.coeffs), "divide", self, divisor)
-        rem = list(self.coeffs)
-        dd = divisor.degree
-        lead = divisor.coeffs[-1]
-        q = [0] * (max(len(rem) - dd, 0) or 1)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            if rem[i] == 0:
-                continue
-            if rem[i] % lead != 0:
-                raise ValueError("inexact polynomial division (leading coefficient)")
-            factor = rem[i] // lead
-            q[i - dd] = factor
-            for j, b in enumerate(divisor.coeffs):
-                rem[i - dd + j] -= factor * b
-        if any(rem):
-            raise ValueError("inexact polynomial division (nonzero remainder)")
-        return IntPolynomial(q)
 
     def __call__(self, t: int) -> int:
         value = 0
@@ -165,12 +145,6 @@ def _operand(other):
         return other if isinstance(other, IntPolynomial) else IntPolynomial([other])
     except ValueError:
         return NotImplemented
-
-
-def _price_updates(updates: int, verb: str, a: IntPolynomial, b: IntPolynomial) -> None:
-    """CapacityError if the coefficient updates, in tens, exceed the budget: past 10^6 updates."""
-    check_budget(updates // 10,
-                 f"tens of coefficient updates to {verb} polynomials of degrees {a.degree} and {b.degree}")
 
 
 IntPolynomial.zero = IntPolynomial([])
@@ -263,15 +237,13 @@ def mb_polynomial(cs: list[GeneralizedSchubertSymbol]) -> IntPolynomial:
 
 
 def morse_inequalities(m_poly: IntPolynomial, p_poly: IntPolynomial):
-    """Q with M(t) - P(t) = (1 + t) Q(t) and every coefficient of Q >= 0, else a MorseViolation naming the failure."""
+    """Q with M(t) - P(t) = (1 + t) Q(t) and every coefficient of Q >= 0, else a MorseViolation: at degree 0 when
+    1 + t leaves the remainder (M - P)(-1) != 0, or at the degree of Q's lowest negative coefficient."""
     diff = m_poly - p_poly
-    one_plus_t = IntPolynomial([1, 1])
-    try:
-        q = diff.divide_exact(one_plus_t)
-    except ValueError:
-        return MorseViolation(
-            f"M - P is not divisible by 1 + t (remainder {diff(-1)})", degree=0
-        )
+    if remainder := diff(-1):
+        return MorseViolation(f"M - P is not divisible by 1 + t (remainder {remainder})", degree=0)
+    # (1 + t) Q = M - P coefficient by coefficient: q_d = (M - P)_d - q_{d-1}
+    q = IntPolynomial(accumulate(diff.coeffs[:-1], lambda q, c: c - q))
     for d, c in enumerate(q.coeffs):
         if c < 0:
             return MorseViolation(f"Q coefficient {c} is negative", degree=d)

@@ -488,6 +488,21 @@ class TestBrokenPipe:
         assert proc.wait(timeout=60) == 0
         assert err == b""
 
+    @pytest.mark.parametrize("argv,code", [
+        (["--json", "cells", "2", "3"], 0),
+        # the refusal was printed outside the guarded flush, so the exit flush failed with a BrokenPipeError
+        (["--json", "cells", "300", "600"], 2),
+    ])
+    def test_closed_pipe_keeps_the_exit_code(self, argv, code):
+        read, write = os.pipe()
+        os.close(read)  # a pipe whose reader is gone before the child writes
+        try:
+            proc = subprocess.run([sys.executable, "-m", "morsegrass.cli", *argv], stdout=write,
+                                  stderr=subprocess.PIPE, env=child_env(), timeout=60)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (code, b"")
+
 
 class TestMalformedInput:
     @pytest.mark.parametrize("argv", [
@@ -761,7 +776,7 @@ class TestPackageExports:
     @pytest.mark.parametrize("module,name", [
         ("ring", "PartitionShape"), ("ring", "symbol_to_partition"), ("ring", "partition_to_symbol"),
         ("witten", "validate_complex"), ("polynomials", "partition_count"), ("symbols", "ndcm_shape"),
-        ("polytopes", "CapacityError"), ("witten", "MAX_SYMBOLS"),
+        ("polytopes", "CapacityError"), ("witten", "MAX_SYMBOLS"), ("polynomials", "_price_updates"),
     ])
     def test_removed_names(self, module, name):
         # second copies of what the package already does: ring._parts, the checks WittenComplex runs when it is
@@ -775,6 +790,12 @@ class TestPackageExports:
             with pytest.raises(AttributeError, match=name):
                 getattr(morsegrass, name)
             assert name not in dir(morsegrass) and name not in morsegrass.__all__
+
+    def test_general_division_removed(self):
+        # Q of the Morse inequalities comes from the alternating sums of M - P, the one division the library needs
+        from morsegrass.polynomials import IntPolynomial
+
+        assert not hasattr(IntPolynomial, "divide_exact")
 
     def test_every_import_is_used(self):
         # each name a module of the package imports is read in that module; ring imports enumerate_symbols unused

@@ -82,3 +82,12 @@ def test_against_a_revision_git_cannot_read(tmp_path, repository):
     message = "Not a valid object name nope" if repository else "not a git repository"
     assert (proc.returncode, proc.stdout) == (2, "")
     assert message in proc.stderr.splitlines()[-1] and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [[], ["nosuchdir"], ["--against", "HEAD", "nosuchdir"]],
+                         ids=["default-src", "named", "against"])
+def test_missing_path_is_a_usage_error(tmp_path, argv):
+    # this was a FileNotFoundError traceback with exit 1; src is the default PATH, missing outside a checkout's root
+    proc = subprocess.run([sys.executable, str(TOOL), *argv], cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines()[-1].endswith(f"no such file or directory: {(argv or ['src'])[-1]}")

@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 import tracemalloc
 from fractions import Fraction
@@ -27,6 +28,37 @@ def poly(*coeffs):
     return IntPolynomial(coeffs)
 
 
+def long_division(num, den):
+    """num / den by schoolbook long division, ValueError unless the remainder is zero: the oracle for
+    gaussian_generating's passes and for the quotient of the Morse inequalities."""
+    rem, dd, lead = list(num.coeffs), den.degree, den.coeffs[-1]
+    q = [0] * max(len(rem) - dd, 1)
+    for i in range(len(rem) - 1, dd - 1, -1):
+        if rem[i] == 0:
+            continue
+        if rem[i] % lead != 0:
+            raise ValueError("inexact polynomial division (leading coefficient)")
+        q[i - dd] = factor = rem[i] // lead
+        for j, b in enumerate(den.coeffs):
+            rem[i - dd + j] -= factor * b
+    if any(rem):
+        raise ValueError("inexact polynomial division (nonzero remainder)")
+    return IntPolynomial(q)
+
+
+def morse_by_long_division(m, p):
+    """morse_inequalities(m, p) with Q from the long division of M - P by 1 + t."""
+    diff = m - p
+    try:
+        q = long_division(diff, poly(1, 1))
+    except ValueError:
+        return MorseViolation(f"M - P is not divisible by 1 + t (remainder {diff(-1)})", degree=0)
+    for d, c in enumerate(q.coeffs):
+        if c < 0:
+            return MorseViolation(f"Q coefficient {c} is negative", degree=d)
+    return q
+
+
 def gaussian_by_products(k, n):
     """[n choose k]_t as the product of the 1 - t^(n-k+i) over that of the 1 - t^i,
     by general polynomial products and one long division: the oracle for the passes."""
@@ -34,7 +66,7 @@ def gaussian_by_products(k, n):
     for i in range(1, k + 1):
         num = num * (IntPolynomial.one - IntPolynomial.monomial(n - k + i))
         den = den * (IntPolynomial.one - IntPolynomial.monomial(i))
-    return num.divide_exact(den)
+    return long_division(num, den)
 
 
 class TestIntPolynomial:
@@ -56,9 +88,9 @@ class TestIntPolynomial:
 
     def test_exact_division(self):
         p = poly(1, 2, 1)
-        assert p.divide_exact(poly(1, 1)).coeffs == (1, 1)
+        assert long_division(p, poly(1, 1)).coeffs == (1, 1)
         with pytest.raises(ValueError):
-            poly(1, 0, 1).divide_exact(poly(1, 1))
+            long_division(poly(1, 0, 1), poly(1, 1))
 
     def test_pretty_print(self):
         assert str(poly(1, 0, 1, 0, 2)) == "1 + t^2 + 2t^4"
@@ -216,13 +248,9 @@ class TestProductPrice:
         monkeypatch.setattr(symbols_module, "MAX_SYMBOLS", 100)
         a, b = poly(*[1] * 40), poly(*[1] * 25)
         assert (a * b).degree == 63  # 40 x 25 updates, 100 tens
-        assert (a * b).divide_exact(b) == a  # 40 quotient terms x 25 divisor coefficients
         with pytest.raises(CapacityError, match="^tens of coefficient updates to multiply polynomials of degrees 39 "
                                                 "and 25: 104 exceeds"):
             a * poly(*[1] * 26)
-        with pytest.raises(CapacityError, match="^tens of coefficient updates to divide polynomials of degrees 64 "
-                                                "and 24: 102 exceeds"):
-            poly(*[1] * 65).divide_exact(b)  # 41 quotient terms x 25
 
     def test_zero_coefficients_of_the_left_factor_are_free(self, monkeypatch):
         # the loop skips them: t^1000 times b runs 25 updates, while b times t^39 runs 25 x 40
@@ -250,8 +278,6 @@ class TestProductPrice:
 
     @pytest.mark.parametrize("verb,build", [
         ("multiply", lambda: poly(*[1] * 4000) * poly(*[1] * 2000)),  # took 0.62 s
-        # that product divided back by its second factor took 0.69 s
-        ("divide", lambda: poly(*(min(d + 1, 2000, 5999 - d) for d in range(5999))).divide_exact(poly(*[1] * 2000))),
     ])
     def test_refused_before_the_loop(self, verb, build):
         start = time.perf_counter()
@@ -417,6 +443,25 @@ class TestMorseInequalities:
         # M - P = -1 - t = (1+t)(-1): divisible but Q < 0
         bad = morse_inequalities(poly(0, 0, 1), poly(1, 1, 1))
         assert isinstance(bad, MorseViolation)
+
+    def test_equal_to_long_division(self):
+        # the four cases in turn: M = P, M - P = (1 + t) Q with Q >= 0, the same with some q_d < 0, and a random M
+        def outcome(r):
+            if isinstance(r, IntPolynomial):
+                return "zero" if r.is_zero() else "quotient"
+            return "negative" if r.reason.startswith("Q") else "remainder"
+
+        rng = random.Random(1)
+        seen = set()
+        for i in range(2000):
+            p = IntPolynomial([rng.randint(0, 5) for _ in range(rng.randint(0, 10))])
+            q = IntPolynomial([rng.randint(-3 if i % 4 == 2 else 0, 4) for _ in range(rng.randint(1, 9))])
+            m = (p, p + poly(1, 1) * q, p + poly(1, 1) * q,
+                 IntPolynomial([rng.randint(-2, 6) for _ in range(rng.randint(0, 11))]))[i % 4]
+            got, want = morse_inequalities(m, p), morse_by_long_division(m, p)
+            assert type(got) is type(want) and got == want, (m, p)
+            seen.add((i % 4, outcome(want)))
+        assert {(0, "zero"), (1, "quotient"), (2, "negative"), (3, "remainder")} <= seen
 
 
 class TestEulerAndLacunary:

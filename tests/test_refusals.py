@@ -66,13 +66,6 @@ def test_load_complex_boundary_rows(text, message):
         witten.load_complex(text)
 
 
-def test_divide_exact_refusals():
-    with pytest.raises(ZeroDivisionError, match="division by zero polynomial"):
-        IntPolynomial([1, 1]).divide_exact(IntPolynomial.zero)
-    with pytest.raises(ValueError, match=r"inexact polynomial division \(leading coefficient\)"):
-        IntPolynomial([1, 1]).divide_exact(IntPolynomial([1, 2]))
-
-
 @pytest.mark.parametrize("k,n,message", [
     (-1, 2, "need 0 <= k <= n, got k=-1, n=2"),
     (2, -1, "need 0 <= k <= n, got k=2, n=-1"),

@@ -11,6 +11,7 @@ The first prints one row per file and a total row.  The second reads the
 files under PATH at REV with ``git show``, run from the current directory,
 and prints the total at REV, the total now and the change, kind by kind; an
 unknown REV, or no git checkout, is a usage error (exit 2) that quotes git.
+A PATH that does not exist is a usage error too.
 """
 
 from __future__ import annotations
@@ -70,6 +71,8 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--against", metavar="REV", help="also count the files at this git revision")
     parser.add_argument("paths", nargs="*", default=["src"])
     args = parser.parse_args(argv)
+    if missing := [p for p in args.paths if not Path(p).exists()]:
+        parser.error(f"no such file or directory: {', '.join(missing)}")
     try:
         before = args.against and total(sources_at(args.against, args.paths))
     except subprocess.CalledProcessError as exc:  # an unknown revision, or no git checkout here
