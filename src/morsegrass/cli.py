@@ -14,8 +14,9 @@ as "code" in JSON and as "error (<code>): ..." on stderr in text mode:
   2  capacity: a cost over the one work budget MAX_SYMBOLS = 100000, stated
      before the work in each engine's unit: Schubert cells, cells-table
      condition entries, Witten degrees, builtin circle/rp entries,
-     thousands of poincare coefficient updates, or polytope vertex
-     coordinates and facet intersections
+     thousands of poincare coefficient updates, polytope vertex
+     coordinates and facet intersections, or cup's pairs of terms times
+     rows and, counted as the engine runs, LR strip prefixes and rows
   3  consistency: the three Poincare polynomial routes disagree
   4  ambiguous-cell: a point too close to a cell boundary to classify
 

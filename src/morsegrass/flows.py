@@ -21,8 +21,8 @@ from numpy.linalg._umath_linalg import solve as _gesv
 
 # tolerance, DEFAULT_TOL and AmbiguousCellError live in symbols so that the CLI
 # can parse --tol and map exit codes without importing numpy
-from .symbols import (DEFAULT_TOL, AmbiguousCellError, Frozen, SchubertSymbol, cell_count, check_ambient, floats,
-                      integers, tolerance)
+from .symbols import (DEFAULT_TOL, AmbiguousCellError, Frozen, SchubertSymbol, cell_count, check_ambient,
+                      check_budget, floats, integers, tolerance)
 
 # exp() overflows past ~709; flows clamp the largest exponent magnitude here
 MAX_EXPONENT = 700.0
@@ -360,8 +360,10 @@ def projective_distance(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def random_point(k: int, n: int, rng=None) -> GrassmannPoint:
-    """Generic point: complex Gaussian frame (almost surely in the top cell)."""
+    """Generic point: complex Gaussian frame (almost surely in the top cell); CapacityError before any is drawn if
+    its n*k entries exceed the budget."""
     k, n = check_ambient(k, n)
+    check_budget(n * k, f"Gaussian frame entries of Gr({k},{n}), {n}*{k}")
     rng = np.random.default_rng(rng)
     m = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
     return GrassmannPoint(m)

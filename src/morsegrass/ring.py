@@ -22,7 +22,6 @@ from .symbols import (
     SchubertSymbol,
     _check_same_ambient,
     _combination,
-    cell_count,
     cell_dimension,
     check_ambient,
     check_budget,
@@ -65,10 +64,10 @@ def _lr_terms(mu: tuple[int, ...], nu: tuple[int, ...], rows: int, cols: int) ->
     boxes in row r, where a_r <= shape_{r-1} - shape_r before the strip (a horizontal strip,
     so columns stay strict), shape_r + a_r <= cols, and a_1 + ... + a_r is at most the last
     strip's boxes in rows 1..r-1 (the reverse reading word stays a lattice word).  A strip's prefixes grow only
-    at rows with room, up to the first empty row, and are padded with zeros once.  They are the engine's work:
-    CapacityError after a state whose prefixes take the count past the budget.  A box with more rows than
-    columns is transposed, as c^lam_{mu, nu} = c^lam'_{mu', nu'} for the conjugates, and the shapes are
-    conjugated back at the end, so no strip walks more than min(rows, cols) rows.
+    at rows with room, up to the first empty row, and are padded with zeros once.  They, and the rows that each
+    state walks, counts and pads, are the engine's work: CapacityError after a state that takes the count past
+    the budget.  A box with more rows than columns is transposed, as c^lam_{mu, nu} = c^lam'_{mu', nu'} for the
+    conjugates, and the shapes are conjugated back at the end, so no strip walks more than min(rows, cols) rows.
     """
     mu, nu = sorted((tuple(p for p in parts if p) for parts in (mu, nu)), key=sum, reverse=True)  # mu the larger
     if any(len(p) > rows or p and p[0] > cols for p in (mu, nu)):
@@ -79,6 +78,7 @@ def _lr_terms(mu: tuple[int, ...], nu: tuple[int, ...], rows: int, cols: int) ->
     for m in nu:
         grown = {}
         for (shape, last), count in states.items():
+            built += rows
             caps = itertools.accumulate(last, initial=0) if last is not None else itertools.repeat(m)
             strips, width = [((), 0)], 0  # (boxes in rows 0..width-1, their sum), grown at rows with room
             for r, cap in zip(range(min(rows, rows - shape.count(0) + 1)), caps):  # no room below the first empty row
@@ -87,7 +87,7 @@ def _lr_terms(mu: tuple[int, ...], nu: tuple[int, ...], rows: int, cols: int) ->
                     strips = [(a + pad + (x,), t + x) for a, t in strips for x in range(min(room, cap - t, m - t) + 1)]
                     built += len(strips)
             if built > MAX_SYMBOLS:
-                check_budget(built, f"strip prefixes built by the Littlewood-Richardson rule in a {rows}x{cols} box")
+                check_budget(built, f"prefixes and rows built by the Littlewood-Richardson rule in a {rows}x{cols} box")
             pad = (0,) * (rows - width)
             for a, t in strips:
                 if t == m:
@@ -159,6 +159,7 @@ class CohomologyClass(Frozen):
 
     @classmethod
     def unit(cls, k: int, n: int) -> "CohomologyClass":
+        k, n = _priced_symbol(k, n)
         top = SchubertSymbol(tuple(range(n - k + 1, n + 1)), n)
         return cls(k, n, {top: 1})
 
@@ -218,11 +219,9 @@ def _check_classes(z1, z2):
 def cup_product(z1: CohomologyClass, z2: CohomologyClass) -> CohomologyClass:
     """The cup product z1 z2 in the Schubert basis: its nonzero coefficients, in order of first appearance over the
     pairs of terms (z1's outer, z2's inner), in lexicographic symbol order within a pair's product.  ValueError
-    unless both are classes, AmbientMismatchError unless they share a Grassmannian, then CapacityError, when both
-    have terms, for a Grassmannian with more cells than the budget."""
+    unless both are classes, AmbientMismatchError unless they share a Grassmannian, then CapacityError from the
+    price of ``_product`` or of the engine."""
     k, n = _check_classes(z1, z2)
-    if z1.coefficients and z2.coefficients:
-        cell_count(k, n)
     a, b = {_parts(u): c for u, c in z1.coefficients.items()}, {_parts(u): c for u, c in z2.coefficients.items()}
     return CohomologyClass._of(k, n, MappingProxyType({SchubertSymbol._of(_entries(lam, n), n): c
                                                       for lam, c in _product(a, b, k, n - k).items()}))
@@ -231,7 +230,10 @@ def cup_product(z1: CohomologyClass, z2: CohomologyClass) -> CohomologyClass:
 def _product(a: dict, b: dict, rows: int, cols: int) -> dict[tuple[int, ...], int]:
     """The product of two combinations of partitions in the rows x cols box, each a {parts: coefficient} dict of
     rows-part tuples: the nonzero coefficients, in order of first appearance over the pairs of terms (a's outer,
-    b's inner), and within a pair's product in decreasing lexicographic order of parts, one engine run a pair."""
+    b's inner), and within a pair's product in decreasing lexicographic order of parts, one engine run a pair.
+    CapacityError before any run if the pairs times min(rows, cols), the rows each run walks, exceed the budget."""
+    if (cost := len(a) * len(b) * min(rows, cols)) > MAX_SYMBOLS:  # the message is built only for a refusal
+        check_budget(cost, f"pairs of terms times rows of a {rows}x{cols} box, {len(a)}*{len(b)}*{min(rows, cols)}")
     out: dict[tuple[int, ...], int] = {}
     for mu, c1 in a.items():
         for nu, c2 in b.items():
@@ -240,9 +242,18 @@ def _product(a: dict, b: dict, rows: int, cols: int) -> dict[tuple[int, ...], in
     return {lam: c for lam, c in out.items() if c}
 
 
+def _priced_symbol(k: int, n: int) -> tuple[int, int]:
+    """(k, n) as check_ambient returns them; CapacityError if one symbol's k entries, 1 + k // 16 in the unit of
+    enumerate_symbols, exceed the budget."""
+    k, n = check_ambient(k, n)
+    if 1 + k // 16 > MAX_SYMBOLS:  # the message is built only for a refusal
+        check_budget(1 + k // 16, f"a Schubert symbol of Gr({k},{n}) with its entries, 1+{k}//16")
+    return k, n
+
+
 def special_symbol(k: int, n: int, i: int) -> SchubertSymbol:
     """Symbol of the i-th special Schubert class: (n-k,...,n-k+i-1, n-k+i+1,...,n); Gr(k, k) has none."""
-    k, n = check_ambient(k, n)
+    k, n = _priced_symbol(k, n)
     if k == n:
         raise ValueError(f"Gr({k},{n}) is a point and has no special classes: need k < n")
     (i,) = integers([i], "special class index i", 1, k)
@@ -281,7 +292,6 @@ def triple_product(u: SchubertSymbol, v: SchubertSymbol, w: SchubertSymbol) -> i
     k, n = u.ambient
     if degree(u) + degree(v) + degree(w) != 2 * k * (n - k):
         raise ValueError("degrees do not sum to the top degree")
-    cell_count(k, n)  # CapacityError for a Grassmannian with more cells than the budget
     dual = tuple(n - k - p for p in reversed(_parts(w)))  # w^c's partition: lambda_j = (n - k) - lambda(w)_{k+1-j}
     return _lr_terms(_parts(u), _parts(v), k, n - k).get(dual, 0)
 
@@ -290,10 +300,9 @@ def chern_presentation_check(k: int, n: int) -> bool:
     """Whether (1 + c_1 + ... + c_{n-k})(1 + d_1 + ... + d_k) = 1 holds in H*(Gr_k(C^n)), with the d_i the special
     classes (none on Gr(n, n), a point) and each c_m solved from the relation in degree m <= n-k; the degrees
     n-k+1..n must then close to zero.  Works on combinations of partitions, d_i = (1^i), through ``_product``: each
-    c_m is one Schubert class up to sign, so there are k(n-k) engine runs of at most C(n, k) terms each, priced
-    first (CapacityError over the budget)."""
-    cells = cell_count(k, n)
-    check_budget(k * (n - k) * cells, f"product terms for the Chern check of Gr({k},{n}), {k * (n - k)}*{cells}")
+    c_m is one Schubert class up to sign, so its k(n-k) engine runs are priced first, at min(k, n-k) rows each."""
+    k, n = check_ambient(k, n)
+    check_budget(k * (n - k) * min(k, n - k), f"engine rows for the Chern check of Gr({k},{n}), k(n-k)*min(k,n-k)")
     d = {i: {(1,) * i + (0,) * (k - i): 1} for i in range(1, k + 1) if k < n}
     c = {}
     for m in range(1, n + 1):

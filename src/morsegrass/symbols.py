@@ -248,8 +248,12 @@ def critical_index(u: SchubertSymbol, sign: str = "for_minus_f") -> int:
 
 
 def schubert_conditions(u: SchubertSymbol) -> tuple[int, ...]:
-    """Jump sequence v_i = dim(V cap C^i) characterizing the cell of u."""
-    return tuple(sum(1 for e in u.entries if e <= i) for i in range(1, u.n + 1))
+    """Jump sequence v_i = dim(V cap C^i) characterizing the cell of u: the prefix sums over 1..n of the indicator
+    of u's entries, in one pass."""
+    marks = [0] * u.n
+    for e in u.entries:
+        marks[e - 1] = 1
+    return tuple(itertools.accumulate(marks))
 
 
 def complement(u: SchubertSymbol) -> SchubertSymbol:

@@ -1,15 +1,16 @@
 """Refusal branches that the module tests do not reach: each input here must raise, with its own message."""
 
 import json
+import time
 
 import pytest
 
 from morsegrass import polynomials, witten
 from morsegrass.cli import EXIT_CONSISTENCY, main
-from morsegrass.flows import GrassmannPoint, limit_symbol
+from morsegrass.flows import GrassmannPoint, limit_symbol, random_point
 from morsegrass.polynomials import IntPolynomial, mb_polynomial
-from morsegrass.ring import special_symbol
-from morsegrass.symbols import GeneralizedSchubertSymbol, SchubertSymbol, critical_index
+from morsegrass.ring import CohomologyClass, special_symbol
+from morsegrass.symbols import CapacityError, GeneralizedSchubertSymbol, SchubertSymbol, critical_index
 
 
 @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
@@ -75,6 +76,22 @@ def test_gaussian_generating_box_refused(k, n, message):
     # a box of k parts, each at most n - k: no negative count and no negative bound
     with pytest.raises(ValueError, match=f"^{message}$"):
         polynomials.gaussian_generating(k, n)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: CohomologyClass.unit(2 * 10**6, 4 * 10**6),
+     r"^a Schubert symbol of Gr\(2000000,4000000\) with its entries, 1\+2000000//16: 125001 exceeds"),
+    (lambda: special_symbol(2 * 10**6, 4 * 10**6, 1),
+     r"^a Schubert symbol of Gr\(2000000,4000000\) with its entries, 1\+2000000//16: 125001 exceeds"),
+    (lambda: random_point(1600, 3200, 1), r"^Gaussian frame entries of Gr\(1600,3200\), 3200\*1600: 5120000 exceeds"),
+], ids=["unit", "special_symbol", "random_point"])
+def test_built_from_k_and_n_priced_first(build, message):
+    # each was unpriced: unit(10**6, 2 * 10**6) took 0.115 s, special_symbol the same 0.034 s, and
+    # random_point(1600, 3200) 3.0 s, its rank SVD growing as n * k**2
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match=message):
+        build()
+    assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize("i", [0, 3])

@@ -9,6 +9,7 @@ import pytest
 
 import morsegrass.ring as ring_module
 import morsegrass.symbols as symbols_module
+from morsegrass.graphs import cup_product_instance
 from morsegrass.ring import (
     CohomologyClass,
     chern_presentation_check,
@@ -180,9 +181,11 @@ class TestLRCoefficients:
             nonzero += want > 0
         assert nonzero > 200
 
-    @pytest.mark.parametrize("box,mu", [(12, (6, 5, 4, 3, 2, 1)), (16, (8, 7, 6, 5, 4, 3, 2, 1))])
+    @pytest.mark.parametrize("box,mu", [(12, (6, 5, 4, 3, 2, 1)), (16, (8, 7, 6, 5, 4, 3, 2, 1)),
+                                        (1000, (1,) * 500), (2000, (1,) * 1000)])
     def test_engine_priced_as_it_runs(self, box, mu):
-        # the 12x12 box took 2.95 s and the 16x16 box ran for more than a minute
+        # the 12x12 box took 2.95 s and the 16x16 box ran for more than a minute; the two tall boxes ran 2.9 s
+        # and 5.3 s while only prefixes were counted, as each state walks, counts and pads all its rows
         start = time.perf_counter()
         with pytest.raises(CapacityError, match=rf"built by the Littlewood-Richardson rule in a {box}x{box} box"):
             lr_coefficient((box,) * box, mu, mu)
@@ -517,6 +520,62 @@ class TestTripleProduct:
         assert cup_product(basis((1, 4), 4), basis((2, 3), 4)).is_zero()
 
 
+def symbol_of(lam, k, n):
+    """The symbol of Gr(k, n) whose codimension partition is lam, padded to k parts: u_j = (n - k) + j - lam_j."""
+    lam = tuple(lam) + (0,) * (k - len(lam))
+    return sym((n - k + j - p for j, p in enumerate(lam, 1)), n)
+
+
+def random_partition(rng, size, rows, cols):
+    """A partition of size boxes in the rows x cols box, grown one box at a time at a random outer corner."""
+    lam = [0] * rows
+    for _ in range(size):
+        lam[rng.choice([r for r in range(rows) if lam[r] < cols and (r == 0 or lam[r] < lam[r - 1])])] += 1
+    return tuple(lam)
+
+
+class TestPricedByTheirWork:
+    # cup and triple products refused every Grassmannian with more cells than the budget, though they list no
+    # cell, while the square of a class with every cell as a term ran for seconds unpriced
+
+    def test_all_cells_square_refused_before_any_run(self, monkeypatch):
+        # Gr(2,40) has 780 cells, below the budget, and this square took 19.6 s over 608 400 pairs of terms
+        z = CohomologyClass(2, 40, dict.fromkeys(enumerate_symbols(2, 40), 1))
+        monkeypatch.setattr(ring_module, "_lr_terms", lambda *args: pytest.fail("engine run"))
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match=r"pairs of terms times rows of a 2x38 box, 780\*780\*2: 1216800"):
+            cup_product(z, z)
+        assert time.perf_counter() - start < 1.0
+
+    def test_all_cells_square_below_the_budget(self):
+        z = CohomologyClass(4, 8, dict.fromkeys(enumerate_symbols(4, 8), 1))
+        assert list(cup_product(z, z).coefficients.items()) == list(per_pair_product(z, z).items())
+
+    @pytest.mark.parametrize("k", [10, 100])
+    def test_sigma_1_squared_past_the_cells_budget(self, k):
+        # Gr(10,20) has 184 756 cells, and this product was refused on them
+        s1 = CohomologyClass.basis(special_symbol(k, 2 * k, 1))
+        square = cup_product(s1, s1)
+        assert square == pieri_product(s1, 1) and len(square.coefficients) == 2
+
+    def test_triple_products_agree_with_cup_product_and_duality(self):
+        # on Gr(10,20): <z_u z_v z_w^c> is the coefficient of z_w in z_u z_v, for the terms of the product and for
+        # random shapes of the same weight, most of them not terms
+        rng, k, n = random.Random(36), 10, 20
+        zeros = 0
+        for _ in range(10):
+            u, v = (symbol_of(random_partition(rng, rng.randint(0, 8), k, n - k), k, n) for _ in "uv")
+            product = cup_product(CohomologyClass.basis(u), CohomologyClass.basis(v))
+            weight = sum(parts(u)) + sum(parts(v))
+            others = (symbol_of(random_partition(rng, weight, k, n - k), k, n) for _ in range(4))
+            for w in {*product.coefficients, *others}:
+                want, dual = product.coefficient(w), complement(w)
+                assert duality_pairing(w, dual) == 1
+                assert triple_product(u, v, dual) == want == cup_product_instance(u, v, dual), (u, v, w)
+                zeros += want == 0
+        assert zeros > 0
+
+
 class TestPieri:
     def test_special_symbols(self):
         assert special_symbol(2, 4, 1).entries == (2, 4)
@@ -617,11 +676,14 @@ class TestChernPresentation:
         assert chern_presentation_check(3, 6)
 
     def test_capacity(self, monkeypatch):
-        # priced by the one budget: Gr(4, 8) answers, Gr(7, 14) is refused before any engine run
-        assert chern_presentation_check(4, 8)
+        # priced by the one budget at k(n-k) engine runs of min(k, n-k) rows: Gr(7, 14), once refused at 49*3432
+        # product terms, and Gr(46, 92) answer, Gr(47, 94) is refused before any engine run
+        assert chern_presentation_check(7, 14)
+        assert chern_presentation_check(46, 92)
         monkeypatch.setattr(ring_module, "_lr_terms", lambda *args: pytest.fail("engine run"))
-        with pytest.raises(CapacityError, match=r"product terms for the Chern check of Gr\(7,14\), 49\*3432"):
-            chern_presentation_check(7, 14)
+        message = r"engine rows for the Chern check of Gr\(47,94\), k\(n-k\)\*min\(k,n-k\): 103823 exceeds"
+        with pytest.raises(CapacityError, match=message):
+            chern_presentation_check(47, 94)
 
     def test_every_grassmannian_through_n_8_builds_no_class(self, monkeypatch):
         # the check works on partition dicts: neither the checking constructors nor _of build a class or a symbol

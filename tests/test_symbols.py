@@ -134,6 +134,15 @@ class TestCellData:
                 prev = vi
             assert v[-1] == u.k
 
+    def test_conditions_match_the_count_per_entry(self):
+        # one pass of prefix sums in place of a scan of u per entry; ints, as cells --json prints them, not bools
+        for n in range(9):
+            for k in range(n + 1):
+                for u in enumerate_symbols(k, n):
+                    v = schubert_conditions(u)
+                    assert v == tuple(sum(1 for e in u.entries if e <= i) for i in range(1, n + 1)), u
+                    assert {int}.issuperset(map(type, v)), u
+
 
 class TestComplement:
     def test_examples(self):
@@ -502,6 +511,9 @@ INTEGER_INPUTS = [
                  id="CohomologyClass-coefficients"),
     pytest.param("dimension k", lambda x: CohomologyClass(x, 4).k, id="CohomologyClass-k"),
     pytest.param("dimension n", lambda x: CohomologyClass(2, x).n, id="CohomologyClass-n"),
+    # unit read k and n through range: a float or a string escaped as TypeError
+    pytest.param("dimension k", lambda x: CohomologyClass.unit(x, 4).k, id="CohomologyClass.unit-k"),
+    pytest.param("dimension n", lambda x: CohomologyClass.unit(2, x).n, id="CohomologyClass.unit-n"),
     pytest.param("dimension k", lambda x: check_ambient(x, 4)[0], id="check_ambient-k"),
     pytest.param("dimension n", lambda x: check_ambient(2, x)[1], id="check_ambient-n"),
     pytest.param("dimension k", lambda x: cell_count(x, 4), id="cell_count"),
