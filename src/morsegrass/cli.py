@@ -15,8 +15,8 @@ as "code" in JSON and as "error (<code>): ..." on stderr in text mode:
      before the work in each engine's unit: Schubert cells, cells-table
      condition entries, Witten degrees, builtin circle/rp entries,
      thousands of poincare coefficient updates, polytope vertex
-     coordinates and facet intersections, or cup's pairs of terms times
-     rows and, counted as the engine runs, LR strip prefixes and rows
+     coordinates and facet intersections, or, counted as a cup product
+     runs, the parts, strip prefixes and rows of its LR engine
   3  consistency: the three Poincare polynomial routes disagree
   4  ambiguous-cell: a point too close to a cell boundary to classify
 

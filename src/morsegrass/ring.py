@@ -28,6 +28,7 @@ from .symbols import (
     complement,
     enumerate_symbols,  # unused here: bench/selftest.py checks that the tracer wraps ring.enumerate_symbols
     integers,
+    priced_symbol,
 )
 
 
@@ -54,7 +55,11 @@ def duality_pairing(u: SchubertSymbol, v: SchubertSymbol) -> int:
     return 1 if v == complement(u) else 0
 
 
-def _lr_terms(mu: tuple[int, ...], nu: tuple[int, ...], rows: int, cols: int) -> dict[tuple[int, ...], int]:
+_LR_WORK = "parts, prefixes and rows built by the Littlewood-Richardson rule in a {}x{} box"  # formatted to refuse
+
+
+def _lr_terms(mu: tuple[int, ...], nu: tuple[int, ...], rows: int, cols: int,
+              spent: list[int] | None = None) -> dict[tuple[int, ...], int]:
     """The nonzero c^lam_{mu, nu} over the shapes lam in the rows x cols box, each lam as a tuple of rows parts.
 
     Drops zero parts and, as c^lam_{mu, nu} = c^lam_{nu, mu}, grows the partition with more
@@ -64,17 +69,21 @@ def _lr_terms(mu: tuple[int, ...], nu: tuple[int, ...], rows: int, cols: int) ->
     boxes in row r, where a_r <= shape_{r-1} - shape_r before the strip (a horizontal strip,
     so columns stay strict), shape_r + a_r <= cols, and a_1 + ... + a_r is at most the last
     strip's boxes in rows 1..r-1 (the reverse reading word stays a lattice word).  A strip's prefixes grow only
-    at rows with room, up to the first empty row, and are padded with zeros once.  They, and the rows that each
-    state walks, counts and pads, are the engine's work: CapacityError after a state that takes the count past
-    the budget.  A box with more rows than columns is transposed, as c^lam_{mu, nu} = c^lam'_{mu', nu'} for the
-    conjugates, and the shapes are conjugated back at the end, so no strip walks more than min(rows, cols) rows.
+    at rows with room, up to the first empty row, and are padded with zeros once.  A box with more rows than
+    columns is transposed, as c^lam_{mu, nu} = c^lam'_{mu', nu'} for the conjugates, and the shapes are
+    conjugated back at the end, so no strip walks more than min(rows, cols) rows.  The engine's work is the
+    parts it reads, its prefixes, the rows that each state walks, counts and pads, and the parts of the shapes
+    it returns: CapacityError once the count passes the budget.  ``spent``, a one-item list, carries the count
+    from run to run, so that the runs of one product or check share one budget.
     """
+    spent = [0] if spent is None else spent
+    spent[0] += len(mu) + len(nu)  # every part read, zeros too
     mu, nu = sorted((tuple(p for p in parts if p) for parts in (mu, nu)), key=sum, reverse=True)  # mu the larger
     if any(len(p) > rows or p and p[0] > cols for p in (mu, nu)):
         return {}
     if flip := rows > cols:
         mu, nu, rows, cols = _conjugate(mu, sum(mu[:1])), _conjugate(nu, sum(nu[:1])), cols, rows
-    states, built = {(mu + (0,) * (rows - len(mu)), None): 1}, 0
+    states, built = {(mu + (0,) * (rows - len(mu)), None): 1}, spent[0]
     for m in nu:
         grown = {}
         for (shape, last), count in states.items():
@@ -87,7 +96,7 @@ def _lr_terms(mu: tuple[int, ...], nu: tuple[int, ...], rows: int, cols: int) ->
                     strips = [(a + pad + (x,), t + x) for a, t in strips for x in range(min(room, cap - t, m - t) + 1)]
                     built += len(strips)
             if built > MAX_SYMBOLS:
-                check_budget(built, f"prefixes and rows built by the Littlewood-Richardson rule in a {rows}x{cols} box")
+                check_budget(built, _LR_WORK.format(rows, cols))
             pad = (0,) * (rows - width)
             for a, t in strips:
                 if t == m:
@@ -95,6 +104,9 @@ def _lr_terms(mu: tuple[int, ...], nu: tuple[int, ...], rows: int, cols: int) ->
                     key = (tuple(map(add, shape, a)), a)
                     grown[key] = grown.get(key, 0) + count
         states = grown
+    spent[0] = built = built + len(states) * (cols if flip else rows)  # a shape returned has a part per row
+    if built > MAX_SYMBOLS:
+        check_budget(built, _LR_WORK.format(rows, cols))
     out = {}
     for (shape, _), count in states.items():
         shape = _conjugate(shape, cols) if flip else shape
@@ -121,9 +133,13 @@ def _partition(parts, what: str) -> tuple[int, ...]:
 
 
 def lr_coefficient(lam: tuple[int, ...], mu: tuple[int, ...], nu: tuple[int, ...]) -> int:
-    """Littlewood-Richardson coefficient c^lam_{mu, nu}; ValueError naming lam, mu or nu if one is not a partition."""
+    """Littlewood-Richardson coefficient c^lam_{mu, nu}; ValueError naming lam, mu or nu if one is not a partition.
+    A tall lam is read on the conjugates, so that no shape the engine returns has more parts than lam has columns."""
     lam, mu, nu = _partition(lam, "lam"), _partition(mu, "mu"), _partition(nu, "nu")
-    return _lr_terms(mu, nu, len(lam), lam[0] if lam else 0).get(lam, 0)
+    rows, cols = len(lam), lam[0] if lam else 0
+    if rows > cols:  # c^lam_{mu, nu} = c^lam'_{mu', nu'}; with cols + 1 parts a part wider than lam leaves the box
+        lam, mu, nu, rows, cols = _conjugate(lam, cols), _conjugate(mu, cols + 1), _conjugate(nu, cols + 1), cols, rows
+    return _lr_terms(mu, nu, rows, cols).get(lam, 0)
 
 
 def _nonzero(terms) -> MappingProxyType:
@@ -159,7 +175,7 @@ class CohomologyClass(Frozen):
 
     @classmethod
     def unit(cls, k: int, n: int) -> "CohomologyClass":
-        k, n = _priced_symbol(k, n)
+        k, n = priced_symbol(k, n)
         top = SchubertSymbol(tuple(range(n - k + 1, n + 1)), n)
         return cls(k, n, {top: 1})
 
@@ -219,41 +235,30 @@ def _check_classes(z1, z2):
 def cup_product(z1: CohomologyClass, z2: CohomologyClass) -> CohomologyClass:
     """The cup product z1 z2 in the Schubert basis: its nonzero coefficients, in order of first appearance over the
     pairs of terms (z1's outer, z2's inner), in lexicographic symbol order within a pair's product.  ValueError
-    unless both are classes, AmbientMismatchError unless they share a Grassmannian, then CapacityError from the
-    price of ``_product`` or of the engine."""
+    unless both are classes, AmbientMismatchError unless they share a Grassmannian, then CapacityError once the
+    engine runs of the product pass the budget together."""
     k, n = _check_classes(z1, z2)
     a, b = {_parts(u): c for u, c in z1.coefficients.items()}, {_parts(u): c for u, c in z2.coefficients.items()}
     return CohomologyClass._of(k, n, MappingProxyType({SchubertSymbol._of(_entries(lam, n), n): c
-                                                      for lam, c in _product(a, b, k, n - k).items()}))
+                                                      for lam, c in _product(a, b, k, n - k, [0]).items()}))
 
 
-def _product(a: dict, b: dict, rows: int, cols: int) -> dict[tuple[int, ...], int]:
-    """The product of two combinations of partitions in the rows x cols box, each a {parts: coefficient} dict of
+def _product(a: dict, b: dict, rows: int, cols: int, spent: list[int]) -> dict[tuple[int, ...], int]:
+    """The product of two combinations of partitions in the rows x cols box, {parts: coefficient} dicts, as one of
     rows-part tuples: the nonzero coefficients, in order of first appearance over the pairs of terms (a's outer,
-    b's inner), and within a pair's product in decreasing lexicographic order of parts, one engine run a pair.
-    CapacityError before any run if the pairs times min(rows, cols), the rows each run walks, exceed the budget."""
-    if (cost := len(a) * len(b) * min(rows, cols)) > MAX_SYMBOLS:  # the message is built only for a refusal
-        check_budget(cost, f"pairs of terms times rows of a {rows}x{cols} box, {len(a)}*{len(b)}*{min(rows, cols)}")
+    b's inner), and within a pair's product in decreasing lexicographic order of parts, one engine run a pair,
+    every run counting its work in ``spent``, as _lr_terms does."""
     out: dict[tuple[int, ...], int] = {}
     for mu, c1 in a.items():
         for nu, c2 in b.items():
-            for lam, c in sorted(_lr_terms(mu, nu, rows, cols).items(), reverse=True):
+            for lam, c in sorted(_lr_terms(mu, nu, rows, cols, spent).items(), reverse=True):
                 out[lam] = out.get(lam, 0) + c1 * c2 * c
     return {lam: c for lam, c in out.items() if c}
 
 
-def _priced_symbol(k: int, n: int) -> tuple[int, int]:
-    """(k, n) as check_ambient returns them; CapacityError if one symbol's k entries, 1 + k // 16 in the unit of
-    enumerate_symbols, exceed the budget."""
-    k, n = check_ambient(k, n)
-    if 1 + k // 16 > MAX_SYMBOLS:  # the message is built only for a refusal
-        check_budget(1 + k // 16, f"a Schubert symbol of Gr({k},{n}) with its entries, 1+{k}//16")
-    return k, n
-
-
 def special_symbol(k: int, n: int, i: int) -> SchubertSymbol:
     """Symbol of the i-th special Schubert class: (n-k,...,n-k+i-1, n-k+i+1,...,n); Gr(k, k) has none."""
-    k, n = _priced_symbol(k, n)
+    k, n = priced_symbol(k, n)
     if k == n:
         raise ValueError(f"Gr({k},{n}) is a point and has no special classes: need k < n")
     (i,) = integers([i], "special class index i", 1, k)
@@ -299,16 +304,14 @@ def triple_product(u: SchubertSymbol, v: SchubertSymbol, w: SchubertSymbol) -> i
 def chern_presentation_check(k: int, n: int) -> bool:
     """Whether (1 + c_1 + ... + c_{n-k})(1 + d_1 + ... + d_k) = 1 holds in H*(Gr_k(C^n)), with the d_i the special
     classes (none on Gr(n, n), a point) and each c_m solved from the relation in degree m <= n-k; the degrees
-    n-k+1..n must then close to zero.  Works on combinations of partitions, d_i = (1^i), through ``_product``: each
-    c_m is one Schubert class up to sign, so its k(n-k) engine runs are priced first, at min(k, n-k) rows each."""
+    n-k+1..n must then close to zero.  Works on combinations of partitions, d_i = (1^i), through ``_product``, all
+    of whose engine runs share one count: CapacityError once it passes the budget."""
     k, n = check_ambient(k, n)
-    check_budget(k * (n - k) * min(k, n - k), f"engine rows for the Chern check of Gr({k},{n}), k(n-k)*min(k,n-k)")
-    d = {i: {(1,) * i + (0,) * (k - i): 1} for i in range(1, k + 1) if k < n}
-    c = {}
+    c, spent = {}, [0]
     for m in range(1, n + 1):
-        acc = dict(d.get(m, {}))
-        for i in range(max(1, m - k), min(m, n - k + 1)):  # the c_i d_{m-i} with both defined
-            for lam, x in _product(c[i], d[m - i], k, n - k).items():
+        acc = {(1,) * m + (0,) * (k - m): 1} if m <= k < n else {}
+        for i in range(max(1, m - k), min(m, n - k + 1)):  # the c_i d_{m-i} with both defined, d_{m-i} unpadded
+            for lam, x in _product(c[i], {(1,) * (m - i): 1}, k, n - k, spent).items():
                 acc[lam] = acc.get(lam, 0) + x
         if m <= n - k:
             c[m] = {lam: -x for lam, x in acc.items() if x}

@@ -222,11 +222,24 @@ def cell_count(k: int, n: int) -> int:
     return cells
 
 
+def symbol_units(k: int) -> int:
+    """1 + k // 16, the budget units of one symbol with its k entries: the unit of every price of symbols."""
+    return 1 + k // 16
+
+
+def priced_symbol(k: int, n: int) -> tuple[int, int]:
+    """(k, n) as check_ambient returns them; CapacityError if one symbol of Gr_k(C^n) exceeds the budget."""
+    k, n = check_ambient(k, n)
+    if symbol_units(k) > MAX_SYMBOLS:  # the message is built only for a refusal
+        check_budget(symbol_units(k), f"a Schubert symbol of Gr({k},{n}) with its entries, 1+{k}//16")
+    return k, n
+
+
 def enumerate_symbols(k: int, n: int) -> list[SchubertSymbol]:
     """All C(n, k) Schubert symbols of Gr_k(C^n), in lexicographic order; CapacityError, before any is built, if
     C(n, k) * (1 + k // 16), the symbols and their entries, exceeds the budget."""
     k, n = check_ambient(k, n)
-    check_budget(cell_count(k, n) * (1 + k // 16), f"Schubert symbols with their entries, C({n},{k})*(1+{k}//16)")
+    check_budget(cell_count(k, n) * symbol_units(k), f"Schubert symbols with their entries, C({n},{k})*(1+{k}//16)")
     return [SchubertSymbol._of(c, n) for c in itertools.combinations(range(1, n + 1), k)]
 
 
@@ -295,7 +308,7 @@ def enumerate_generalized_symbols(
         cum = [0, *itertools.accumulate(ways)]  # the new ways at s sum the old ones at s - m .. s
         ways = [cum[min(s - lo + 1, len(ways))] - cum[max(s - m - lo, 0)] for s in range(new_lo, hi + 1)]
         lo = new_lo
-    check_budget(ways[0] * (1 + len(blocks) // 16), f"{what} with their entries, count*(1+{len(blocks)}//16)")
+    check_budget(ways[0] * symbol_units(len(blocks)), f"{what} with their entries, count*(1+{len(blocks)}//16)")
     # step from each vector to the next, carrying the sum left for the entries after j
     out, v, rest, j = [], [0] * len(blocks), k, -1
     while True:
@@ -332,8 +345,8 @@ def morse_refinements(c: GeneralizedSchubertSymbol) -> list[SchubertSymbol]:
     """Schubert symbols compatible with c, c_j rows picked inside each block; CapacityError, before any is built,
     if the product of the C(m_j, c_j) times (1 + k // 16) exceeds the budget."""
     count = math.prod(cell_count(cj, mj) for cj, mj in zip(c.counts, c.blocks))
-    check_budget(count * (1 + c.k // 16), f"Morse refinements of {c.counts} in blocks {c.blocks} "
-                                          f"with their entries, prod C(m_j,c_j)*(1+{c.k}//16)")
+    check_budget(count * symbol_units(c.k), f"Morse refinements of {c.counts} in blocks {c.blocks} "
+                                            f"with their entries, prod C(m_j,c_j)*(1+{c.k}//16)")
     offsets = itertools.accumulate(c.blocks, initial=0)
     per_block = [itertools.combinations(range(o + 1, o + m + 1), cj) for o, m, cj in zip(offsets, c.blocks, c.counts)]
     return [SchubertSymbol._of(tuple(itertools.chain.from_iterable(choice)), c.n)

@@ -440,7 +440,7 @@ class TestCapacity:
         # it, the cells route of poincare 1499 1500 built 1500 symbols of 1499 entries, and
         # polytope 2 447 listed all 99 681 vertices of 447 coordinates before its faces;
         # cup 12 24 squares the staircase (6,5,4,3,2,1) in its 12x12 box, which the LR
-        # engine refuses on the prefixes and rows it builds
+        # engine refuses on the parts, prefixes and rows it builds
         start = time.perf_counter()
         code, data, _ = run_json(capsys, *argv)
         assert time.perf_counter() - start < 1.0

@@ -536,20 +536,31 @@ def random_partition(rng, size, rows, cols):
 
 class TestPricedByTheirWork:
     # cup and triple products refused every Grassmannian with more cells than the budget, though they list no
-    # cell, while the square of a class with every cell as a term ran for seconds unpriced
+    # cell, while the square of a class with every cell as a term ran for seconds unpriced; the engine runs of
+    # one product now share one count
 
-    def test_all_cells_square_refused_before_any_run(self, monkeypatch):
-        # Gr(2,40) has 780 cells, below the budget, and this square took 19.6 s over 608 400 pairs of terms
-        z = CohomologyClass(2, 40, dict.fromkeys(enumerate_symbols(2, 40), 1))
-        monkeypatch.setattr(ring_module, "_lr_terms", lambda *args: pytest.fail("engine run"))
+    @pytest.mark.parametrize("k,n", [(2, 40), (4, 8)])
+    def test_all_cells_square_refused_within_the_budget(self, k, n):
+        # Gr(2,40) has 780 cells, below the budget, and this square took 19.6 s over 608 400 pairs of terms;
+        # the Gr(4,8) square, 4900 runs, counts 166 004 parts, prefixes and rows
+        z = CohomologyClass(k, n, dict.fromkeys(enumerate_symbols(k, n), 1))
         start = time.perf_counter()
-        with pytest.raises(CapacityError, match=r"pairs of terms times rows of a 2x38 box, 780\*780\*2: 1216800"):
+        with pytest.raises(CapacityError, match=rf"built by the Littlewood-Richardson rule in a {k}x{n - k} box"):
             cup_product(z, z)
         assert time.perf_counter() - start < 1.0
 
     def test_all_cells_square_below_the_budget(self):
-        z = CohomologyClass(4, 8, dict.fromkeys(enumerate_symbols(4, 8), 1))
+        z = CohomologyClass(3, 7, dict.fromkeys(enumerate_symbols(3, 7), 1))
         assert list(cup_product(z, z).coefficients.items()) == list(per_pair_product(z, z).items())
+
+    def test_shapes_of_a_flipped_box_priced_at_their_rows(self):
+        # Gr(10**6, 10**6 + 2) is grown in its 2 x 10**6 conjugate box, where this square has 441 terms; each shape
+        # turned back has 10**6 parts, counted with the parts read, so the 441 (about 3.5 GB) are never built
+        z = CohomologyClass.basis(special_symbol(10**6, 10**6 + 2, 440))
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match=r"built by the Littlewood-Richardson rule in a 2x1000000 box"):
+            cup_product(z, z)
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("k", [10, 100])
     def test_sigma_1_squared_past_the_cells_budget(self, k):
@@ -675,15 +686,24 @@ class TestChernPresentation:
         assert chern_presentation_check(1, 5)
         assert chern_presentation_check(3, 6)
 
-    def test_capacity(self, monkeypatch):
-        # priced by the one budget at k(n-k) engine runs of min(k, n-k) rows: Gr(7, 14), once refused at 49*3432
-        # product terms, and Gr(46, 92) answer, Gr(47, 94) is refused before any engine run
+    def test_capacity(self):
+        # all engine runs of the check share one count: Gr(7, 14), once refused at 49*3432 product terms, answers,
+        # and so does Gr(20, 40) at 99 107 parts, prefixes and rows; Gr(21, 42) takes the count past the budget
         assert chern_presentation_check(7, 14)
-        assert chern_presentation_check(46, 92)
-        monkeypatch.setattr(ring_module, "_lr_terms", lambda *args: pytest.fail("engine run"))
-        message = r"engine rows for the Chern check of Gr\(47,94\), k\(n-k\)\*min\(k,n-k\): 103823 exceeds"
-        with pytest.raises(CapacityError, match=message):
-            chern_presentation_check(47, 94)
+        assert chern_presentation_check(20, 40)
+        for k, n in [(21, 42), (47, 94), (1, 100001)]:
+            start = time.perf_counter()
+            with pytest.raises(CapacityError, match=r"built by the Littlewood-Richardson rule"):
+                chern_presentation_check(k, n)
+            assert time.perf_counter() - start < 1.0, (k, n)
+
+    def test_k_part_tuples_counted(self):
+        # d_i = (1^i) padded to k parts for all i would be k**2 = 10**10 entries: the runs read d_i unpadded, and
+        # each reads and counts the k parts of c_i, so the first run is refused
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match=r"built by the Littlewood-Richardson rule in a 1x100000 box"):
+            chern_presentation_check(10**5, 10**5 + 1)
+        assert time.perf_counter() - start < 0.1
 
     def test_every_grassmannian_through_n_8_builds_no_class(self, monkeypatch):
         # the check works on partition dicts: neither the checking constructors nor _of build a class or a symbol
